@@ -453,8 +453,8 @@ let e25 () =
   let module Emulation = Crn_radio.Emulation in
   let c = 8 and k = 2 in
   let ns = if !quick then [ 16; 64 ] else [ 16; 64; 256 ] in
-  (* Every registry entry that accepts the emulation backend: all but the
-     struct-of-arrays twin and robust COGCOMP, which are engine-only. *)
+  (* Every registry entry that accepts the emulation backend: all but
+     robust COGCOMP, which is engine-only. *)
   let protos =
     [
       "cogcast";
@@ -540,27 +540,26 @@ let e25 () =
   note "CSMA/CA is reported, not budgeted: its contention window adapts from";
   note "observed collisions, so heavy contention can push sessions past tight caps"
 
-(* E26: the machine registry on the struct-of-arrays backend — the
-   universal-backend seam, measured. Every of_machine entry runs under
-   [--backend soa] at n = 10^4 and 10^5 (shards 1 and 8), with the classic
-   engine alongside at the n where it is feasible; summaries at the common
-   n are compared byte-for-byte, so the table doubles as a parity audit of
-   the generic adapter. The of_run entries are excluded by construction —
-   cogcomp and cogcomp_robust orchestrate several engine runs across
-   phases, which is not a single machine the driver can re-place, and
-   cogcast's own SoA twin (cogcast_soa) is audited trace-for-trace in
-   test/test_soa.ml — see EXPERIMENTS.md. *)
+(* E26: the registry on the struct-of-arrays backend — the
+   universal-backend seam, measured. Every of_machine entry, plus COGCAST
+   (whose [Cogcast.run] takes the same backend), runs under [--backend soa]
+   at two sizes and at shards 1 and 8; the shards-8 summary is compared
+   byte-for-byte with the shards-1 summary of the same cell, so the table
+   doubles as a shard-invariance audit. The engine backend is the soa
+   backend at one shard, so there is no separate engine row; the engine's
+   oracle is {!Crn_radio.Reference}, held trace-for-trace in
+   test/test_soa.ml. cogcomp and cogcomp_robust are excluded: they
+   orchestrate several engine runs across phases on the engine backend
+   and reject [--backend soa] — see EXPERIMENTS.md. *)
 let e26 () =
-  header "E26" "Machine registry on the SoA backend: scale and parity";
+  header "E26" "Registry on the SoA backend: scale and shard parity";
   let module Protocol = Crn_proto.Protocol in
   let module Registry = Crn_proto.Registry in
   let module Runner = Crn_radio.Runner in
   let module Json = Crn_stats.Json in
   let c = 8 and k = 2 in
-  let engine_n, big_ns =
-    if !quick then (1_000, [ 1_000; 10_000 ]) else (10_000, [ 10_000; 100_000 ])
-  in
-  let scale_n = List.nth big_ns 1 in
+  let ns = if !quick then [ 1_000; 10_000 ] else [ 10_000; 100_000 ] in
+  let scale_n = List.nth ns 1 in
   let max_slots = 2_000 in
   let t =
     Table.create [ "protocol"; "n"; "backend"; "slots"; "done"; "wall s"; "parity" ]
@@ -570,14 +569,16 @@ let e26 () =
   List.iteri
     (fun pi name ->
       let proto = Registry.find_exn name in
-      (* Both backends must see the same instance and the same protocol
-         stream: the assignment rng and the env rng are re-created from the
-         same seeds for every (backend, shards) cell. *)
-      let run ~n ~backend ~shards =
+      (* Every (n, shards) cell sees the same instance and the same
+         protocol stream: the assignment rng and the env rng are re-created
+         from the same seeds. *)
+      let run ~n ~shards =
         let rng = Rng.create (33_000 + (1_000 * pi) + n) in
         let assignment = Topology.shared_plus_random rng { Topology.n; c; k } in
         let env =
-          Protocol.env ~backend ~shards ~k ~max_slots
+          Protocol.env
+            ~backend:(Runner.Soa { shards = 1; dense_channel_limit = None })
+            ~shards ~k ~max_slots
             ~availability:(Dynamic.static assignment)
             ~rng:(Rng.create (33_500 + (1_000 * pi) + n))
             ()
@@ -586,69 +587,55 @@ let e26 () =
         let s = Protocol.run proto env in
         (s, Unix.gettimeofday () -. t0)
       in
-      let row ~n ~backend_label ~parity (s : Protocol.summary) wall =
-        Table.add_row t
-          [
-            name;
-            string_of_int n;
-            backend_label;
-            string_of_int s.Protocol.slots_run;
-            (if s.Protocol.completed then "yes" else "no");
-            fmt_f2 wall;
-            parity;
-          ]
-      in
-      let soa = Runner.Soa { shards = 1; dense_channel_limit = None } in
       List.iter
         (fun n ->
-          let reference =
-            if n <= engine_n then begin
-              let s, wall = run ~n ~backend:Runner.Engine ~shards:1 in
-              row ~n ~backend_label:"engine" ~parity:"-" s wall;
-              Some (Json.to_string (Protocol.summary_json s))
-            end
-            else None
-          in
+          let base = ref "" in
           List.iter
             (fun shards ->
-              let s, wall = run ~n ~backend:soa ~shards in
+              let s, wall = run ~n ~shards in
+              let summary = Json.to_string (Protocol.summary_json s) in
               let parity =
-                match reference with
-                | None -> "-"
-                | Some r ->
-                    if Json.to_string (Protocol.summary_json s) = r then "ok"
-                    else begin
-                      mismatches :=
-                        Printf.sprintf "%s n=%d shards=%d" name n shards
-                        :: !mismatches;
-                      "MISMATCH"
-                    end
+                if shards = 1 then begin
+                  base := summary;
+                  "-"
+                end
+                else if summary = !base then "ok"
+                else begin
+                  mismatches :=
+                    Printf.sprintf "%s n=%d shards=%d" name n shards
+                    :: !mismatches;
+                  "MISMATCH"
+                end
               in
               if s.Protocol.completed && n = scale_n then
                 completed_at_scale :=
                   Printf.sprintf "%s (shards=%d)" name shards
                   :: !completed_at_scale;
-              row ~n ~backend_label:(Printf.sprintf "soa s=%d" shards) ~parity s
-                wall)
+              Table.add_row t
+                [
+                  name;
+                  string_of_int n;
+                  Printf.sprintf "soa s=%d" shards;
+                  string_of_int s.Protocol.slots_run;
+                  (if s.Protocol.completed then "yes" else "no");
+                  fmt_f2 wall;
+                  parity;
+                ])
             [ 1; 8 ])
-        big_ns)
-    (Registry.machine_names ());
+        ns)
+    ("cogcast" :: Registry.machine_names ());
   print_table t;
   (match !mismatches with
   | [] ->
-      note
-        "parity: at n=%d every soa summary (shards 1 and 8) is byte-identical"
-        engine_n;
-      note "to the engine's — the adapter is observationally invisible"
+      note "parity: every shards=8 summary is byte-identical to its shards=1";
+      note "summary — sharding a trial is observationally invisible"
   | ms -> List.iter (fun m -> note "PARITY MISMATCH: %s" m) (List.rev ms));
   (match !completed_at_scale with
   | [] ->
-      note "no machine protocol completed at n=%d before max_slots=%d" scale_n
-        max_slots
+      note "no protocol completed at n=%d before max_slots=%d" scale_n max_slots
   | cs ->
       note "completed at n=%d on soa: %s" scale_n
         (String.concat ", " (List.rev cs)));
-  note "excluded: cogcomp and cogcomp_robust enter the registry via of_run —";
-  note "multi-phase orchestrations of several engine runs, not one machine the";
-  note "generic driver can re-place; cogcast's soa twin (cogcast_soa) is held";
-  note "to the stronger trace-for-trace standard in test/test_soa.ml"
+  note "the engine backend is this loop at shards=1; its oracle is the";
+  note "reference spec, held trace-for-trace in test/test_soa.ml. Excluded:";
+  note "cogcomp and cogcomp_robust, multi-phase runs on the engine backend"

@@ -35,7 +35,7 @@ module Reference = Crn_radio.Reference
 module Soa = Crn_radio.Soa
 module Action = Crn_radio.Action
 module Dynamic = Crn_channel.Dynamic
-module Cogcast_soa = Crn_core.Cogcast_soa
+module Runner = Crn_radio.Runner
 module Pool = Crn_exec.Pool
 
 (* A contention-heavy synthetic protocol with a precomputed cyclic decision
@@ -139,24 +139,25 @@ let bench_soa_scaling () =
       let availability = Dynamic.static assignment in
       let big_c = Crn_channel.Assignment.num_channels assignment in
       let budget = Crn_core.Complexity.cogcast_slots ~n ~c ~k () in
+      let soa shards = Runner.Soa { shards; dense_channel_limit = None } in
       let run_fixed ~shards ~pool ~max_slots =
         Gc.minor ();
         let w0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         ignore
-          (Cogcast_soa.run ?pool ~shards ~stop_when_complete:false ~source:0
-             ~availability ~rng:(Rng.create 4242) ~max_slots ());
+          (Cogcast.run ?pool ~backend:(soa shards) ~stop_when_complete:false
+             ~source:0 ~availability ~rng:(Rng.create 4242) ~max_slots ());
         (Unix.gettimeofday () -. t0, Gc.minor_words () -. w0)
       in
       (* The headline: a full broadcast to completion, all costs included. *)
       let t0 = Unix.gettimeofday () in
       let r =
-        Cogcast_soa.run ~source:0 ~availability ~rng:(Rng.create 4242)
-          ~max_slots:budget ()
+        Cogcast.run ~backend:(soa 1) ~source:0 ~availability
+          ~rng:(Rng.create 4242) ~max_slots:budget ()
       in
       let complete_wall = Unix.gettimeofday () -. t0 in
       Bench_util.note
-        "cogcast_soa n=%-7d C=%d: informed %d/%d in %d slots, %.2f s wall (setup included)"
+        "cogcast on soa n=%-7d C=%d: informed %d/%d in %d slots, %.2f s wall (setup included)"
         n big_c r.Crn_core.Cogcast.informed_count n
         r.Crn_core.Cogcast.slots_run complete_wall;
       let base_ms = ref 1.0 in
@@ -189,7 +190,7 @@ let bench_soa_scaling () =
               Printf.sprintf "%.2f" (!base_ms /. ms_per_slot);
             ];
           Bench_util.note
-            "cogcast_soa n=%-7d shards=%d: %.2f ms/slot steady-state, speedup %.2fx vs 1 shard"
+            "cogcast on soa n=%-7d shards=%d: %.2f ms/slot steady-state, speedup %.2fx vs 1 shard"
             n shards ms_per_slot (!base_ms /. ms_per_slot))
         shard_counts)
     configs;

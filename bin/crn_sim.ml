@@ -330,9 +330,10 @@ let backend_arg =
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Execution backend: $(b,engine) (the abstract one-winner engine, \
-           default), $(b,emulation) (every slot realized on the raw \
-           collision radio by decay-backoff contention sessions, §2 \
-           footnote 4), $(b,emulation-csma) (same raw radio, CSMA/CA \
+           default; the $(b,soa) backend at one shard), $(b,emulation) \
+           (every slot realized on the raw collision radio by \
+           decay-backoff contention sessions, §2 footnote 4), \
+           $(b,emulation-csma) (same raw radio, CSMA/CA \
            carrier-sense + ACK/retry contention), $(b,reference) (the \
            list-based executable specification, for differential checks), \
            or $(b,soa) (the struct-of-arrays engine: flat node state, \
@@ -345,12 +346,12 @@ let shards_arg =
     & info [ "shards" ] ~docv:"S"
         ~doc:
           "Intra-trial shards on the struct-of-arrays engine \
-           ($(b,--backend soa), or the $(b,cogcast_soa) protocol): each \
-           slot's per-node work splits across $(docv) domains. Composes \
-           with $(b,--jobs) (trial-level parallelism); total domains is \
-           roughly jobs x shards, so shard only when trials alone cannot \
-           fill the machine. Results are identical at any value. Rejected \
-           when the selected backend cannot shard a trial.")
+           ($(b,--backend soa)): each slot's per-node work splits across \
+           $(docv) domains. Composes with $(b,--jobs) (trial-level \
+           parallelism); total domains is roughly jobs x shards, so shard \
+           only when trials alone cannot fill the machine. Results are \
+           identical at any value. Rejected when the selected backend \
+           cannot shard a trial.")
 
 let dense_channel_limit_arg =
   Arg.(
@@ -403,26 +404,17 @@ let is_emulation = function Runner.Emulation _ -> true | _ -> false
 
 (* Commands that fan trials out on the domain pool validate the
    --shards/--backend combination eagerly, so a bad pairing fails before
-   any trial starts. The cogcast_soa entry (plain or jam_resist-wrapped)
-   is exempt: it resolves a plain-engine environment against its own SoA
-   default backend. *)
+   any trial starts. *)
 let check_shards ~backend ~shards proto_names =
-  let is_soa_native name =
-    let suffix = "cogcast_soa" in
-    let nl = String.length name and sl = String.length suffix in
-    nl >= sl && String.sub name (nl - sl) sl = suffix
-  in
   if shards < 1 then Some "--shards must be at least 1"
   else if shards = 1 then None
   else
     List.find_map
       (fun name ->
-        if is_soa_native name then None
-        else
-          try
-            ignore (Protocol.resolve_backend ~protocol:name backend ~shards);
-            None
-          with Invalid_argument m -> Some m)
+        try
+          ignore (Protocol.resolve_backend ~protocol:name backend ~shards);
+          None
+        with Invalid_argument m -> Some m)
       proto_names
 
 (* When any of --trace/--metrics/--check was requested, perform one extra

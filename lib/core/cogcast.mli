@@ -87,8 +87,7 @@ val run :
     protocol state honors the SoA sharding contract (per-node RNG streams,
     atomic informed counter), so on a {!Crn_radio.Runner.Soa} backend one
     trial shards across domains — [?pool] (Soa only) reuses an existing
-    domain pool instead of spinning one up per run. See {!Cogcast_soa.run}
-    for the pre-wired SoA entry point. *)
+    domain pool instead of spinning one up per run. *)
 
 val run_emulated :
   ?strategy:Crn_radio.Emulation.strategy ->

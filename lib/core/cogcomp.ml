@@ -19,24 +19,27 @@ type 'a result = {
   terminated : bool array;
   max_payload : int;
   total_payload : int;
+  counters : Trace.Counters.t;
+  failed_sessions : int;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Phases 2-4 run either on the abstract one-winner engine or on the
    raw-radio emulation (footnote 4), behind the shared backend-selecting
-   {!Crn_radio.Runner}. [accumulating] wraps a runner so the raw-round
-   cost of every phase lands in one counter.                            *)
+   {!Crn_radio.Runner}. Every phase runner is {!Runner.accumulating}, so
+   the counters, raw rounds and failed sessions of all four phases add up
+   in one total that phase 1's COGCAST cost seeds.                      *)
 (* ------------------------------------------------------------------ *)
 
 module Runner = Crn_radio.Runner
 
-let accumulating runner ~raw_rounds =
+let cast_cost (cast : Cogcast.result) =
   {
-    Runner.run =
-      (fun ?stop ~nodes ~max_slots () ->
-        let outcome = runner.Runner.run ?stop ~nodes ~max_slots () in
-        raw_rounds := !raw_rounds + outcome.Runner.raw_rounds;
-        outcome);
+    Runner.slots_run = cast.Cogcast.slots_run;
+    stopped_early = false;
+    counters = cast.Cogcast.counters;
+    raw_rounds = cast.Cogcast.raw_rounds;
+    failed_sessions = cast.Cogcast.failed_sessions;
   }
 
 let run_slots runner ?stop ~nodes ~max_slots () =
@@ -398,7 +401,7 @@ let run_phase4 (type a) ?measure ?trace ~mediated ~(monoid : a Aggregate.monoid)
 (* ------------------------------------------------------------------ *)
 
 let run_with ~emulated ?(strategy = Crn_radio.Emulation.Decay) ?session_cap
-    ~raw_rounds ?jammer ?faults ?budget_factor ?max_phase4_steps
+    ?jammer ?faults ?budget_factor ?max_phase4_steps
     ?(mediated = true) ?measure ?trace ~monoid ~values ~source ~assignment ~k ~rng ()
     =
   let n = Assignment.num_nodes assignment in
@@ -409,31 +412,29 @@ let run_with ~emulated ?(strategy = Crn_radio.Emulation.Decay) ?session_cap
     | Some tr -> Trace.record tr (Trace.Phase { name })
     | None -> ()
   in
-  let make_runner rng =
-    let backend =
-      if emulated then Runner.Emulation { strategy; session_cap }
-      else Runner.Engine
-    in
-    accumulating ~raw_rounds
-      (Runner.make ?jammer ?faults ?trace ~backend ~availability ~rng ())
-  in
   (* Phase 1: COGCAST with recording; fixed length so that all nodes agree on
      phase boundaries. *)
   let cast =
     if emulated then begin
       let c = Assignment.channels_per_node assignment in
       let max_slots = Complexity.cogcast_slots ?factor:budget_factor ~n ~c ~k () in
-      let cast, outcome =
-        Cogcast.run_emulated ~strategy ?session_cap ?jammer ?faults ?trace
-          ~record:true ~stop_when_complete:false ~source ~availability
-          ~rng:(Rng.split rng) ~max_slots ()
-      in
-      raw_rounds := !raw_rounds + outcome.Crn_radio.Emulation.raw_rounds;
-      cast
+      fst
+        (Cogcast.run_emulated ~strategy ?session_cap ?jammer ?faults ?trace
+           ~record:true ~stop_when_complete:false ~source ~availability
+           ~rng:(Rng.split rng) ~max_slots ())
     end
     else
       Cogcast.run_static ?jammer ?faults ?budget_factor ?trace ~record:true
         ~stop_when_complete:false ~source ~assignment ~k ~rng:(Rng.split rng) ()
+  in
+  let total = ref (cast_cost cast) in
+  let make_runner rng =
+    let backend =
+      if emulated then Runner.Emulation { strategy; session_cap }
+      else Runner.Engine
+    in
+    Runner.accumulating total
+      (Runner.make ?jammer ?faults ?trace ~backend ~availability ~rng ())
   in
   let tree = Disttree.of_result cast in
   mark "cogcomp-phase2";
@@ -468,35 +469,35 @@ let run_with ~emulated ?(strategy = Crn_radio.Emulation.Decay) ?session_cap
     cast.Cogcast.informed_count = n && Array.for_all (fun b -> b) terminated
   in
   if complete then mark "cogcomp-done";
-  {
-    complete;
-    root_value = (if complete then Some root_acc else None);
-    phase1_slots = cast.Cogcast.slots_run;
-    phase2_slots;
-    phase3_slots;
-    phase4_steps = (phase4_slots + 2) / 3;
-    phase4_slots;
-    total_slots = cast.Cogcast.slots_run + phase2_slots + phase3_slots + phase4_slots;
-    tree;
-    mediators;
-    terminated;
-    max_payload;
-    total_payload;
-  }
+  let cost = !total in
+  ( {
+      complete;
+      root_value = (if complete then Some root_acc else None);
+      phase1_slots = cast.Cogcast.slots_run;
+      phase2_slots;
+      phase3_slots;
+      phase4_steps = (phase4_slots + 2) / 3;
+      phase4_slots;
+      total_slots = cast.Cogcast.slots_run + phase2_slots + phase3_slots + phase4_slots;
+      tree;
+      mediators;
+      terminated;
+      max_payload;
+      total_payload;
+      counters = cost.Runner.counters;
+      failed_sessions = cost.Runner.failed_sessions;
+    },
+    cost.Runner.raw_rounds )
 
 let run ?jammer ?faults ?budget_factor ?max_phase4_steps ?mediated ?measure ?trace
     ~monoid ~values ~source ~assignment ~k ~rng () =
-  run_with ~emulated:false ~raw_rounds:(ref 0) ?jammer ?faults ?budget_factor
-    ?max_phase4_steps ?mediated ?measure ?trace ~monoid ~values ~source ~assignment
-    ~k ~rng ()
+  fst
+    (run_with ~emulated:false ?jammer ?faults ?budget_factor ?max_phase4_steps
+       ?mediated ?measure ?trace ~monoid ~values ~source ~assignment ~k ~rng ())
 
 let run_emulated ?strategy ?session_cap ?jammer ?faults ?budget_factor
     ?max_phase4_steps ?mediated ?measure ?trace ~monoid ~values ~source
     ~assignment ~k ~rng () =
-  let raw_rounds = ref 0 in
-  let result =
-    run_with ~emulated:true ?strategy ?session_cap ~raw_rounds ?jammer ?faults
-      ?budget_factor ?max_phase4_steps ?mediated ?measure ?trace ~monoid ~values
-      ~source ~assignment ~k ~rng ()
-  in
-  (result, !raw_rounds)
+  run_with ~emulated:true ?strategy ?session_cap ?jammer ?faults ?budget_factor
+    ?max_phase4_steps ?mediated ?measure ?trace ~monoid ~values ~source
+    ~assignment ~k ~rng ()

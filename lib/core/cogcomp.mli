@@ -49,6 +49,12 @@ type 'a result = {
       (** Largest payload (per [?measure]) carried by any phase-4 value
           message; [0] when no measure was supplied. *)
   total_payload : int;  (** Sum of measured payloads over all value sends. *)
+  counters : Crn_radio.Trace.Counters.t;
+      (** Slot counters summed over all four phases; [slots_run] equals
+          [total_slots]. *)
+  failed_sessions : int;
+      (** Contention sessions that hit their cap, summed over all four
+          phases; [0] on the abstract engine. *)
 }
 
 val run_emulated :

@@ -22,6 +22,8 @@ type 'a result = {
   tree : Disttree.t;
   mediators : int list;
   terminated : bool array;
+  counters : Trace.Counters.t;
+  failed_sessions : int;
 }
 
 (* The robust protocol must behave *bit-identically* to plain COGCOMP on
@@ -42,7 +44,9 @@ let grace_slots = 96
 
 (* Phases 2-4 execute on the shared backend-selecting runner; the robust
    variant only ever uses the abstract engine backend (the raw radio has no
-   fault model to be robust against). *)
+   fault model to be robust against). Every phase runner is
+   {!Runner.accumulating}, so the counters of all four phases add up in
+   one total that phase 1's COGCAST cost seeds. *)
 module Runner = Crn_radio.Runner
 
 let run_slots runner ?stop ~nodes ~max_slots () =
@@ -668,10 +672,23 @@ let run ?jammer ?faults ?budget_factor ?max_phase4_steps ?(watchdog_retries = 2)
     | Some tr -> Trace.record tr (Trace.Phase { name })
     | None -> ()
   in
-  let make_runner rng = Runner.make ?jammer ?faults ?trace ~availability ~rng () in
   let cast =
     Cogcast.run_static ?jammer ?faults ?budget_factor ?trace ~record:true
       ~stop_when_complete:false ~source ~assignment ~k ~rng:(Rng.split rng) ()
+  in
+  let total =
+    ref
+      {
+        Runner.slots_run = cast.Cogcast.slots_run;
+        stopped_early = false;
+        counters = cast.Cogcast.counters;
+        raw_rounds = cast.Cogcast.raw_rounds;
+        failed_sessions = cast.Cogcast.failed_sessions;
+      }
+  in
+  let make_runner rng =
+    Runner.accumulating total
+      (Runner.make ?jammer ?faults ?trace ~availability ~rng ())
   in
   let tree = Disttree.of_result cast in
   mark "cogcomp-phase2";
@@ -737,4 +754,6 @@ let run ?jammer ?faults ?budget_factor ?max_phase4_steps ?(watchdog_retries = 2)
     tree;
     mediators;
     terminated;
+    counters = !total.Runner.counters;
+    failed_sessions = !total.Runner.failed_sessions;
   }

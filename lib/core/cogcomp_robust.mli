@@ -64,6 +64,12 @@ type 'a result = {
   tree : Disttree.t;
   mediators : int list;  (** Initially elected mediators, ascending id. *)
   terminated : bool array;  (** Per-node phase-4 termination. *)
+  counters : Crn_radio.Trace.Counters.t;
+      (** Slot counters summed over all four phases; [slots_run] equals
+          [total_slots]. *)
+  failed_sessions : int;
+      (** Contention sessions that hit their cap, summed over all four
+          phases; [0] on the abstract engine this protocol runs on. *)
 }
 
 val run :

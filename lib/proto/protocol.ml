@@ -106,7 +106,7 @@ module type S = sig
 end
 
 (* Reconcile the two places a shard count can enter a run: [env.shards]
-   (the CLI's [--shards], historically only meaningful to cogcast_soa) and
+   (the CLI's [--shards]) and
    the shard count carried inside a [Runner.Soa] backend payload. Only the
    SoA backend can honor intra-trial sharding, so any other backend with
    [shards > 1] is a user error we must surface, not silently ignore. *)

@@ -78,8 +78,8 @@ val env :
     {!Crn_radio.Runner.Engine}, [shards = 1], everything else off. Raises
     [Invalid_argument] when [shards < 1] or a supplied load rate is not
     positive. [shards > 1] is validated against the backend at run time
-    ({!resolve_backend}), not here, because [cogcast_soa] resolves it
-    against its own default backend. *)
+    ({!resolve_backend}), by the entry that runs, so the error names the
+    protocol. *)
 
 val resolve_backend :
   protocol:string ->
@@ -111,8 +111,9 @@ type summary = {
           (surfaced to broadcasters as {!Crn_radio.Action.No_winner}); [0]
           on the abstract backends. *)
   counters : Crn_radio.Trace.Counters.t;
-      (** Engine channel accounting where the protocol surfaces it; a zero
-          record for multi-phase protocols that do not. *)
+      (** Engine channel accounting, summed over every engine run of the
+          protocol (all four phases for the COGCOMP entries), so
+          [counters.slots_run = slots_run]. *)
   detail : Crn_stats.Json.t;  (** Protocol-specific result fields. *)
 }
 

@@ -84,64 +84,6 @@ let cogcast =
         detail = Json.Obj [ ("informed_count", Json.Int r.Cogcast.informed_count) ];
       })
 
-(* Same protocol, struct-of-arrays engine: the scaling path. The default
-   [Runner.Engine] backend is reinterpreted as "the SoA default" so the
-   historic UX ([--protocol cogcast_soa --shards 8], no backend flag)
-   keeps working; an explicit [Soa] backend (carrying a
-   [dense_channel_limit]) passes through, reconciled against [env.shards]
-   by {!Protocol.resolve_backend}. Everything observable (result fields,
-   counters, traces) is byte-identical to the [cogcast] entry by Soa's
-   determinism contract, which test/test_soa.ml enforces differentially. *)
-let cogcast_soa =
-  Protocol.of_run ~name:"cogcast_soa"
-    ~synopsis:
-      "COGCAST on the struct-of-arrays engine: dense node state, intra-trial sharding"
-    (fun env ->
-      let backend =
-        match env.backend with
-        | Runner.Engine -> Runner.Soa { shards = 1; dense_channel_limit = None }
-        | Runner.Soa _ as b -> b
-        | (Runner.Emulation _ | Runner.Reference) as b ->
-            invalid_arg
-              (Printf.sprintf
-                 "cogcast_soa: the %s backend is not supported; only engine \
-                  (meaning the SoA default) or soa"
-                 (Runner.backend_name b))
-      in
-      let shards, dense_channel_limit =
-        match
-          Protocol.resolve_backend ~protocol:"cogcast_soa" backend
-            ~shards:env.shards
-        with
-        | Runner.Soa { shards; dense_channel_limit } ->
-            (shards, dense_channel_limit)
-        | _ -> assert false
-      in
-      let n, c = dims env in
-      let max_slots =
-        match env.max_slots with
-        | Some m -> m
-        | None ->
-            Complexity.cogcast_slots ?factor:env.budget_factor ~n ~c ~k:env.k ()
-      in
-      let r =
-        Crn_core.Cogcast_soa.run ~shards ?dense_channel_limit ?jammer:env.jammer
-          ?faults:env.faults ?metrics:env.metrics ?trace:env.trace
-          ~source:env.source ~availability:env.availability ~rng:env.rng
-          ~max_slots ()
-      in
-      {
-        Protocol.protocol = "cogcast_soa";
-        slots_run = r.Cogcast.slots_run;
-        completed = r.Cogcast.completed_at <> None;
-        completed_at = r.Cogcast.completed_at;
-        coverage = frac r.Cogcast.informed_count n;
-        raw_rounds = 0;
-        failed_sessions = 0;
-        counters = r.Cogcast.counters;
-        detail = Json.Obj [ ("informed_count", Json.Int r.Cogcast.informed_count) ];
-      })
-
 let cogcomp =
   Protocol.of_run ~name:"cogcomp"
     ~synopsis:"Four-phase data aggregation in O((c/k) max{1,c/n} lg n + n) slots (S5, Thm 10)"
@@ -185,10 +127,8 @@ let cogcomp =
           (if r.Cogcomp.complete then Some r.Cogcomp.total_slots else None);
         coverage = frac terminated n;
         raw_rounds;
-        (* The four-phase driver does not count per-session failures; a
-           failed session still surfaces to the phase as a lost slot. *)
-        failed_sessions = 0;
-        counters = Trace.Counters.create ();
+        failed_sessions = r.Cogcomp.failed_sessions;
+        counters = r.Cogcomp.counters;
         detail =
           Json.Obj
             [
@@ -226,8 +166,8 @@ let cogcomp_robust =
            else None);
         coverage = frac r.Cogcomp_robust.coverage n;
         raw_rounds = 0;
-        failed_sessions = 0;
-        counters = Trace.Counters.create ();
+        failed_sessions = r.Cogcomp_robust.failed_sessions;
+        counters = r.Cogcomp_robust.counters;
         detail =
           Json.Obj
             [
@@ -666,7 +606,7 @@ let machines =
     Protocol.of_machine (module Push_sum_p);
   ]
 
-let all = [ cogcast; cogcast_soa; cogcomp; cogcomp_robust ] @ machines
+let all = [ cogcast; cogcomp; cogcomp_robust ] @ machines
 
 let names () = List.map Protocol.name all
 let machine_names () = List.map Protocol.name machines

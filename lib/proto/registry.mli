@@ -23,7 +23,7 @@ val machine_names : unit -> string list
 (** Names of the entries that enter through {!Protocol.of_machine} — the
     single-engine-run state machines the generic driver can place on any
     {!Crn_radio.Runner} backend, the struct-of-arrays one included. The
-    [of_run] entries (cogcast, cogcast_soa, cogcomp, cogcomp_robust) are
+    [of_run] entries (cogcast, cogcomp, cogcomp_robust) are
     excluded: they orchestrate their own engine runs and police their own
     backend support. The SoA differential suite and bench E26 sweep this
     list. *)

@@ -12,6 +12,12 @@ type 'msg feedback =
   | Jammed
   | No_winner
 
+type 'msg node = {
+  id : int;
+  decide : slot:int -> 'msg decision;
+  feedback : slot:int -> 'msg feedback -> unit;
+}
+
 let listen ~label = { label; intent = Listen }
 let broadcast ~label msg = { label; intent = Broadcast msg }
 

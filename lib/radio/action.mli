@@ -35,6 +35,15 @@ type 'msg feedback =
           channel observe plain {!Silence} (a failed session is physically
           indistinguishable from an idle channel). *)
 
+type 'msg node = {
+  id : int;  (** Must equal the node's index in the node array. *)
+  decide : slot:int -> 'msg decision;
+  feedback : slot:int -> 'msg feedback -> unit;
+}
+(** A protocol node as the slot engines drive it: asked for a {!decision}
+    each slot it is up, told the slot's {!feedback} afterwards. Re-exported
+    as {!Engine.node}, the name every caller uses. *)
+
 val listen : label:int -> 'msg decision
 val broadcast : label:int -> 'msg -> 'msg decision
 

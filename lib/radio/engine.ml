@@ -1,191 +1,32 @@
-module Rng = Crn_prng.Rng
-module Dynamic = Crn_channel.Dynamic
-module Assignment = Crn_channel.Assignment
-
-type 'msg node = {
+type 'msg node = 'msg Action.node = {
   id : int;
   decide : slot:int -> 'msg Action.decision;
   feedback : slot:int -> 'msg Action.feedback -> unit;
 }
 
-type outcome = { slots_run : int; stopped_early : bool; counters : Trace.Counters.t }
+type outcome = Soa.outcome = {
+  slots_run : int;
+  stopped_early : bool;
+  counters : Trace.Counters.t;
+}
 
 let node ~id ~decide ~feedback = { id; decide; feedback }
 
-(* The slot loop is allocation-free in steady state: per-channel occupancy
-   lives in the dense {!Scratch} arrays reused across slots, winner messages
-   are read back out of the [decisions] array, and every trace/metrics/
-   occupancy site is guarded so nothing is allocated when the corresponding
-   feature is off. Channels are resolved in ascending global channel id —
-   the canonical order — so the shared [rng] is consumed identically on
-   every run of the same seed, independent of hashing or insertion order.
-   {!Reference.engine_run} is the list-based executable specification this
-   implementation is differentially tested against. *)
-let run ?(jammer = Jammer.none) ?(faults = Faults.none) ?metrics ?trace ?stop
-    ?on_slot_end ~availability ~rng ~nodes ~max_slots () =
+(* The engine is the struct-of-arrays loop at one shard: validate the node
+   array, bridge it through the machine adapter, run. *)
+let run ?jammer ?faults ?metrics ?trace ?stop ?on_slot_end ~availability ~rng
+    ~nodes ~max_slots () =
   let n = Array.length nodes in
   if n = 0 then invalid_arg "Engine.run: no nodes";
-  if Dynamic.num_nodes availability <> n then
+  if Crn_channel.Dynamic.num_nodes availability <> n then
     invalid_arg "Engine.run: node count disagrees with availability";
   Array.iteri
     (fun i node -> if node.id <> i then invalid_arg "Engine.run: node id mismatch")
     nodes;
   if max_slots < 0 then invalid_arg "Engine.run: negative max_slots";
   (match metrics with
-  | Some m ->
-      if Array.length m.Metrics.transmissions <> n then
-        invalid_arg "Engine.run: metrics sized for a different node count"
-  | None -> ());
-  let bump counters i =
-    match metrics with
-    | Some m -> (counters m).(i) <- (counters m).(i) + 1
-    | None -> ()
-  in
-  (* Tracing is zero-cost when disabled: every recording site is guarded by
-     this match, so the event is never even allocated. *)
-  let traced = trace <> None in
-  let emit ev = match trace with Some tr -> Trace.record tr ev | None -> () in
-  (* Hoist the fault/jammer predicates out of the accessor records: calling
-     [Faults.down faults ~slot ~node] in the loop over-applies the arity-1
-     accessor, which builds a fresh partial-application closure on every
-     call. Binding the closure once keeps the hot loop allocation-free. *)
-  let faults_down = Faults.down faults in
-  let jammer_jams = Jammer.jams jammer in
-  let counters = Trace.Counters.create () in
-  let scratch = Scratch.create ~num_nodes:n in
-  (* Scratch: the decision each node made this slot, and its global channel
-     (or -1 when the action was jammed, -2 when the node was down). *)
-  let decisions = Array.make n (Action.listen ~label:0) in
-  let tuned = Array.make n (-1) in
-  let slot = ref 0 in
-  let stopped = ref false in
-  while (not !stopped) && !slot < max_slots do
-    let s = !slot in
-    let assignment = Dynamic.at availability s in
-    let c = Assignment.channels_per_node assignment in
-    Scratch.begin_slot scratch ~num_channels:(Assignment.num_channels assignment);
-    (* Collect decisions and build per-channel occupancy. A node that is
-       down this slot is simply absent: it is not asked for a decision and
-       receives no feedback. *)
-    for i = 0 to n - 1 do
-      if faults_down ~slot:s ~node:i then begin
-        tuned.(i) <- -2;
-        if traced then emit (Trace.Down { slot = s; node = i })
-      end
-      else begin
-      let decision = nodes.(i).decide ~slot:s in
-      if decision.Action.label < 0 || decision.Action.label >= c then
-        invalid_arg
-          (Printf.sprintf "Engine.run: node %d chose label %d outside [0,%d)" i
-             decision.Action.label c);
-      decisions.(i) <- decision;
-      let channel = Assignment.global_of_local assignment ~node:i ~label:decision.Action.label in
-      bump (fun m -> m.Metrics.awake_slots) i;
-      if jammer_jams ~slot:s ~node:i ~channel then begin
-        tuned.(i) <- -1;
-        counters.Trace.Counters.jammed_actions <-
-          counters.Trace.Counters.jammed_actions + 1;
-        if traced then emit (Trace.Jam { slot = s; node = i; channel });
-        bump (fun m -> m.Metrics.jammed) i
-      end
-      else begin
-        tuned.(i) <- channel;
-        if traced then
-          emit
-            (Trace.Decide
-               {
-                 slot = s;
-                 node = i;
-                 channel;
-                 label = decision.Action.label;
-                 tx = Action.is_broadcast decision;
-               });
-        match decision.Action.intent with
-        | Action.Broadcast _ ->
-            Scratch.add_broadcaster scratch ~channel ~node:i;
-            counters.Trace.Counters.broadcasts <-
-              counters.Trace.Counters.broadcasts + 1;
-            bump (fun m -> m.Metrics.transmissions) i
-        | Action.Listen -> Scratch.add_listener scratch ~channel ~node:i
-      end
-      end
-    done;
-    (* Resolve each active channel in ascending global channel id (the
-       canonical order): one uniformly random winner among audible
-       broadcasters; deliver to audible listeners; inform losers. *)
-    Scratch.sort_active scratch;
-    for j = 0 to scratch.Scratch.active_len - 1 do
-      let channel = scratch.Scratch.active.(j) in
-      let count = scratch.Scratch.bcast_count.(channel) in
-      if count > 0 then begin
-        let widx = if count = 1 then 0 else Rng.int rng count in
-        let winner_id = Scratch.nth_broadcaster scratch ~channel widx in
-        let winner_msg =
-          match decisions.(winner_id).Action.intent with
-          | Action.Broadcast msg -> msg
-          | Action.Listen -> assert false
-        in
-        counters.Trace.Counters.wins <- counters.Trace.Counters.wins + 1;
-        if count > 1 then
-          counters.Trace.Counters.contended <-
-            counters.Trace.Counters.contended + 1;
-        if traced then
-          emit
-            (Trace.Win { slot = s; channel; winner = winner_id; contenders = count });
-        let b = ref scratch.Scratch.bcast_head.(channel) in
-        while !b >= 0 do
-          let node = !b in
-          b := scratch.Scratch.next.(node);
-          if node = winner_id then nodes.(node).feedback ~slot:s Action.Won
-          else
-            nodes.(node).feedback ~slot:s
-              (Action.Lost { winner = winner_id; msg = winner_msg })
-        done;
-        let l = ref scratch.Scratch.listen_head.(channel) in
-        while !l >= 0 do
-          let node = !l in
-          l := scratch.Scratch.next.(node);
-          counters.Trace.Counters.deliveries <-
-            counters.Trace.Counters.deliveries + 1;
-          if traced then
-            emit
-              (Trace.Deliver { slot = s; channel; sender = winner_id; receiver = node });
-          bump (fun m -> m.Metrics.receptions) node;
-          nodes.(node).feedback ~slot:s
-            (Action.Heard { sender = winner_id; msg = winner_msg })
-        done
-      end
-    done;
-    (* Feedback for nodes that heard nothing or were jammed; down nodes
-       (tuned = -2) get nothing. *)
-    for i = 0 to n - 1 do
-      if tuned.(i) = -2 then ()
-      else if tuned.(i) = -1 then nodes.(i).feedback ~slot:s Action.Jammed
-      else
-        match decisions.(i).Action.intent with
-        | Action.Broadcast _ -> ()  (* already got Won/Lost above *)
-        | Action.Listen ->
-            if scratch.Scratch.bcast_count.(tuned.(i)) = 0 then begin
-              if traced then
-                emit (Trace.Silent { slot = s; node = i; channel = tuned.(i) });
-              nodes.(i).feedback ~slot:s Action.Silence
-            end
-    done;
-    counters.Trace.Counters.slots_run <- counters.Trace.Counters.slots_run + 1;
-    (* Reactive jammers learn from this slot's audible occupancy; the scan is
-       skipped entirely (and nothing allocated) for oblivious jammers. The
-       list is in ascending channel order, like the resolution itself. *)
-    if Jammer.observes jammer then begin
-      let occupancy = ref [] in
-      for j = scratch.Scratch.active_len - 1 downto 0 do
-        let channel = scratch.Scratch.active.(j) in
-        let count = scratch.Scratch.bcast_count.(channel) in
-        if count > 0 then occupancy := (channel, count) :: !occupancy
-      done;
-      Jammer.observe jammer ~slot:s !occupancy
-    end;
-    (match on_slot_end with Some f -> f ~slot:s | None -> ());
-    (match stop with Some f -> if f ~slot:s then stopped := true | None -> ());
-    incr slot
-  done;
-  { slots_run = !slot; stopped_early = !stopped; counters }
+  | Some m when Array.length m.Metrics.transmissions <> n ->
+      invalid_arg "Engine.run: metrics sized for a different node count"
+  | _ -> ());
+  Soa.run ?jammer ?faults ?metrics ?trace ?stop ?on_slot_end ~availability ~rng
+    ~protocol:(Soa_adapter.protocol nodes) ~max_slots ()

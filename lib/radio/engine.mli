@@ -29,21 +29,33 @@
     [rng] is consumed (one draw per channel with two or more audible
     broadcasters, none otherwise), so winners — and therefore traces,
     counters and every downstream result — are a deterministic function of
-    the seed, never of hashtable bucket layout. Within one channel, winner
-    indexing and feedback delivery walk broadcasters and listeners in
-    descending node id (the historical list order). Reactive jammers
-    receive the slot's occupancy in ascending channel order. The slot loop
-    is allocation-free in steady state; {!Reference.engine_run} is the
-    list-based executable specification it is differentially tested
-    against. *)
+    the seed, never of hashtable bucket layout. The winner on a channel is
+    the broadcaster at the drawn index in descending node id. Reactive
+    jammers receive the slot's occupancy in ascending channel order.
 
-type 'msg node = {
+    {b Feedback order.} Untraced runs deliver feedback in ascending node
+    id, for every caller. Traced runs replay the per-channel order of
+    {!Reference.engine_run} (ascending channel; on each channel the
+    broadcasters, then the listeners, in descending node id; then silent
+    and jammed nodes in ascending id), so their traces are byte-equal to
+    the specification's. A protocol whose results must not depend on
+    tracing therefore needs feedback that commutes across nodes — every
+    protocol in this repository does, and the differential suites check
+    it.
+
+    {b Implementation.} [run] is a front over {!Soa.run} at one shard: it
+    validates its input and bridges the node array through
+    {!Soa_adapter.protocol}. There is one slot loop, and
+    {!Reference.engine_run} is the list-based executable specification it
+    is differentially tested against. *)
+
+type 'msg node = 'msg Action.node = {
   id : int;  (** Must equal the node's index in the [nodes] array. *)
   decide : slot:int -> 'msg Action.decision;
   feedback : slot:int -> 'msg Action.feedback -> unit;
 }
 
-type outcome = {
+type outcome = Soa.outcome = {
   slots_run : int;
       (** Number of slots executed (equals [max_slots] unless [stop] fired). *)
   stopped_early : bool;
@@ -70,7 +82,9 @@ val run :
     {!Trace.Deliver}, {!Trace.Silent}, {!Trace.Jam} and {!Trace.Down} events
     to it; without it no event is allocated.
     Raises [Invalid_argument] if node ids are inconsistent, the node count
-    disagrees with [availability], or a node submits an out-of-range label. *)
+    disagrees with [availability], [max_slots] is negative, [metrics] is
+    sized for a different node count, or a node submits an out-of-range
+    label (that last one is reported by {!Soa.run}). *)
 
 val node :
   id:int ->

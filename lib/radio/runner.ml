@@ -47,6 +47,27 @@ let of_emulation (o : Emulation.outcome) =
     failed_sessions = o.Emulation.failed_sessions;
   }
 
+let add a b =
+  let counters = Trace.Counters.create () in
+  Trace.Counters.add ~into:counters a.counters;
+  Trace.Counters.add ~into:counters b.counters;
+  {
+    slots_run = a.slots_run + b.slots_run;
+    stopped_early = a.stopped_early || b.stopped_early;
+    counters;
+    raw_rounds = a.raw_rounds + b.raw_rounds;
+    failed_sessions = a.failed_sessions + b.failed_sessions;
+  }
+
+let accumulating total runner =
+  {
+    run =
+      (fun ?stop ~nodes ~max_slots () ->
+        let outcome = runner.run ?stop ~nodes ~max_slots () in
+        total := add !total outcome;
+        outcome);
+  }
+
 let emulation_outcome o =
   {
     Emulation.slots_run = o.slots_run;
@@ -59,13 +80,24 @@ let emulation_outcome o =
 let make ?pool ?machine_parallel:(parallel = false) ?jammer ?faults ?metrics
     ?trace ?(backend = Engine) ~availability ~rng () =
   match backend with
-  | Engine ->
+  | Engine | Soa _ ->
+      let shards, dense_channel_limit =
+        match backend with
+        | Soa { shards; dense_channel_limit } -> (shards, dense_channel_limit)
+        | _ -> (1, None)
+      in
       {
         run =
           (fun ?stop ~nodes ~max_slots () ->
+            if Array.length nodes <> Crn_channel.Dynamic.num_nodes availability
+            then
+              invalid_arg
+                "Runner: node array disagrees with availability node count";
+            let protocol = Soa_adapter.protocol ~parallel nodes in
             of_engine
-              (Engine.run ?jammer ?faults ?metrics ?trace ?stop ~availability
-                 ~rng ~nodes ~max_slots ()));
+              (Soa.run ?pool ~shards ?dense_channel_limit ?jammer ?faults
+                 ?metrics ?trace ?stop ~availability ~rng ~protocol ~max_slots
+                 ()));
       }
   | Reference ->
       {
@@ -82,18 +114,4 @@ let make ?pool ?machine_parallel:(parallel = false) ?jammer ?faults ?metrics
             of_emulation
               (Emulation.run ~strategy ?session_cap ?jammer ?faults ?metrics
                  ?trace ?stop ~availability ~rng ~nodes ~max_slots ()));
-      }
-  | Soa { shards; dense_channel_limit } ->
-      {
-        run =
-          (fun ?stop ~nodes ~max_slots () ->
-            if Array.length nodes <> Crn_channel.Dynamic.num_nodes availability
-            then
-              invalid_arg
-                "Runner: node array disagrees with availability node count";
-            let protocol = Soa_adapter.protocol ~parallel nodes in
-            of_engine
-              (Soa.run ?pool ~shards ?dense_channel_limit ?jammer ?faults
-                 ?metrics ?trace ?stop ~availability ~rng ~protocol ~max_slots
-                 ()));
       }

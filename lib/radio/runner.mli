@@ -9,8 +9,8 @@
     any ['msg Engine.node] array on the selected {!backend}:
 
     {ul
-    {- {!Engine} — the optimized abstract one-winner engine
-       ({!Engine.run}), the default;}
+    {- {!Engine} — the abstract one-winner engine ({!Engine.run}), the
+       default: the {!Soa} backend at one shard;}
     {- {!Emulation} — the footnote-4 raw collision radio
        ({!Emulation.run}), reporting raw-round cost;}
     {- {!Reference} — the list-based executable specification
@@ -22,7 +22,10 @@
     calling the backend directly. *)
 
 type backend =
-  | Engine  (** {!Engine.run}; supports jamming, faults and metrics. *)
+  | Engine
+      (** {!Engine.run}; supports jamming, faults and metrics. The same run
+          as [Soa { shards = 1; dense_channel_limit = None }] — one slot
+          loop serves both names. *)
   | Emulation of { strategy : Emulation.strategy; session_cap : int option }
       (** {!Emulation.run}; [strategy] picks the footnote-4 contention
           realization (decay backoff or CSMA/CA). Jamming, faults and
@@ -37,7 +40,7 @@ type backend =
           any shard count by the SoA determinism contract;
           [dense_channel_limit] ([None] = the {!Soa.run} default) selects
           the occupancy-counting strategy crossover for the [c >> n]
-          regime. Traced runs use the SoA sequential twin. *)
+          regime. Traced runs use the SoA sequential traced loop. *)
 
 val backend_name : backend -> string
 (** The CLI vocabulary for a backend — ["engine"], ["emulation"],
@@ -94,6 +97,13 @@ val make :
     sharded. Leave it [false] for machines with shared mutable state or a
     shared decide-time RNG; the SoA engine then calls them sequentially
     and still shards the channel phases (see {!Soa.protocol}). *)
+
+val accumulating : outcome ref -> t -> t
+(** [accumulating total runner] runs like [runner] and adds the outcome of
+    every run into [total] — slots, counters, raw rounds and failed
+    sessions; [stopped_early] holds if any run stopped early. This is how
+    a multi-phase protocol reports one summary over all of its engine
+    runs. *)
 
 val emulation_outcome : outcome -> Emulation.outcome
 (** Repackage a runner outcome as the {!Emulation.outcome} the footnote-4

@@ -1,11 +1,11 @@
-(* Struct-of-arrays slot engine for large n.
+(* Struct-of-arrays slot engine: the one implementation of the §2 slot.
 
-   {!Engine} models a node as a record of closures and resolves a slot by
-   walking intrusive per-channel chains; that is the right shape for a few
-   thousand nodes, but at n = 10^5..10^6 the pointer graph stops fitting in
-   cache and a single core stops being enough. This engine keeps the same
-   slot semantics — PR 4's canonical resolution order, byte-identical
-   traces — on a flat representation:
+   {!Engine.run} is a front over this loop at one shard (through
+   {!Soa_adapter}), so every abstract-slot caller runs here; the list-based
+   {!Reference.engine_run} is the executable specification it is
+   differentially tested against. The representation is flat so that the
+   same loop serves n = 10^5..10^6, where a pointer graph of per-node
+   records stops fitting in cache and a single core stops being enough:
 
    - Node state is five dense arrays indexed by node id (one intent byte,
      label, message, tuned global channel) so a slot's working set streams
@@ -21,15 +21,15 @@
      produced in ascending global channel id (the canonical order) either
      directly by the dense merge scan or by {!Scratch.sort_prefix}.
 
-   Determinism is the load-bearing constraint. The ISSUE sketched
-   per-shard pre-split RNG streams, but that would make the winner
-   sequence a function of the shard count and break byte-equality across
-   [--shards]. Instead the *only* consumer of the shared [rng] — one draw
-   per contended channel — runs sequentially between the parallel phases,
-   in ascending channel order, exactly as {!Engine.run} consumes it. That
-   is cheap (O(active) draws per slot, everything heavy stays parallel)
-   and gives the stronger guarantee: the same seed produces the same
-   winner sequence as the PR 4 engine *and* at any shard count.
+   Determinism is the load-bearing constraint. Per-shard pre-split RNG
+   streams would make the winner sequence a function of the shard count
+   and break byte-equality across [--shards]. Instead the *only* consumer
+   of the shared [rng] — one draw per contended channel — runs
+   sequentially between the parallel phases, in ascending channel order,
+   exactly as {!Reference.engine_run} consumes it. That is cheap
+   (O(active) draws per slot, everything heavy stays parallel) and gives
+   the stronger guarantee: the same seed produces the same winner sequence
+   as the specification *and* at any shard count.
 
    A winner draw picks the [widx]-th broadcaster in descending node id
    (the chain order of the reference engine). On a flat array we select it
@@ -55,14 +55,15 @@
    Both strategies count the same totals and draw in the same order, so
    the choice is observationally invisible.
 
-   Tracing takes a third path: a fully sequential twin of {!Engine.run}'s
-   loop built on {!Scratch} chains, emitting events in exactly the PR 4
-   order (per-node Decide/Jam/Down ascending; per-channel Win ascending
-   with broadcaster feedback then Deliver+listener feedback in descending
-   node id; Silent/Jammed in a final ascending node scan) and calling the
-   protocol with singleton ranges. Traced runs are therefore byte-equal to
-   {!Engine.run} traces by construction, and the differential tests in
-   [test/test_soa.ml] hold all three paths to that standard. *)
+   Tracing takes a second path, the only traced abstract-slot loop: fully
+   sequential, built on {!Scratch} chains, emitting events in the
+   specification's order (per-node Decide/Jam/Down ascending; per-channel
+   Win ascending with broadcaster feedback then Deliver+listener feedback
+   in descending node id; Silent/Jammed in a final ascending node scan)
+   and calling the protocol with singleton ranges. Traced runs are
+   therefore byte-equal to {!Reference.engine_run} traces by construction,
+   and the differential tests in [test/test_soa.ml] and
+   [test/test_determinism.ml] hold both paths to that standard. *)
 
 module Rng = Crn_prng.Rng
 module Dynamic = Crn_channel.Dynamic
@@ -98,11 +99,7 @@ type protocol = {
   feedback : t -> slot:int -> lo:int -> hi:int -> unit;
 }
 
-type outcome = Engine.outcome = {
-  slots_run : int;
-  stopped_early : bool;
-  counters : Trace.Counters.t;
-}
+type outcome = { slots_run : int; stopped_early : bool; counters : Trace.Counters.t }
 
 let create ~num_nodes =
   if num_nodes <= 0 then invalid_arg "Soa.create: num_nodes must be positive";
@@ -190,8 +187,10 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
     | Some m -> (counters m).(i) <- (counters m).(i) + 1
     | None -> ()
   in
-  (* Hoisted accessors, as in {!Engine.run}: binding the closures once
-     keeps the hot loops allocation-free. *)
+  (* Hoist the fault/jammer predicates out of their accessor records:
+     calling [Faults.down faults ~slot ~node] in a loop over-applies the
+     arity-1 accessor and builds a partial-application closure per call.
+     Binding them once keeps the hot loops allocation-free. *)
   let faults_down = Faults.down faults in
   let jammer_jams = Jammer.jams jammer in
   let counters = Trace.Counters.create () in
@@ -248,7 +247,7 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
          sharding contract) gets a single full-range [decide] call between
          two parallel passes — the shared rng, if the protocol draws from
          it, is then consumed in ascending node order exactly as
-         {!Engine.run} consumes it. *)
+         {!Reference.engine_run} consumes it. *)
       let mark sh =
         let lo = shard_lo ~n ~shards sh and hi = shard_hi ~n ~shards sh in
         if dense then Array.fill subs (sh * stride) cn 0;
@@ -407,9 +406,10 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
         deliver_partial.(0) <- !deliveries
       end;
       (* Phase 5: protocol feedback — parallel over the node ranges, or
-         one sequential full-range call for a sequential protocol (same
-         ascending node order as {!Engine.run}'s final feedback scans; the
-         machine layer requires order-commutative feedback either way). *)
+         one sequential full-range call for a sequential protocol, in
+         ascending node order either way (the traced path replays the
+         specification's per-channel order instead, so protocols must
+         have order-commutative feedback). *)
       if protocol.parallel then
         run_shards (fun sh ->
             protocol.feedback t ~slot:s ~lo:(shard_lo ~n ~shards sh)
@@ -430,8 +430,8 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
       end_slot s
     done
   in
-  (* ---- The traced path: a sequential twin of {!Engine.run} emitting
-     events in exactly its order, so traces are byte-equal by
+  (* ---- The traced path: sequential, emitting events and feedback in
+     exactly {!Reference.engine_run}'s order, so traces are byte-equal by
      construction. Protocol callbacks use singleton ranges. ---- *)
   let traced tr =
     let emit ev = Trace.record tr ev in

@@ -1,23 +1,24 @@
-(** Struct-of-arrays slot engine: {!Engine} semantics at million-node
-    scale, with intra-trial sharding across OCaml domains.
+(** Struct-of-arrays slot engine: the one implementation of the §2 slot,
+    at million-node scale, with intra-trial sharding across OCaml domains.
 
-    Same slot model as {!Engine.run} — synchronous slots, one uniformly
-    random winner per contended channel (§2 of the paper), PR 4's
-    canonical resolution order — but node state lives in dense arrays
-    indexed by node id instead of per-node closure records, the per-node
-    phases of a slot shard across a {!Crn_exec.Pool}, and channel
-    resolution walks an O(active) worklist instead of the spectrum.
+    Synchronous slots, one uniformly random winner per contended channel
+    (§2 of the paper), resolved in the canonical order of
+    {!Reference.engine_run} — with node state in dense arrays indexed by
+    node id, the per-node phases of a slot sharded across a
+    {!Crn_exec.Pool}, and channel resolution walking an O(active)
+    worklist instead of the spectrum. {!Engine.run} is this loop at one
+    shard, reached through {!Soa_adapter}.
 
     {2 Determinism contract}
 
-    Runs are byte-identical to {!Engine.run} (same seed, same protocol
-    behaviour) and invariant under the shard count, because:
+    Runs are byte-identical to {!Reference.engine_run} (same seed, same
+    protocol behaviour) and invariant under the shard count, because:
 
     - The shared [rng] is consumed {e only} by winner draws — one draw per
       contended channel, in ascending global channel id — executed
       sequentially between the parallel phases (plus, for a
       [parallel = false] protocol, its own sequential decide-time draws in
-      ascending node order, as under {!Engine.run}). No per-shard RNG
+      ascending node order, as under {!Reference.engine_run}). No per-shard RNG
       streams exist, so the draw sequence cannot depend on [shards].
     - Every parallel phase writes only shard-private state: contiguous
       node-id ranges of the node arrays, and private per-shard rows of the
@@ -55,10 +56,11 @@
     to sequential O(n) occupancy scans. Both count identical totals and
     draw in identical order, so the strategy choice never changes results.
 
-    Passing [?trace] switches to a sequential twin of {!Engine.run}'s loop
-    (built on {!Scratch} chains) that emits events in exactly the PR 4
-    order and calls the protocol with singleton ranges; traced runs are
-    byte-equal to {!Engine.run} traces by construction. *)
+    Passing [?trace] switches to a sequential loop (built on {!Scratch}
+    chains) that emits events and delivers feedback in exactly
+    {!Reference.engine_run}'s order and calls the protocol with singleton
+    ranges; traced runs are byte-equal to the specification's traces by
+    construction. It is the only traced abstract-slot loop. *)
 
 (** {1 Node state} *)
 
@@ -114,11 +116,11 @@ val jammed_broadcast : char
 val down : char
 (** Faulted out this slot ({!Faults}); [decide] must not touch the node —
     in particular it must not consume the node's RNG stream, mirroring
-    {!Engine.run} where down nodes are never asked to decide. *)
+    the specification, where down nodes are never asked to decide. *)
 
 (** {1 Protocols}
 
-    A protocol is a pair of range callbacks replacing {!Engine.node}'s
+    A protocol is a pair of range callbacks in place of {!Engine.node}'s
     per-node closures. [decide t ~slot ~lo ~hi] must set an intent (via
     {!set_listen} / {!set_broadcast}) for every node in [[lo, hi)] that is
     not {!down}. [feedback] reads the slot's outcome through the accessors
@@ -141,11 +143,14 @@ val down : char
     slot, covering [[0, n)], executed sequentially between the engine's
     parallel phases (translation, occupancy, winner materialization still
     shard). Decide-time draws from the shared [rng] then interleave with
-    the winner draws exactly as under {!Engine.run}, so results stay
-    byte-identical to the classic engine at any shard count. Feedback
-    must still be order-commutative across nodes (the fast path delivers
-    it in ascending node order, {!Engine.run} per channel), which every
-    machine in the registry is. *)
+    the winner draws exactly as under {!Reference.engine_run}, so results
+    stay byte-identical to the specification at any shard count.
+
+    Feedback order: untraced runs deliver feedback in ascending node id —
+    so every {!Engine.run} caller sees that order — while traced runs
+    replay the specification's per-channel order. Feedback must therefore
+    be order-commutative across nodes for results not to depend on
+    tracing, which every protocol in the repository is. *)
 
 type protocol = {
   parallel : bool;
@@ -195,11 +200,13 @@ val num_nodes : t -> int
 
 (** {1 Running} *)
 
-type outcome = Engine.outcome = {
+type outcome = {
   slots_run : int;
+      (** Number of slots executed (equals [max_slots] unless [stop] fired). *)
   stopped_early : bool;
   counters : Trace.Counters.t;
 }
+(** Re-exported as {!Engine.outcome}. *)
 
 val run :
   ?pool:Crn_exec.Pool.t ->
@@ -218,7 +225,7 @@ val run :
   unit ->
   outcome
 (** Run up to [max_slots] slots (or until [stop ~slot] holds, checked
-    after each slot, as {!Engine.run} does).
+    after each slot).
 
     [shards] (default 1) splits each slot's per-node phases into that many
     contiguous node ranges. With [shards > 1] the ranges run on [pool]
@@ -232,9 +239,9 @@ val run :
     [dense_channel_limit] (default 4096) caps the spectrum size for the
     dense counting strategy; tests pass [0] to force the sparse path.
 
-    [trace] selects the sequential traced twin; the trace is byte-equal to
-    {!Engine.run}'s for a protocol behaving identically, and [shards] is
-    then ignored (results still match, by the same contract).
+    [trace] selects the sequential traced loop; the trace is byte-equal to
+    {!Reference.engine_run}'s for a protocol behaving identically, and
+    [shards] is then ignored (results still match, by the same contract).
 
     Raises [Invalid_argument] on an empty availability, negative
     [max_slots], [shards < 1], wrongly-sized [metrics], or a [decide]

@@ -1,10 +1,11 @@
-(* Generic bridge from the closure-per-node {!Engine.node} shape to a
-   {!Soa.protocol}, so every machine-based protocol can run on the
-   struct-of-arrays engine without a hand-written duplicate.
+(* Generic bridge from the closure-per-node {!Action.node} shape to a
+   {!Soa.protocol}, so every machine-based protocol — and {!Engine.run}
+   itself — runs on the struct-of-arrays engine without a hand-written
+   duplicate.
 
    The SoA engine stores messages as ints, but protocols are polymorphic
    in their message type. The adapter never asks the engine to carry the
-   payload: like {!Engine.run} it keeps the slot's decisions in an array,
+   payload: it keeps the slot's decisions in an array,
    stores the broadcaster's node id as the SoA payload slot, and
    reconstructs the typed message from the winner's own decision when
    classifying feedback. Decisions are written in the decide phase and
@@ -12,7 +13,7 @@
    {!Crn_exec.Pool.parallel_for} barrier, so cross-shard reads of a
    winner's decision are race-free. *)
 
-let protocol (type msg) ?(parallel = false) (nodes : msg Engine.node array) :
+let protocol (type msg) ?(parallel = false) (nodes : msg Action.node array) :
     Soa.protocol =
   let n = Array.length nodes in
   let decisions : msg Action.decision array =
@@ -21,7 +22,7 @@ let protocol (type msg) ?(parallel = false) (nodes : msg Engine.node array) :
   let decide t ~slot ~lo ~hi =
     for v = lo to hi - 1 do
       if not (Soa.is_down t v) then begin
-        let d = nodes.(v).Engine.decide ~slot in
+        let d = nodes.(v).Action.decide ~slot in
         decisions.(v) <- d;
         match d.Action.intent with
         | Action.Broadcast _ -> Soa.set_broadcast t v ~label:d.Action.label ~msg:v
@@ -39,20 +40,20 @@ let protocol (type msg) ?(parallel = false) (nodes : msg Engine.node array) :
   let feedback t ~slot ~lo ~hi =
     for v = lo to hi - 1 do
       if not (Soa.is_down t v) then
-        if Soa.was_jammed t v then nodes.(v).Engine.feedback ~slot Action.Jammed
-        else if Soa.won t v then nodes.(v).Engine.feedback ~slot Action.Won
+        if Soa.was_jammed t v then nodes.(v).Action.feedback ~slot Action.Jammed
+        else if Soa.won t v then nodes.(v).Action.feedback ~slot Action.Won
         else if Soa.lost t v then begin
           let w = Soa.sender t v in
-          nodes.(v).Engine.feedback ~slot
+          nodes.(v).Action.feedback ~slot
             (Action.Lost { winner = w; msg = winner_msg w })
         end
         else if Soa.heard t v then begin
           let w = Soa.sender t v in
-          nodes.(v).Engine.feedback ~slot
+          nodes.(v).Action.feedback ~slot
             (Action.Heard { sender = w; msg = winner_msg w })
         end
         else if Soa.silent t v then
-          nodes.(v).Engine.feedback ~slot Action.Silence
+          nodes.(v).Action.feedback ~slot Action.Silence
     done
   in
   { Soa.parallel; decide; feedback }

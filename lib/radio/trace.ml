@@ -32,6 +32,14 @@ module Counters = struct
     t.deliveries <- 0;
     t.jammed_actions <- 0
 
+  let add ~into t =
+    into.slots_run <- into.slots_run + t.slots_run;
+    into.broadcasts <- into.broadcasts + t.broadcasts;
+    into.wins <- into.wins + t.wins;
+    into.contended <- into.contended + t.contended;
+    into.deliveries <- into.deliveries + t.deliveries;
+    into.jammed_actions <- into.jammed_actions + t.jammed_actions
+
   let contention_rate t =
     if t.wins = 0 then 0.0 else float_of_int t.contended /. float_of_int t.wins
 

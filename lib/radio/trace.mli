@@ -33,6 +33,9 @@ module Counters : sig
   val create : unit -> t
   val reset : t -> unit
 
+  val add : into:t -> t -> unit
+  (** [add ~into t] adds every field of [t] to [into]. *)
+
   val contention_rate : t -> float
   (** Fraction of winning channels that had more than one broadcaster. *)
 

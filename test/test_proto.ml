@@ -109,6 +109,46 @@ let test_cogcomp_differential () =
 
 let naps_faults () = Faults.spare (Faults.random_naps ~seed:7L ~rate:0.05) ~node:0
 
+(* The multi-phase entries report what their engine runs measured: slot
+   counters summed over all four phases (so [counters.slots_run] equals
+   the summary's [slots_run]) and the failed contention sessions of every
+   phase, not hard-coded zeros. A one-round session cap on the collision
+   radio makes sessions fail. *)
+let test_cogcomp_summary_counters () =
+  let n = 20 and c = 6 and k = 2 in
+  let assignment =
+    Topology.generate Topology.Shared_core (Rng.create 3) { Topology.n; c; k }
+  in
+  let summary ?faults ?(backend = Crn_radio.Runner.Engine) name =
+    Protocol.run (Registry.find_exn name)
+      (Protocol.env ?faults ~backend ~k
+         ~availability:(Dynamic.static assignment)
+         ~rng:(Rng.create 4) ())
+  in
+  let capped =
+    Crn_radio.Runner.Emulation
+      { strategy = Crn_radio.Emulation.Decay; session_cap = Some 1 }
+  in
+  List.iter
+    (fun (label, s) ->
+      let counters = s.Protocol.counters in
+      Alcotest.(check int)
+        (label ^ ": counters.slots_run = slots_run")
+        s.Protocol.slots_run counters.Trace.Counters.slots_run;
+      Alcotest.(check bool)
+        (label ^ ": broadcasts counted")
+        true
+        (counters.Trace.Counters.broadcasts > 0))
+    [
+      ("cogcomp", summary "cogcomp");
+      ("cogcomp emulated", summary ~backend:capped "cogcomp");
+      ("cogcomp_robust", summary ~faults:(naps_faults ()) "cogcomp_robust");
+    ];
+  Alcotest.(check bool)
+    "capped sessions fail and are reported" true
+    ((summary ~backend:capped "cogcomp").Protocol.failed_sessions > 0)
+
+
 let test_cogcomp_robust_differential () =
   List.iter
     (fun seed ->
@@ -358,8 +398,8 @@ let test_soa_backend_sweep () =
   (* The registry audit on the soa backend: every entry that supports it
      (the eight machines and cogcast) runs sharded under faults and
      matches its engine summary byte-for-byte; the of_run multi-phase
-     entries reject it by name. The deeper shard/strategy/trace matrix —
-     cogcast_soa included — lives in test/test_soa.ml. *)
+     entries reject it by name. The deeper shard/strategy/trace matrix
+     lives in test/test_soa.ml. *)
   let module Runner = Crn_radio.Runner in
   let module Json = Crn_stats.Json in
   let n = 24 and c = 6 and k = 2 in
@@ -399,7 +439,7 @@ let test_soa_backend_sweep () =
 (* ---- registry lookup ---- *)
 
 let test_registry_lookup () =
-  Alcotest.(check int) "twelve entries" 12 (List.length Registry.all);
+  Alcotest.(check int) "eleven entries" 11 (List.length Registry.all);
   let names = Registry.names () in
   Alcotest.(check int)
     "names unique"
@@ -421,6 +461,8 @@ let () =
         [
           Alcotest.test_case "cogcast registry = direct" `Quick test_cogcast_differential;
           Alcotest.test_case "cogcomp registry = direct" `Quick test_cogcomp_differential;
+          Alcotest.test_case "cogcomp summaries report measured counters" `Quick
+            test_cogcomp_summary_counters;
           Alcotest.test_case "cogcomp_robust registry = direct (faulty)" `Quick
             test_cogcomp_robust_differential;
         ] );

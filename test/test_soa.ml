@@ -1,27 +1,34 @@
-(* Differential tests for the struct-of-arrays engine.
+(* Differential tests for the struct-of-arrays engine, the one slot loop
+   behind {!Engine.run} and every abstract-slot backend, against its
+   executable specification {!Reference.engine_run}.
 
-   Three claims, property-tested over randomized scenarios (topology
-   shape, dynamic availability, jammers, faults, early stops — all
-   derived from one seed, n up to 256):
+   Claims, property-tested over randomized scenarios (topology shape,
+   dynamic availability, jammers, faults, early stops — all derived from
+   one seed, n up to 256):
 
    1. Traced equivalence: a traced {!Soa.run} is observationally
-      identical to a traced {!Engine.run} driving the same adversarial
-      digest protocol — same outcome, counters, metrics, per-node
-      feedback digests, and byte-equal JSONL traces.
+      identical to a traced {!Reference.engine_run} driving the same
+      adversarial digest protocol — same outcome, counters, metrics,
+      per-node feedback digests, and byte-equal JSONL traces.
 
    2. Shard invariance: the untraced fast path produces identical
       digests/counters/metrics at shards 1, 2 and 8, with the dense and
       the forced-sparse (dense_channel_limit = 0) counting strategies,
-      all matching the classic engine.
+      all matching the specification.
 
-   3. Protocol equivalence: {!Cogcast_soa.run} is byte-equal to
-      {!Cogcast.run} — traces, distribution tree, completion slot — and
-      shard-invariant. *)
+   3. Registry audit: every machine entry on the soa backend matches the
+      same entry on the reference backend, and COGCAST on the soa backend
+      is shard-invariant.
+
+   4. Feedback-order independence: untraced runs deliver feedback in
+      ascending node id, traced runs in the specification's per-channel
+      order; COGCOMP and robust COGCOMP give the same results either way. *)
 
 module Rng = Crn_prng.Rng
 module Topology = Crn_channel.Topology
 module Dynamic = Crn_channel.Dynamic
 module Engine = Crn_radio.Engine
+module Reference = Crn_radio.Reference
 module Soa = Crn_radio.Soa
 module Action = Crn_radio.Action
 module Trace = Crn_radio.Trace
@@ -29,7 +36,6 @@ module Metrics = Crn_radio.Metrics
 module Jammer = Crn_radio.Jammer
 module Faults = Crn_radio.Faults
 module Cogcast = Crn_core.Cogcast
-module Cogcast_soa = Crn_core.Cogcast_soa
 
 (* ------------------------------------------------------------------ *)
 (* The adversarial digest protocol of test_determinism.ml, in both node
@@ -158,14 +164,14 @@ let metrics_fields (m : Metrics.t) =
   @ Array.to_list m.Metrics.awake_slots
   @ Array.to_list m.Metrics.jammed
 
-let run_engine sc ~seed ~traced =
+let run_reference sc ~seed ~traced =
   let digests = Array.make sc.n 0 in
   let nodes = engine_nodes ~seed ~n:sc.n ~c:sc.c ~digests in
   let tr = if traced then Some (Trace.create ()) else None in
   let m = Metrics.create sc.n in
   let stop = Option.map (fun at -> fun ~slot -> slot >= at) sc.stop_at in
   let outcome =
-    Engine.run ?stop ?trace:tr ~jammer:(sc.jammer ()) ~faults:sc.faults
+    Reference.engine_run ?stop ?trace:tr ~jammer:(sc.jammer ()) ~faults:sc.faults
       ~metrics:m ~availability:sc.availability
       ~rng:(Rng.create (seed * 17))
       ~nodes ~max_slots:sc.max_slots ()
@@ -212,18 +218,18 @@ let diff label a b =
   else if a.out_trace <> b.out_trace then Some (label ^ ": trace bytes differ")
   else None
 
-(* Claim 1: traced SoA = traced engine, byte for byte. *)
+(* Claim 1: traced SoA = traced specification, byte for byte. *)
 let prop_traced_equivalence seed =
   let sc = scenario seed in
-  let engine = run_engine sc ~seed ~traced:true in
+  let reference = run_reference sc ~seed ~traced:true in
   let soa = run_soa sc ~seed ~traced:true ~shards:1 ~dense_channel_limit:4096 in
-  diff "traced" engine soa
+  diff "traced" reference soa
 
-(* Claim 2: the fast path matches the engine at every shard count and
-   with both counting strategies. *)
+(* Claim 2: the fast path matches the specification at every shard count
+   and with both counting strategies. *)
 let prop_shard_invariance seed =
   let sc = scenario seed in
-  let engine = run_engine sc ~seed ~traced:false in
+  let reference = run_reference sc ~seed ~traced:false in
   let variants =
     [
       ("shards=1 dense", 1, 4096);
@@ -238,33 +244,23 @@ let prop_shard_invariance seed =
       match acc with
       | Some _ -> acc
       | None ->
-          diff label engine (run_soa sc ~seed ~traced:false ~shards ~dense_channel_limit))
+          diff label reference
+            (run_soa sc ~seed ~traced:false ~shards ~dense_channel_limit))
     None variants
 
-(* Claim 3: Cogcast_soa = Cogcast — traces, tree, completion — and the
-   untraced fast path reproduces the same tree at shards 1/2/8. *)
+(* Claim 3, COGCAST half: on the soa backend the untraced fast path
+   reproduces the same result and distribution tree at shards 1/2/8. *)
 
-let cogcast_classic ~seed ~n ~c ~k =
+module Runner = Crn_radio.Runner
+
+let cogcast_on_soa ~seed ~n ~c ~k ~shards =
   let rng = Rng.create seed in
   let assignment = Topology.shared_core rng { Topology.n; c; k } in
-  let tr = Trace.create () in
-  let r =
-    Cogcast.run ~trace:tr ~source:0
-      ~availability:(Dynamic.static assignment)
-      ~rng ~max_slots:400 ()
-  in
-  (r, Trace.to_jsonl tr)
-
-let cogcast_soa ~seed ~n ~c ~k ~traced ~shards =
-  let rng = Rng.create seed in
-  let assignment = Topology.shared_core rng { Topology.n; c; k } in
-  let tr = if traced then Some (Trace.create ()) else None in
-  let r =
-    Cogcast_soa.run ?trace:tr ~shards ~source:0
-      ~availability:(Dynamic.static assignment)
-      ~rng ~max_slots:400 ()
-  in
-  (r, match tr with Some tr -> Trace.to_jsonl tr | None -> "")
+  Cogcast.run
+    ~backend:(Runner.Soa { shards; dense_channel_limit = None })
+    ~source:0
+    ~availability:(Dynamic.static assignment)
+    ~rng ~max_slots:400 ()
 
 let tree_fields (r : Cogcast.result) =
   ( r.Cogcast.completed_at,
@@ -275,34 +271,26 @@ let tree_fields (r : Cogcast.result) =
     Array.to_list r.Cogcast.informed_label,
     counters_fields r.Cogcast.counters )
 
-let prop_cogcast_equivalence seed =
+let prop_cogcast_shard_invariance seed =
   let n = 2 + (seed mod 120) and c = 6 and k = 2 in
-  let classic, classic_trace = cogcast_classic ~seed ~n ~c ~k in
-  let soa, soa_trace = cogcast_soa ~seed ~n ~c ~k ~traced:true ~shards:1 in
-  if classic_trace <> soa_trace then Some "cogcast traces differ"
-  else if tree_fields classic <> tree_fields soa then
-    Some "cogcast results differ"
-  else
-    List.fold_left
-      (fun acc shards ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            let fast, _ = cogcast_soa ~seed ~n ~c ~k ~traced:false ~shards in
-            if tree_fields classic <> tree_fields fast then
-              Some (Printf.sprintf "cogcast diverges at shards=%d" shards)
-            else None)
-      None [ 1; 2; 8 ]
+  let base = tree_fields (cogcast_on_soa ~seed ~n ~c ~k ~shards:1) in
+  List.fold_left
+    (fun acc shards ->
+      match acc with
+      | Some _ -> acc
+      | None ->
+          if tree_fields (cogcast_on_soa ~seed ~n ~c ~k ~shards) <> base then
+            Some (Printf.sprintf "cogcast diverges at shards=%d" shards)
+          else None)
+    None [ 2; 8 ]
 
-(* Claim 4 — the universal-backend audit: every of_machine registry entry
-   produces a byte-equal summary on the soa backend at shards {1, 2, 8},
-   with both occupancy strategies (dense and forced-sparse), and a
-   byte-equal trace through the sequential twin — all against the same
-   entry on the classic engine backend. Scenarios randomize dims,
-   topology and a nap schedule; each run gets a fresh rng from the same
-   seed, so any divergence is the backend's. *)
-
-module Runner = Crn_radio.Runner
+(* Claim 3, machine half — the universal-backend audit: every of_machine
+   registry entry produces a byte-equal summary on the soa backend at
+   shards {1, 2, 8}, with both occupancy strategies (dense and
+   forced-sparse), and a byte-equal trace through the traced loop — all
+   against the same entry on the reference backend. Scenarios randomize
+   dims, topology and a nap schedule; each run gets a fresh rng from the
+   same seed, so any divergence is the backend's. *)
 
 let prop_registry_machines seed =
   let scenario_rng = Rng.create (311_000 + seed) in
@@ -349,8 +337,8 @@ let prop_registry_machines seed =
       match acc with
       | Some _ -> acc
       | None -> (
-          let engine_summary, _ =
-            run name ~backend:Runner.Engine ~shards:1 ~traced:false
+          let reference_summary, _ =
+            run name ~backend:Runner.Reference ~shards:1 ~traced:false
           in
           let fast_mismatch =
             List.fold_left
@@ -359,7 +347,7 @@ let prop_registry_machines seed =
                 | Some _ -> acc
                 | None ->
                     let s, _ = run name ~backend ~shards ~traced:false in
-                    if s <> engine_summary then
+                    if s <> reference_summary then
                       Some (Printf.sprintf "%s: soa %s summary differs" name label)
                     else None)
               None variants
@@ -367,12 +355,12 @@ let prop_registry_machines seed =
           match fast_mismatch with
           | Some _ as m -> m
           | None ->
-              let es, et =
-                run name ~backend:Runner.Engine ~shards:1 ~traced:true
+              let rs, rt =
+                run name ~backend:Runner.Reference ~shards:1 ~traced:true
               in
               let ss, st = run name ~backend:(soa None) ~shards:2 ~traced:true in
-              if et <> st then Some (name ^ ": traced soa trace differs")
-              else if es <> ss then Some (name ^ ": traced soa summary differs")
+              if rt <> st then Some (name ^ ": traced soa trace differs")
+              else if rs <> ss then Some (name ^ ": traced soa summary differs")
               else None))
     None
     (Crn_proto.Registry.machine_names ())
@@ -399,8 +387,7 @@ let test_shards_rejected () =
     (Crn_proto.Registry.machine_names ());
   raises "cogcast" Runner.Engine;
   raises "cogcomp" Runner.Engine;
-  raises "cogcast_soa"
-    (Runner.Soa { shards = 3; dense_channel_limit = None });
+  raises "cogcast" (Runner.Soa { shards = 3; dense_channel_limit = None });
   (* ...while the soa backend honors the same request. *)
   let env =
     Crn_proto.Protocol.env
@@ -413,10 +400,89 @@ let test_shards_rejected () =
   Alcotest.(check bool) "seq_scan completes on soa shards=2" true
     (s.Crn_proto.Protocol.completed)
 
+(* Claim 4: COGCOMP's phases are feedback-order independent. Untraced
+   engine runs deliver feedback in ascending node id, traced runs replay
+   the specification's per-channel order, and both protocols must give
+   equal results either way. Plain COGCOMP runs fault-free (its phases
+   assume it); robust COGCOMP also runs under nap, crash-restart and
+   churn schedules, which arm its watchdogs and retries. *)
+
+module Aggregate = Crn_core.Aggregate
+module Cogcomp = Crn_core.Cogcomp
+module Cogcomp_robust = Crn_core.Cogcomp_robust
+
+let prop_cogcomp_order_independent seed =
+  let rng = Rng.create (523_000 + seed) in
+  let n = 2 + Rng.int rng 40 in
+  let c = 2 + Rng.int rng 7 in
+  let k = 1 + Rng.int rng (min 3 c) in
+  let kind =
+    match seed mod 3 with
+    | 0 -> Topology.Shared_core
+    | 1 -> Topology.Shared_plus_random
+    | _ -> Topology.Clustered
+  in
+  let assignment = Topology.generate kind rng { Topology.n; c; k } in
+  let source = Rng.int rng n in
+  let values = Array.init n (fun v -> (v * 31) + 7) in
+  let faults =
+    match seed mod 4 with
+    | 0 -> None
+    | 1 -> Some (Faults.random_naps ~seed:(Int64.of_int seed) ~rate:0.1)
+    | 2 ->
+        Some
+          (Faults.crash_restart ~node:(Rng.int rng n) ~from_slot:(Rng.int rng 40)
+             ~down_for:(1 + Rng.int rng 30))
+    | _ ->
+        Some
+          (Faults.bernoulli_churn ~seed:(Int64.of_int seed) ~mean_up:40.0
+             ~mean_down:4.0)
+  in
+  let trace traced = if traced then Some (Trace.create ()) else None in
+  let plain traced =
+    let r =
+      Cogcomp.run ?trace:(trace traced) ~monoid:Aggregate.sum ~values ~source
+        ~assignment ~k ~rng:(Rng.create seed) ()
+    in
+    ( r.Cogcomp.root_value,
+      [ r.Cogcomp.phase1_slots; r.Cogcomp.phase2_slots; r.Cogcomp.phase3_slots;
+        r.Cogcomp.phase4_steps; r.Cogcomp.phase4_slots; r.Cogcomp.total_slots ],
+      r.Cogcomp.terminated,
+      r.Cogcomp.mediators,
+      r.Cogcomp.tree,
+      counters_fields r.Cogcomp.counters )
+  in
+  let robust traced =
+    let r =
+      Cogcomp_robust.run ?faults ?trace:(trace traced) ~monoid:Aggregate.sum
+        ~values ~source ~assignment ~k ~rng:(Rng.create seed) ()
+    in
+    ( ( r.Cogcomp_robust.root_value,
+        r.Cogcomp_robust.coverage,
+        r.Cogcomp_robust.lost,
+        r.Cogcomp_robust.reelections,
+        r.Cogcomp_robust.retries ),
+      [ r.Cogcomp_robust.phase1_slots; r.Cogcomp_robust.phase2_slots;
+        r.Cogcomp_robust.phase3_slots; r.Cogcomp_robust.phase4_steps;
+        r.Cogcomp_robust.phase4_slots; r.Cogcomp_robust.total_slots ],
+      r.Cogcomp_robust.terminated,
+      r.Cogcomp_robust.mediators,
+      r.Cogcomp_robust.tree,
+      counters_fields r.Cogcomp_robust.counters )
+  in
+  if plain false <> plain true then
+    Some (Printf.sprintf "cogcomp n=%d: traced and untraced results differ" n)
+  else if robust false <> robust true then
+    Some
+      (Printf.sprintf "cogcomp_robust n=%d faults=%s: traced and untraced differ"
+         n
+         (match faults with Some f -> Faults.to_string f | None -> "none"))
+  else None
+
 let seed_gen = Prop.int_range 1 100_000
 
 let test_traced () =
-  Prop.check ~count:40 ~name:"soa traced = engine traced" seed_gen
+  Prop.check ~count:40 ~name:"soa traced = reference traced" seed_gen
     prop_traced_equivalence
 
 let test_shards () =
@@ -424,33 +490,40 @@ let test_shards () =
     prop_shard_invariance
 
 let test_registry_machines () =
-  Prop.check ~count:12 ~name:"registry machines: soa = engine" seed_gen
+  Prop.check ~count:12 ~name:"registry machines: soa = reference" seed_gen
     prop_registry_machines
 
 let test_cogcast () =
-  Prop.check ~count:25 ~name:"cogcast_soa = cogcast" seed_gen
-    prop_cogcast_equivalence
+  Prop.check ~count:25 ~name:"cogcast on soa shard-invariant" seed_gen
+    prop_cogcast_shard_invariance
 
-(* The registry entry behind --shards: same summary as classic cogcast. *)
+let test_cogcomp_order () =
+  Prop.check ~count:30 ~name:"cogcomp traced = untraced" seed_gen
+    prop_cogcomp_order_independent
+
+(* The registry entry behind --backend soa --shards: the same summary as
+   cogcast on the default engine backend. *)
 let test_registry_entry () =
   let module Protocol = Crn_proto.Protocol in
   let module Registry = Crn_proto.Registry in
-  let summary name shards =
+  let summary backend shards =
     let rng = Rng.create 99 in
     let assignment = Topology.shared_core rng { Topology.n = 64; c = 8; k = 2 } in
     let env =
-      Protocol.env ~shards ~availability:(Dynamic.static assignment) ~rng ()
+      Protocol.env ~backend ~shards ~availability:(Dynamic.static assignment)
+        ~rng ()
     in
-    let s = Protocol.run (Option.get (Registry.find name)) env in
+    let s = Protocol.run (Registry.find_exn "cogcast") env in
     (s.Protocol.slots_run, s.Protocol.completed_at, s.Protocol.coverage)
   in
-  let classic = summary "cogcast" 1 in
+  let engine = summary Runner.Engine 1 in
+  let soa = Runner.Soa { shards = 1; dense_channel_limit = None } in
   List.iter
     (fun shards ->
       Alcotest.(check bool)
-        (Printf.sprintf "registry cogcast_soa shards=%d = cogcast" shards)
+        (Printf.sprintf "registry cogcast soa shards=%d = engine" shards)
         true
-        (summary "cogcast_soa" shards = classic))
+        (summary soa shards = engine))
     [ 1; 2; 8 ]
 
 let () =
@@ -458,21 +531,27 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "traced twin byte-equal to engine" `Quick test_traced;
+          Alcotest.test_case "traced twin byte-equal to reference" `Quick
+            test_traced;
           Alcotest.test_case "fast path shard & strategy invariant" `Quick
             test_shards;
         ] );
       ( "registry audit",
         [
-          Alcotest.test_case "every of_machine entry: soa = engine" `Quick
+          Alcotest.test_case "every of_machine entry: soa = reference" `Quick
             test_registry_machines;
           Alcotest.test_case "shards > 1 rejected off the soa backend" `Quick
             test_shards_rejected;
         ] );
       ( "cogcast",
         [
-          Alcotest.test_case "cogcast_soa equals cogcast" `Quick test_cogcast;
+          Alcotest.test_case "soa backend shard-invariant" `Quick test_cogcast;
           Alcotest.test_case "registry entry honors env.shards" `Quick
             test_registry_entry;
+        ] );
+      ( "feedback order",
+        [
+          Alcotest.test_case "cogcomp and cogcomp_robust: traced = untraced"
+            `Quick test_cogcomp_order;
         ] );
     ]
