@@ -1,7 +1,3 @@
-module Rng = Crn_prng.Rng
-module Dynamic = Crn_channel.Dynamic
-module Assignment = Crn_channel.Assignment
-
 type strategy = Decay | Csma
 
 type outcome = {
@@ -12,227 +8,70 @@ type outcome = {
   counters : Trace.Counters.t;
 }
 
-(* Same hot-path structure as {!Engine.run}: dense {!Scratch} occupancy
-   reused across slots, channels resolved — and therefore the contention
-   session RNG consumed — in ascending global channel id. The previous
-   implementation ran sessions inside [Hashtbl.iter], so session round
-   counts and winners depended on stdlib hash order; the canonical order
-   makes them a function of the seed alone. Faults and jamming are applied
-   at the abstract-slot level exactly as in {!Engine.run}: a down node is
-   absent for the slot, a jammed node's action is absorbed before the
-   channel's contention session even starts (the jammer owns the channel at
-   that node for the whole slot). {!Reference.emulation_run} is the
-   executable specification. *)
-let run ?(strategy = Decay) ?session_cap ?(jammer = Jammer.none)
-    ?(faults = Faults.none) ?metrics ?trace ?stop ~availability ~rng ~nodes
-    ~max_slots () =
+(* The emulation is the struct-of-arrays loop at one shard with one
+   change: each active channel's winner comes from a contention session
+   instead of a uniform draw. The resolver runs the session, records its
+   {!Trace.Session} event and the slot's longest session; [on_slot_end]
+   folds that into the raw-round total. Faults and jamming act at the
+   abstract-slot level exactly as in {!Engine.run}. *)
+let run ?(strategy = Decay) ?session_cap ?jammer ?faults ?metrics ?trace ?stop
+    ~availability ~rng ~nodes ~max_slots () =
   let n = Array.length nodes in
   if n = 0 then invalid_arg "Emulation.run: no nodes";
-  if Dynamic.num_nodes availability <> n then
+  if Crn_channel.Dynamic.num_nodes availability <> n then
     invalid_arg "Emulation.run: node count disagrees with availability";
   Array.iteri
     (fun i node ->
       if node.Engine.id <> i then invalid_arg "Emulation.run: node id mismatch")
     nodes;
+  if max_slots < 0 then invalid_arg "Emulation.run: negative max_slots";
   (match metrics with
-  | Some m ->
-      if Array.length m.Metrics.transmissions <> n then
-        invalid_arg "Emulation.run: metrics sized for a different node count"
-  | None -> ());
-  let bump counters i =
-    match metrics with
-    | Some m -> (counters m).(i) <- (counters m).(i) + 1
-    | None -> ()
-  in
+  | Some m when Array.length m.Metrics.transmissions <> n ->
+      invalid_arg "Emulation.run: metrics sized for a different node count"
+  | _ -> ());
   let session_cap =
-    match session_cap with Some v -> v | None -> Backoff.expected_rounds_bound n
+    match session_cap with
+    | None -> Backoff.expected_rounds_bound n
+    | Some cap when cap < 1 -> invalid_arg "Emulation.run: session_cap must be >= 1"
+    | Some cap -> cap
   in
-  let run_session ~contenders =
-    match strategy with
-    | Decay -> Backoff.session ~rng ~contenders ~cap:session_cap
-    | Csma -> Csma.session ~rng ~contenders ~cap:session_cap ()
+  let raw_rounds = ref 0 and failed_sessions = ref 0 in
+  (* Sessions on distinct channels run concurrently, so a slot costs its
+     longest session; a slot without one still costs a raw round. *)
+  let slot_rounds = ref 1 in
+  let resolve ~slot ~channel ~contenders =
+    let session =
+      match strategy with
+      | Decay -> Backoff.session ~rng ~contenders ~cap:session_cap
+      | Csma -> Csma.session ~rng ~contenders ~cap:session_cap ()
+    in
+    let winner, rounds =
+      match session with
+      | Some { Backoff.winner; rounds } -> (winner, rounds)
+      | None ->
+          incr failed_sessions;
+          (-1, session_cap)
+    in
+    slot_rounds := max !slot_rounds rounds;
+    (match trace with
+    | Some tr ->
+        Trace.record tr
+          (Trace.Session { slot; channel; contenders; rounds; ok = winner >= 0 })
+    | None -> ());
+    winner
   in
-  let traced = trace <> None in
-  let emit ev = match trace with Some tr -> Trace.record tr ev | None -> () in
-  let faults_down = Faults.down faults in
-  let jammer_jams = Jammer.jams jammer in
-  let counters = Trace.Counters.create () in
-  let scratch = Scratch.create ~num_nodes:n in
-  let decisions = Array.make n (Action.listen ~label:0) in
-  (* Global channel per node, or -1 when the action was jammed, -2 when the
-     node was down — the {!Engine.run} convention. *)
-  let tuned = Array.make n (-1) in
-  let slot = ref 0 in
-  let raw_rounds = ref 0 in
-  let failed_sessions = ref 0 in
-  let stopped = ref false in
-  while (not !stopped) && !slot < max_slots do
-    let s = !slot in
-    let assignment = Dynamic.at availability s in
-    let c = Assignment.channels_per_node assignment in
-    Scratch.begin_slot scratch ~num_channels:(Assignment.num_channels assignment);
-    for i = 0 to n - 1 do
-      if faults_down ~slot:s ~node:i then begin
-        tuned.(i) <- -2;
-        if traced then emit (Trace.Down { slot = s; node = i })
-      end
-      else begin
-        let decision = nodes.(i).Engine.decide ~slot:s in
-        if decision.Action.label < 0 || decision.Action.label >= c then
-          invalid_arg "Emulation.run: label out of range";
-        decisions.(i) <- decision;
-        let channel =
-          Assignment.global_of_local assignment ~node:i ~label:decision.Action.label
-        in
-        bump (fun m -> m.Metrics.awake_slots) i;
-        if jammer_jams ~slot:s ~node:i ~channel then begin
-          tuned.(i) <- -1;
-          counters.Trace.Counters.jammed_actions <-
-            counters.Trace.Counters.jammed_actions + 1;
-          if traced then emit (Trace.Jam { slot = s; node = i; channel });
-          bump (fun m -> m.Metrics.jammed) i
-        end
-        else begin
-          tuned.(i) <- channel;
-          if traced then
-            emit
-              (Trace.Decide
-                 {
-                   slot = s;
-                   node = i;
-                   channel;
-                   label = decision.Action.label;
-                   tx = Action.is_broadcast decision;
-                 });
-          match decision.Action.intent with
-          | Action.Broadcast _ ->
-              Scratch.add_broadcaster scratch ~channel ~node:i;
-              counters.Trace.Counters.broadcasts <-
-                counters.Trace.Counters.broadcasts + 1;
-              bump (fun m -> m.Metrics.transmissions) i
-          | Action.Listen -> Scratch.add_listener scratch ~channel ~node:i
-        end
-      end
-    done;
-    (* Resolve every active channel — in ascending global channel id, the
-       canonical order — with a contention session ([strategy] picks decay
-       or CSMA/CA); the abstract slot costs the longest session (sessions
-       are concurrent across channels). Idle channels cost one raw round of
-       listening. *)
-    let slot_rounds = ref 1 in
-    Scratch.sort_active scratch;
-    for j = 0 to scratch.Scratch.active_len - 1 do
-      let channel = scratch.Scratch.active.(j) in
-      let contenders = scratch.Scratch.bcast_count.(channel) in
-      if contenders = 0 then begin
-        let l = ref scratch.Scratch.listen_head.(channel) in
-        while !l >= 0 do
-          let node = !l in
-          l := scratch.Scratch.next.(node);
-          if traced then emit (Trace.Silent { slot = s; node; channel });
-          nodes.(node).Engine.feedback ~slot:s Action.Silence
-        done
-      end
-      else begin
-        if contenders > 1 then
-          counters.Trace.Counters.contended <-
-            counters.Trace.Counters.contended + 1;
-        match run_session ~contenders with
-        | Some { Backoff.winner; rounds } ->
-            slot_rounds := max !slot_rounds rounds;
-            let winner_id = Scratch.nth_broadcaster scratch ~channel winner in
-            let winner_msg =
-              match decisions.(winner_id).Action.intent with
-              | Action.Broadcast msg -> msg
-              | Action.Listen -> assert false
-            in
-            counters.Trace.Counters.wins <- counters.Trace.Counters.wins + 1;
-            if traced then begin
-              emit
-                (Trace.Session { slot = s; channel; contenders; rounds; ok = true });
-              emit
-                (Trace.Win { slot = s; channel; winner = winner_id; contenders })
-            end;
-            let b = ref scratch.Scratch.bcast_head.(channel) in
-            while !b >= 0 do
-              let node = !b in
-              b := scratch.Scratch.next.(node);
-              if node = winner_id then nodes.(node).Engine.feedback ~slot:s Action.Won
-              else
-                nodes.(node).Engine.feedback ~slot:s
-                  (Action.Lost { winner = winner_id; msg = winner_msg })
-            done;
-            let l = ref scratch.Scratch.listen_head.(channel) in
-            while !l >= 0 do
-              let node = !l in
-              l := scratch.Scratch.next.(node);
-              counters.Trace.Counters.deliveries <-
-                counters.Trace.Counters.deliveries + 1;
-              if traced then
-                emit
-                  (Trace.Deliver
-                     { slot = s; channel; sender = winner_id; receiver = node });
-              bump (fun m -> m.Metrics.receptions) node;
-              nodes.(node).Engine.feedback ~slot:s
-                (Action.Heard { sender = winner_id; msg = winner_msg })
-            done
-        | None ->
-            incr failed_sessions;
-            slot_rounds := max !slot_rounds session_cap;
-            if traced then
-              emit
-                (Trace.Session
-                   {
-                     slot = s;
-                     channel;
-                     contenders;
-                     rounds = session_cap;
-                     ok = false;
-                   });
-            (* A broadcaster knows its own session failed — it spent the
-               whole window without a clean transmission — so it gets the
-               dedicated {!Action.No_winner} verdict. Listeners cannot
-               distinguish a failed session from an idle channel: plain
-               silence. *)
-            let b = ref scratch.Scratch.bcast_head.(channel) in
-            while !b >= 0 do
-              let node = !b in
-              b := scratch.Scratch.next.(node);
-              nodes.(node).Engine.feedback ~slot:s Action.No_winner
-            done;
-            let l = ref scratch.Scratch.listen_head.(channel) in
-            while !l >= 0 do
-              let node = !l in
-              l := scratch.Scratch.next.(node);
-              if traced then emit (Trace.Silent { slot = s; node; channel });
-              nodes.(node).Engine.feedback ~slot:s Action.Silence
-            done
-      end
-    done;
-    (* Jammed nodes sat out the whole slot; down nodes (-2) get nothing. *)
-    for i = 0 to n - 1 do
-      if tuned.(i) = -1 then nodes.(i).Engine.feedback ~slot:s Action.Jammed
-    done;
+  let on_slot_end ~slot:_ =
     raw_rounds := !raw_rounds + !slot_rounds;
-    counters.Trace.Counters.slots_run <- counters.Trace.Counters.slots_run + 1;
-    (* Reactive jammers learn from this slot's audible occupancy, exactly as
-       in {!Engine.run}; ascending channel order. *)
-    if Jammer.observes jammer then begin
-      let occupancy = ref [] in
-      for j = scratch.Scratch.active_len - 1 downto 0 do
-        let channel = scratch.Scratch.active.(j) in
-        let count = scratch.Scratch.bcast_count.(channel) in
-        if count > 0 then occupancy := (channel, count) :: !occupancy
-      done;
-      Jammer.observe jammer ~slot:s !occupancy
-    end;
-    (match stop with Some f -> if f ~slot:s then stopped := true | None -> ());
-    incr slot
-  done;
+    slot_rounds := 1
+  in
+  let o =
+    Soa.run ?jammer ?faults ?metrics ?trace ?stop ~on_slot_end ~resolve
+      ~availability ~rng ~protocol:(Soa_adapter.protocol nodes) ~max_slots ()
+  in
   {
-    slots_run = !slot;
+    slots_run = o.Soa.slots_run;
     raw_rounds = !raw_rounds;
     failed_sessions = !failed_sessions;
-    stopped_early = !stopped;
-    counters;
+    stopped_early = o.Soa.stopped_early;
+    counters = o.Soa.counters;
   }

@@ -79,15 +79,26 @@ val run :
     realization (default {!Decay}). [session_cap] bounds each contention
     session in raw rounds (default [4·(⌈lg n⌉+1)²], the
     {!Backoff.expected_rounds_bound} — sized for decay; CSMA/CA under heavy
-    contention may exhaust it, which shows up as [failed_sessions]); idle
-    channels and single-listener channels cost one raw round. With [?trace]
-    supplied, each slot appends {!Trace.Decide}, {!Trace.Session} (one per
-    active channel, [ok=false] when the session hit the cap), {!Trace.Win},
+    contention may exhaust it, which shows up as [failed_sessions]); a
+    slot without sessions costs one raw round. With [?trace] supplied,
+    each slot appends {!Trace.Decide}, {!Trace.Session} (one per active
+    channel, [ok=false] when the session hit the cap), {!Trace.Win},
     {!Trace.Deliver}, {!Trace.Silent} and — under adversaries —
-    {!Trace.Down}/{!Trace.Jam} events; without it no event is allocated.
+    {!Trace.Down}/{!Trace.Jam} events, in the per-slot order documented in
+    {!Trace}; without it no event is allocated.
 
     Channels are resolved — and the shared [rng] consumed by the contention
     sessions — in ascending global channel id, the same canonical order as
     {!Engine.run}, so session lengths and winners are a function of the
-    seed alone. The slot loop is allocation-free in steady state;
-    {!Reference.emulation_run} is its executable specification. *)
+    seed alone.
+
+    [run] is a front over {!Soa.run} at one shard, like {!Engine.run}: the
+    node array goes through {!Soa_adapter.protocol} and the contention
+    session is {!Soa.run}'s [resolve]. {!Reference.emulation_run} is its
+    executable specification.
+
+    Raises [Invalid_argument] naming [Emulation.run] if node ids are
+    inconsistent, the node count disagrees with [availability],
+    [max_slots] is negative, [session_cap < 1], or [metrics] is sized for
+    a different node count; an out-of-range label is reported by
+    {!Soa.run}. *)

@@ -33,15 +33,9 @@
     the broadcaster at the drawn index in descending node id. Reactive
     jammers receive the slot's occupancy in ascending channel order.
 
-    {b Feedback order.} Untraced runs deliver feedback in ascending node
-    id, for every caller. Traced runs replay the per-channel order of
-    {!Reference.engine_run} (ascending channel; on each channel the
-    broadcasters, then the listeners, in descending node id; then silent
-    and jammed nodes in ascending id), so their traces are byte-equal to
-    the specification's. A protocol whose results must not depend on
-    tracing therefore needs feedback that commutes across nodes — every
-    protocol in this repository does, and the differential suites check
-    it.
+    {b Feedback order.} Every run, traced or not, delivers feedback in
+    ascending node id. Traced runs record each slot's events in the order
+    documented in {!Trace}, byte-equal to {!Reference.engine_run}'s.
 
     {b Implementation.} [run] is a front over {!Soa.run} at one shard: it
     validates its input and bridges the node array through
@@ -80,7 +74,8 @@ val run :
     of the slot just completed) and ends the run when it returns [true].
     With [?trace] supplied, every slot appends {!Trace.Decide}, {!Trace.Win},
     {!Trace.Deliver}, {!Trace.Silent}, {!Trace.Jam} and {!Trace.Down} events
-    to it; without it no event is allocated.
+    to it, in the per-slot order documented in {!Trace}; without it no
+    event is allocated.
     Raises [Invalid_argument] if node ids are inconsistent, the node count
     disagrees with [availability], [max_slots] is negative, [metrics] is
     sized for a different node count, or a node submits an out-of-range

@@ -1,18 +1,19 @@
 (** Executable specifications of {!Engine.run} and {!Emulation.run}.
 
-    These are the original list-and-hashtable slot loops, retained verbatim
-    except for one deliberate change: channels are resolved in the canonical
-    ascending-global-channel-id order instead of [Hashtbl.iter] bucket order
-    (the order-dependence bug this layer exists to pin down). The optimized
-    engines must be observationally identical to these on every input —
-    same outcome structs and counters, same per-node feedback sequences,
-    byte-equal JSONL traces — which [test/test_determinism.ml] verifies
-    differentially over randomized topologies, jammers, faults and dynamic
-    availabilities.
+    List-and-hashtable slot loops written for obviousness: per slot they
+    ask every up node to decide, resolve channels in the canonical
+    ascending-global-channel-id order, then deliver feedback in ascending
+    node id, emitting trace events in the per-slot order documented in
+    {!Trace}. The optimized engines must be observationally identical to
+    these on every input — same outcome structs and counters, same
+    per-node feedback sequences, byte-equal JSONL traces — which
+    [test/test_determinism.ml] and [test/test_soa.ml] verify
+    differentially over randomized topologies, jammers, faults and
+    dynamic availabilities.
 
     Keep these slow and obvious: they allocate per slot and per channel on
     purpose, and double as the baseline the [MICRO] benchmark measures the
-    rewritten engines against. Not intended for production use. *)
+    engines against. Not intended for production use. *)
 
 val engine_run :
   ?jammer:Jammer.t ->
@@ -27,7 +28,8 @@ val engine_run :
   max_slots:int ->
   unit ->
   Engine.outcome
-(** Specification twin of {!Engine.run}; identical contract. *)
+(** Specification twin of {!Engine.run}; identical contract, with errors
+    naming [Reference.engine_run]. *)
 
 val emulation_run :
   ?strategy:Emulation.strategy ->
@@ -43,4 +45,5 @@ val emulation_run :
   max_slots:int ->
   unit ->
   Emulation.outcome
-(** Specification twin of {!Emulation.run}; identical contract. *)
+(** Specification twin of {!Emulation.run}; identical contract, with
+    errors naming [Reference.emulation_run]. *)

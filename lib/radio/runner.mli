@@ -12,7 +12,8 @@
     {- {!Engine} — the abstract one-winner engine ({!Engine.run}), the
        default: the {!Soa} backend at one shard;}
     {- {!Emulation} — the footnote-4 raw collision radio
-       ({!Emulation.run}), reporting raw-round cost;}
+       ({!Emulation.run}: the {!Soa} loop with a contention-session
+       resolver), reporting raw-round cost;}
     {- {!Reference} — the list-based executable specification
        ({!Reference.engine_run}), for differential tests.}}
 
@@ -40,7 +41,8 @@ type backend =
           any shard count by the SoA determinism contract;
           [dense_channel_limit] ([None] = the {!Soa.run} default) selects
           the occupancy-counting strategy crossover for the [c >> n]
-          regime. Traced runs use the SoA sequential traced loop. *)
+          regime. Traced runs take the same loop at one shard, with the
+          per-slot event order documented in {!Trace}. *)
 
 val backend_name : backend -> string
 (** The CLI vocabulary for a backend — ["engine"], ["emulation"],

@@ -1,11 +1,13 @@
 (* Struct-of-arrays slot engine: the one implementation of the §2 slot.
 
    {!Engine.run} is a front over this loop at one shard (through
-   {!Soa_adapter}), so every abstract-slot caller runs here; the list-based
-   {!Reference.engine_run} is the executable specification it is
-   differentially tested against. The representation is flat so that the
-   same loop serves n = 10^5..10^6, where a pointer graph of per-node
-   records stops fitting in cache and a single core stops being enough:
+   {!Soa_adapter}), and {!Emulation.run} is the same front with a
+   contention-session resolver in place of the uniform winner draw, so
+   every slot-level caller runs here; the list-based {!Reference} runs are
+   the executable specifications it is differentially tested against. The
+   representation is flat so that the same loop serves n = 10^5..10^6,
+   where a pointer graph of per-node records stops fitting in cache and a
+   single core stops being enough:
 
    - Node state is five dense arrays indexed by node id (one intent byte,
      label, message, tuned global channel) so a slot's working set streams
@@ -19,24 +21,26 @@
    - Channel resolution walks an O(active) worklist: only channels that
      gained a broadcaster this slot are visited, and the worklist is
      produced in ascending global channel id (the canonical order) either
-     directly by the dense merge scan or by {!Scratch.sort_prefix}.
+     directly by the dense merge scan or by {!sort_prefix}.
 
    Determinism is the load-bearing constraint. Per-shard pre-split RNG
    streams would make the winner sequence a function of the shard count
    and break byte-equality across [--shards]. Instead the *only* consumer
-   of the shared [rng] — one draw per contended channel — runs
-   sequentially between the parallel phases, in ascending channel order,
-   exactly as {!Reference.engine_run} consumes it. That is cheap
-   (O(active) draws per slot, everything heavy stays parallel) and gives
+   of the shared [rng] — the resolver, called once per active channel —
+   runs sequentially between the parallel phases, in ascending channel
+   order, exactly as the specification consumes it. That is cheap
+   (O(active) calls per slot, everything heavy stays parallel) and gives
    the stronger guarantee: the same seed produces the same winner sequence
    as the specification *and* at any shard count.
 
-   A winner draw picks the [widx]-th broadcaster in descending node id
-   (the chain order of the reference engine). On a flat array we select it
-   without building chains: the [widx]-th element in descending order is
-   the [(count - widx)]-th encountered when scanning node ids ascending,
-   so each channel carries a countdown [need = count - widx] and the
-   selection scan decrements it per broadcaster until it hits zero.
+   A resolver picks the [widx]-th broadcaster in descending node id (the
+   list order of the specification). On a flat array we select it without
+   building chains: the [widx]-th element in descending order is the
+   [(count - widx)]-th encountered when scanning node ids ascending, so
+   each channel carries a countdown [need = count - widx] and the
+   selection scan decrements it per broadcaster until it hits zero. A
+   failed resolution (a capped-out contention session) marks the channel
+   with [winner = -1] and [owner = -1], and selects no one.
 
    Two occupancy-counting strategies, chosen per slot by spectrum size:
 
@@ -55,15 +59,10 @@
    Both strategies count the same totals and draw in the same order, so
    the choice is observationally invisible.
 
-   Tracing takes a second path, the only traced abstract-slot loop: fully
-   sequential, built on {!Scratch} chains, emitting events in the
-   specification's order (per-node Decide/Jam/Down ascending; per-channel
-   Win ascending with broadcaster feedback then Deliver+listener feedback
-   in descending node id; Silent/Jammed in a final ascending node scan)
-   and calling the protocol with singleton ranges. Traced runs are
-   therefore byte-equal to {!Reference.engine_run} traces by construction,
-   and the differential tests in [test/test_soa.ml] and
-   [test/test_determinism.ml] hold both paths to that standard. *)
+   Tracing adds two sequential event scans to the same loop — one after
+   the decide phase, one after winner selection — and runs it at one
+   shard, so the protocol's own events land in one ordered stream. The
+   per-slot event order is the one documented in {!Trace}. *)
 
 module Rng = Crn_prng.Rng
 module Dynamic = Crn_channel.Dynamic
@@ -135,11 +134,16 @@ let was_jammed t node =
   let code = Bytes.unsafe_get t.intent node in
   code = jammed_listen || code = jammed_broadcast
 
+
+(* A channel delivers when it had an audible broadcaster and its
+   resolution did not fail. *)
+let delivered t channel = t.count.(channel) > 0 && t.winner.(channel) >= 0
+
 let heard t node =
-  Bytes.unsafe_get t.intent node = listen && t.count.(t.tuned.(node)) > 0
+  Bytes.unsafe_get t.intent node = listen && delivered t t.tuned.(node)
 
 let silent t node =
-  Bytes.unsafe_get t.intent node = listen && t.count.(t.tuned.(node)) = 0
+  Bytes.unsafe_get t.intent node = listen && not (delivered t t.tuned.(node))
 
 let sender t node = t.winner.(t.tuned.(node))
 let message t node = t.winner_msg.(t.tuned.(node))
@@ -148,7 +152,13 @@ let won t node =
   Bytes.unsafe_get t.intent node = broadcast && t.winner.(t.tuned.(node)) = node
 
 let lost t node =
-  Bytes.unsafe_get t.intent node = broadcast && t.winner.(t.tuned.(node)) <> node
+  Bytes.unsafe_get t.intent node = broadcast
+  &&
+  let w = t.winner.(t.tuned.(node)) in
+  w >= 0 && w <> node
+
+let no_winner t node =
+  Bytes.unsafe_get t.intent node = broadcast && t.winner.(t.tuned.(node)) < 0
 
 (* Shard [s] of [shards] owns nodes [lo, hi): balanced contiguous ranges,
    empty when shards > n. *)
@@ -165,12 +175,40 @@ let ensure_channels t cn =
     t.num_channels <- cn
   end
 
+(* In-place heapsort of a[0 .. len-1], ascending: O(m log m), no
+   allocation, and a canonical order independent of discovery order. *)
+let sort_prefix (a : int array) len =
+  if len > 1 then begin
+    let swap i j =
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    in
+    let rec sift i stop =
+      let l = (2 * i) + 1 in
+      if l < stop then begin
+        let c = if l + 1 < stop && a.(l + 1) > a.(l) then l + 1 else l in
+        if a.(c) > a.(i) then begin
+          swap c i;
+          sift c stop
+        end
+      end
+    in
+    for i = (len / 2) - 1 downto 0 do
+      sift i len
+    done;
+    for last = len - 1 downto 1 do
+      swap 0 last;
+      sift 0 last
+    done
+  end
+
 let bad_label node label c =
   invalid_arg
     (Printf.sprintf "Soa.run: node %d chose label %d outside [0,%d)" node label c)
 
 let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
-    ?metrics ?trace ?stop ?on_slot_end ?(dense_channel_limit = 4096)
+    ?metrics ?trace ?stop ?on_slot_end ?(dense_channel_limit = 4096) ?resolve
     ~availability ~rng ~protocol ~max_slots () =
   let n = Dynamic.num_nodes availability in
   if n = 0 then invalid_arg "Soa.run: no nodes";
@@ -193,6 +231,19 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
      Binding them once keeps the hot loops allocation-free. *)
   let faults_down = Faults.down faults in
   let jammer_jams = Jammer.jams jammer in
+  (* The §2 resolution: a uniform draw, none for a lone broadcaster. *)
+  let resolve =
+    match resolve with
+    | Some f -> f
+    | None ->
+        fun ~slot:_ ~channel:_ ~contenders ->
+          if contenders = 1 then 0 else Rng.int rng contenders
+  in
+  let traced = Option.is_some trace in
+  let emit ev = match trace with Some tr -> Trace.record tr ev | None -> () in
+  (* Recording from several domains would interleave the protocol's own
+     events nondeterministically, so a traced run takes one shard. *)
+  let shards = if traced then 1 else shards in
   let counters = Trace.Counters.create () in
   let slot = ref 0 in
   let stopped = ref false in
@@ -210,8 +261,46 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
     (match stop with Some f -> if f ~slot:s then stopped := true | None -> ());
     incr slot
   in
-  (* ---- The fast path: no tracing, node ranges sharded over [exec]. ---- *)
-  let fast exec =
+  (* Trace scans, in the per-slot order {!Trace} documents: Down/Jam/Decide
+     after the decide phase, then Win per channel and Deliver/Silent per
+     listener once winners are materialized. *)
+  let emit_actions s =
+    for i = 0 to n - 1 do
+      let code = Bytes.unsafe_get t.intent i in
+      if code = down then emit (Trace.Down { slot = s; node = i })
+      else if code = jammed_listen || code = jammed_broadcast then
+        emit (Trace.Jam { slot = s; node = i; channel = t.tuned.(i) })
+      else if code = listen || code = broadcast then
+        emit
+          (Trace.Decide
+             {
+               slot = s;
+               node = i;
+               channel = t.tuned.(i);
+               label = t.label.(i);
+               tx = code = broadcast;
+             })
+    done
+  in
+  let emit_outcomes s =
+    for j = 0 to t.active_len - 1 do
+      let channel = t.active.(j) in
+      let winner = t.winner.(channel) in
+      if winner >= 0 then
+        emit (Trace.Win { slot = s; channel; winner; contenders = t.count.(channel) })
+    done;
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get t.intent i = listen then begin
+        let channel = t.tuned.(i) in
+        if delivered t channel then
+          emit
+            (Trace.Deliver
+               { slot = s; channel; sender = t.winner.(channel); receiver = i })
+        else emit (Trace.Silent { slot = s; node = i; channel })
+      end
+    done
+  in
+  let loop exec =
     let sub = ref [||] in  (* shards x num_channels per-shard counts (dense) *)
     let bcast_partial = Array.make shards 0 in
     let jam_partial = Array.make shards 0 in
@@ -246,8 +335,8 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
          row; a sequential protocol (one whose callbacks do not honor the
          sharding contract) gets a single full-range [decide] call between
          two parallel passes — the shared rng, if the protocol draws from
-         it, is then consumed in ascending node order exactly as
-         {!Reference.engine_run} consumes it. *)
+         it, is then consumed in ascending node order exactly as the
+         specification consumes it. *)
       let mark sh =
         let lo = shard_lo ~n ~shards sh and hi = shard_hi ~n ~shards sh in
         if dense then Array.fill subs (sh * stride) cn 0;
@@ -297,6 +386,7 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
         protocol.decide t ~slot:s ~lo:0 ~hi:n;
         run_shards translate
       end;
+      if traced then emit_actions s;
       (* Phase 2 (sequential): merge occupancy into [count] and build the
          active worklist in ascending channel order. *)
       if dense then
@@ -322,21 +412,34 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
             t.count.(channel) <- t.count.(channel) + 1
           end
         done;
-        Scratch.sort_prefix t.active t.active_len
+        sort_prefix t.active t.active_len
       end;
-      (* Phase 3 (sequential): one winner draw per active channel, in
-         ascending channel order, off the shared stream — the only part of
-         the slot that must stay sequential for determinism. The draw is
-         stored as the descending-order countdown [need = count - widx]. *)
+      (* Phase 3 (sequential): resolve every active channel, in ascending
+         channel order — the only part of the slot that must stay
+         sequential for determinism, since resolvers draw from the shared
+         stream. A success is stored as the descending-order countdown
+         [need = count - widx]; a failure as [owner = -1] and
+         [winner = -1], whose countdown of zero is never hit again. *)
       for j = 0 to t.active_len - 1 do
         let channel = t.active.(j) in
         let m = t.count.(channel) in
-        let widx = if m = 1 then 0 else Rng.int rng m in
-        t.need.(channel) <- m - widx;
-        counters.Trace.Counters.wins <- counters.Trace.Counters.wins + 1;
         if m > 1 then
           counters.Trace.Counters.contended <-
-            counters.Trace.Counters.contended + 1
+            counters.Trace.Counters.contended + 1;
+        let widx = resolve ~slot:s ~channel ~contenders:m in
+        if widx >= m then
+          invalid_arg
+            (Printf.sprintf "Soa.run: resolver chose contender %d of %d" widx m);
+        if widx >= 0 then begin
+          counters.Trace.Counters.wins <- counters.Trace.Counters.wins + 1;
+          t.need.(channel) <- m - widx;
+          t.owner.(channel) <- 0
+        end
+        else begin
+          t.need.(channel) <- 0;
+          t.owner.(channel) <- -1;
+          t.winner.(channel) <- -1
+        end
       done;
       (* Phase 4: materialize winners and account listener deliveries. In
          dense mode a prefix walk over the per-shard subcounts localizes
@@ -346,14 +449,16 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
       if dense then begin
         for j = 0 to t.active_len - 1 do
           let channel = t.active.(j) in
-          let target = ref t.need.(channel) in
-          let sh = ref 0 in
-          while !target > subs.((!sh * stride) + channel) do
-            target := !target - subs.((!sh * stride) + channel);
-            incr sh
-          done;
-          t.owner.(channel) <- !sh;
-          t.need.(channel) <- !target
+          if t.owner.(channel) >= 0 then begin
+            let target = ref t.need.(channel) in
+            let sh = ref 0 in
+            while !target > subs.((!sh * stride) + channel) do
+              target := !target - subs.((!sh * stride) + channel);
+              incr sh
+            done;
+            t.owner.(channel) <- !sh;
+            t.need.(channel) <- !target
+          end
         done;
         run_shards (fun sh ->
             let lo = shard_lo ~n ~shards sh and hi = shard_hi ~n ~shards sh in
@@ -373,7 +478,7 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
               end
               else if code = listen then begin
                 let channel = t.tuned.(i) in
-                if t.count.(channel) > 0 then begin
+                if t.count.(channel) > 0 && t.owner.(channel) >= 0 then begin
                   incr deliveries;
                   bump (fun m -> m.Metrics.receptions) i
                 end
@@ -396,7 +501,7 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
           end
           else if code = listen then begin
             let channel = t.tuned.(i) in
-            if t.count.(channel) > 0 then begin
+            if t.count.(channel) > 0 && t.owner.(channel) >= 0 then begin
               incr deliveries;
               bump (fun m -> m.Metrics.receptions) i
             end
@@ -405,11 +510,10 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
         Array.fill deliver_partial 0 shards 0;
         deliver_partial.(0) <- !deliveries
       end;
-      (* Phase 5: protocol feedback — parallel over the node ranges, or
-         one sequential full-range call for a sequential protocol, in
-         ascending node order either way (the traced path replays the
-         specification's per-channel order instead, so protocols must
-         have order-commutative feedback). *)
+      if traced then emit_outcomes s;
+      (* Phase 5: protocol feedback, in ascending node id — parallel over
+         the node ranges, or one sequential full-range call for a
+         sequential protocol. *)
       if protocol.parallel then
         run_shards (fun sh ->
             protocol.feedback t ~slot:s ~lo:(shard_lo ~n ~shards sh)
@@ -430,120 +534,9 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
       end_slot s
     done
   in
-  (* ---- The traced path: sequential, emitting events and feedback in
-     exactly {!Reference.engine_run}'s order, so traces are byte-equal by
-     construction. Protocol callbacks use singleton ranges. ---- *)
-  let traced tr =
-    let emit ev = Trace.record tr ev in
-    let scratch = Scratch.create ~num_nodes:n in
-    while (not !stopped) && !slot < max_slots do
-      let s = !slot in
-      let assignment = Dynamic.at availability s in
-      let c = Assignment.channels_per_node assignment in
-      let cn = Assignment.num_channels assignment in
-      ensure_channels t cn;
-      Scratch.begin_slot scratch ~num_channels:cn;
-      for j = 0 to t.active_len - 1 do
-        t.count.(t.active.(j)) <- 0
-      done;
-      t.active_len <- 0;
-      for i = 0 to n - 1 do
-        if faults_down ~slot:s ~node:i then begin
-          Bytes.unsafe_set t.intent i down;
-          emit (Trace.Down { slot = s; node = i })
-        end
-        else begin
-          Bytes.unsafe_set t.intent i idle;
-          protocol.decide t ~slot:s ~lo:i ~hi:(i + 1);
-          let code = Bytes.unsafe_get t.intent i in
-          if code = listen || code = broadcast then begin
-            let label = t.label.(i) in
-            if label < 0 || label >= c then bad_label i label c;
-            let channel = Assignment.global_of_local assignment ~node:i ~label in
-            t.tuned.(i) <- channel;
-            bump (fun m -> m.Metrics.awake_slots) i;
-            if jammer_jams ~slot:s ~node:i ~channel then begin
-              Bytes.unsafe_set t.intent i
-                (if code = broadcast then jammed_broadcast else jammed_listen);
-              counters.Trace.Counters.jammed_actions <-
-                counters.Trace.Counters.jammed_actions + 1;
-              emit (Trace.Jam { slot = s; node = i; channel });
-              bump (fun m -> m.Metrics.jammed) i
-            end
-            else begin
-              emit
-                (Trace.Decide
-                   { slot = s; node = i; channel; label; tx = code = broadcast });
-              if code = broadcast then begin
-                Scratch.add_broadcaster scratch ~channel ~node:i;
-                if t.count.(channel) = 0 then begin
-                  t.active.(t.active_len) <- channel;
-                  t.active_len <- t.active_len + 1
-                end;
-                t.count.(channel) <- t.count.(channel) + 1;
-                counters.Trace.Counters.broadcasts <-
-                  counters.Trace.Counters.broadcasts + 1;
-                bump (fun m -> m.Metrics.transmissions) i
-              end
-              else Scratch.add_listener scratch ~channel ~node:i
-            end
-          end
-        end
-      done;
-      Scratch.sort_active scratch;
-      for j = 0 to scratch.Scratch.active_len - 1 do
-        let channel = scratch.Scratch.active.(j) in
-        let m = scratch.Scratch.bcast_count.(channel) in
-        if m > 0 then begin
-          let widx = if m = 1 then 0 else Rng.int rng m in
-          let winner_id = Scratch.nth_broadcaster scratch ~channel widx in
-          t.winner.(channel) <- winner_id;
-          t.winner_msg.(channel) <- t.msg.(winner_id);
-          counters.Trace.Counters.wins <- counters.Trace.Counters.wins + 1;
-          if m > 1 then
-            counters.Trace.Counters.contended <-
-              counters.Trace.Counters.contended + 1;
-          emit (Trace.Win { slot = s; channel; winner = winner_id; contenders = m });
-          let b = ref scratch.Scratch.bcast_head.(channel) in
-          while !b >= 0 do
-            let node = !b in
-            b := scratch.Scratch.next.(node);
-            protocol.feedback t ~slot:s ~lo:node ~hi:(node + 1)
-          done;
-          let l = ref scratch.Scratch.listen_head.(channel) in
-          while !l >= 0 do
-            let node = !l in
-            l := scratch.Scratch.next.(node);
-            counters.Trace.Counters.deliveries <-
-              counters.Trace.Counters.deliveries + 1;
-            emit
-              (Trace.Deliver { slot = s; channel; sender = winner_id; receiver = node });
-            bump (fun m -> m.Metrics.receptions) node;
-            protocol.feedback t ~slot:s ~lo:node ~hi:(node + 1)
-          done
-        end
-      done;
-      for i = 0 to n - 1 do
-        let code = Bytes.unsafe_get t.intent i in
-        if code = jammed_listen || code = jammed_broadcast then
-          protocol.feedback t ~slot:s ~lo:i ~hi:(i + 1)
-        else if code = listen && t.count.(t.tuned.(i)) = 0 then begin
-          emit (Trace.Silent { slot = s; node = i; channel = t.tuned.(i) });
-          protocol.feedback t ~slot:s ~lo:i ~hi:(i + 1)
-        end
-      done;
-      (* [t.active] is in discovery order here (the canonical order came
-         from the scratch chains); the observe report must be ascending. *)
-      if Jammer.observes jammer then Scratch.sort_prefix t.active t.active_len;
-      end_slot s
-    done
-  in
-  (match trace with
-  | Some tr -> traced tr
-  | None -> (
-      if shards = 1 then fast None
-      else
-        match pool with
-        | Some p -> fast (Some p)
-        | None -> Pool.with_pool ~jobs:shards (fun p -> fast (Some p))));
+  (if shards = 1 then loop None
+   else
+     match pool with
+     | Some p -> loop (Some p)
+     | None -> Pool.with_pool ~jobs:shards (fun p -> loop (Some p)));
   { slots_run = !slot; stopped_early = !stopped; counters }

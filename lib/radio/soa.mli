@@ -1,34 +1,35 @@
 (** Struct-of-arrays slot engine: the one implementation of the §2 slot,
     at million-node scale, with intra-trial sharding across OCaml domains.
 
-    Synchronous slots, one uniformly random winner per contended channel
-    (§2 of the paper), resolved in the canonical order of
-    {!Reference.engine_run} — with node state in dense arrays indexed by
-    node id, the per-node phases of a slot sharded across a
-    {!Crn_exec.Pool}, and channel resolution walking an O(active)
-    worklist instead of the spectrum. {!Engine.run} is this loop at one
-    shard, reached through {!Soa_adapter}.
+    Synchronous slots, one winner per contended channel (§2 of the paper),
+    resolved in the canonical order of {!Reference.engine_run} — with node
+    state in dense arrays indexed by node id, the per-node phases of a slot
+    sharded across a {!Crn_exec.Pool}, and channel resolution walking an
+    O(active) worklist instead of the spectrum. {!Engine.run} is this loop
+    at one shard, reached through {!Soa_adapter}; {!Emulation.run} is the
+    same with a contention-session [resolve] in place of the uniform draw.
 
     {2 Determinism contract}
 
     Runs are byte-identical to {!Reference.engine_run} (same seed, same
     protocol behaviour) and invariant under the shard count, because:
 
-    - The shared [rng] is consumed {e only} by winner draws — one draw per
-      contended channel, in ascending global channel id — executed
+    - The shared [rng] is consumed {e only} by the resolver — one call per
+      channel with an audible broadcaster, in ascending global channel id
+      (the default resolver draws only when two or more contend) — executed
       sequentially between the parallel phases (plus, for a
       [parallel = false] protocol, its own sequential decide-time draws in
-      ascending node order, as under {!Reference.engine_run}). No per-shard RNG
-      streams exist, so the draw sequence cannot depend on [shards].
+      ascending node order, as under {!Reference.engine_run}). No per-shard
+      RNG streams exist, so the draw sequence cannot depend on [shards].
     - Every parallel phase writes only shard-private state: contiguous
       node-id ranges of the node arrays, and private per-shard rows of the
       channel-count matrix. Merges into shared channel state happen
       sequentially between phases (a {!Crn_exec.Pool.parallel_for} return
       is the barrier).
     - Protocol decisions either draw randomness from per-node streams
-      (as [Crn_core.Cogcast] has since PR 1), making decide order
-      immaterial, or declare [parallel = false] and run their callbacks
-      sequentially over the full node range (see {!protocol}).
+      (as [Crn_core.Cogcast] does), making decide order immaterial, or
+      declare [parallel = false] and run their callbacks sequentially over
+      the full node range (see {!protocol}).
 
     {2 Slot pipeline and array ownership}
 
@@ -41,14 +42,16 @@
       broadcaster-count matrix (dense mode).
     + {e sequential} — merge occupancy into [count], build [active]
       (ascending channel ids).
-    + {e sequential} — winner draw per active channel from the shared
-      [rng], stored as a selection countdown.
+    + {e sequential} — [resolve] per active channel, stored as a selection
+      countdown (or a failure mark).
     + {e parallel (dense) / sequential (sparse)} — winner materialization
       and listener delivery accounting; in dense mode each active channel
       is pre-assigned to the unique shard whose range contains its winner,
       so shards never contend on [winner]/[need].
-    + {e parallel} — [protocol.feedback] over the node ranges.
-    + {e sequential} — counter merges, jammer observation, stop check.
+    + {e parallel} — [protocol.feedback] over the node ranges, so every
+      node gets its feedback in ascending node id.
+    + {e sequential} — counter merges, jammer observation,
+      [on_slot_end], stop check.
 
     Spectra up to [dense_channel_limit] channels use per-shard dense count
     rows (parallel counting and selection); larger spectra — the [c >> n]
@@ -56,11 +59,10 @@
     to sequential O(n) occupancy scans. Both count identical totals and
     draw in identical order, so the strategy choice never changes results.
 
-    Passing [?trace] switches to a sequential loop (built on {!Scratch}
-    chains) that emits events and delivers feedback in exactly
-    {!Reference.engine_run}'s order and calls the protocol with singleton
-    ranges; traced runs are byte-equal to the specification's traces by
-    construction. It is the only traced abstract-slot loop. *)
+    Passing [?trace] runs the same loop at one shard with two sequential
+    event scans added, emitting each slot's events in the order documented
+    in {!Trace}; traced runs are byte-equal to the specification's
+    traces. *)
 
 (** {1 Node state} *)
 
@@ -85,14 +87,16 @@ type t = {
           channels are reset between slots. *)
   mutable winner : int array;
       (** Per-channel winning node id — meaningful only on channels with
-          [count > 0] this slot. *)
+          [count > 0] this slot, and [-1] there when the channel's
+          resolution failed. *)
   mutable winner_msg : int array;  (** The winner's payload, same caveat. *)
   mutable need : int array;  (** Internal: winner-selection countdown. *)
-  mutable owner : int array;  (** Internal: selecting shard (dense mode). *)
+  mutable owner : int array;
+      (** Internal: selecting shard (dense mode), or [-1] on a channel whose
+          resolution failed. *)
   active : int array;
       (** Channels with at least one audible broadcaster this slot,
-          [active.(0 .. active_len - 1)], in ascending channel id on the
-          fast path. *)
+          [active.(0 .. active_len - 1)], in ascending channel id. *)
   mutable active_len : int;
 }
 
@@ -134,8 +138,7 @@ val down : char
     drawn only from per-node streams, and shared aggregates are [Atomic]
     and commutative (e.g. a fetch-and-add informed counter), so their
     final value is shard-count independent. The engine then calls a
-    [parallel] callback with ranges of any granularity: whole shards on
-    the fast path, singletons on the traced path.
+    [parallel] callback with contiguous ranges, one per shard.
 
     A protocol with [parallel = false] — one that draws from a stream
     shared across nodes in [decide], or mutates plain shared counters —
@@ -146,11 +149,8 @@ val down : char
     the winner draws exactly as under {!Reference.engine_run}, so results
     stay byte-identical to the specification at any shard count.
 
-    Feedback order: untraced runs deliver feedback in ascending node id —
-    so every {!Engine.run} caller sees that order — while traced runs
-    replay the specification's per-channel order. Feedback must therefore
-    be order-commutative across nodes for results not to depend on
-    tracing, which every protocol in the repository is. *)
+    Either way, every run — traced or not, at any shard count — delivers
+    feedback in ascending node id. *)
 
 type protocol = {
   parallel : bool;
@@ -181,7 +181,8 @@ val heard : t -> int -> bool
     {!message} are then valid. *)
 
 val silent : t -> int -> bool
-(** The node listened and no one was audible on its channel. *)
+(** The node listened and nothing was delivered on its channel: no one was
+    audible, or the channel's resolution failed. *)
 
 val sender : t -> int -> int
 (** Winner of the channel the node is tuned to. *)
@@ -193,8 +194,13 @@ val won : t -> int -> bool
 (** The node broadcast and won its channel. *)
 
 val lost : t -> int -> bool
-(** The node broadcast and lost; {!sender} / {!message} describe the
-    winner it lost to. *)
+(** The node broadcast and another broadcaster won; {!sender} /
+    {!message} describe the winner it lost to. *)
+
+val no_winner : t -> int -> bool
+(** The node broadcast and its channel's resolution failed, so nothing was
+    delivered there this slot (a capped-out contention session under
+    {!Emulation.run}; never with the default resolver). *)
 
 val num_nodes : t -> int
 
@@ -218,6 +224,7 @@ val run :
   ?stop:(slot:int -> bool) ->
   ?on_slot_end:(slot:int -> unit) ->
   ?dense_channel_limit:int ->
+  ?resolve:(slot:int -> channel:int -> contenders:int -> int) ->
   availability:Crn_channel.Dynamic.t ->
   rng:Crn_prng.Rng.t ->
   protocol:protocol ->
@@ -239,10 +246,22 @@ val run :
     [dense_channel_limit] (default 4096) caps the spectrum size for the
     dense counting strategy; tests pass [0] to force the sparse path.
 
-    [trace] selects the sequential traced loop; the trace is byte-equal to
-    {!Reference.engine_run}'s for a protocol behaving identically, and
-    [shards] is then ignored (results still match, by the same contract).
+    [resolve ~slot ~channel ~contenders] picks the winner on a channel
+    with [contenders >= 1] audible broadcasters: it returns an index in
+    [[0, contenders)] into those broadcasters in descending node id, or a
+    negative number when the channel delivers nothing this slot — its
+    broadcasters then see {!no_winner} and its listeners {!silent}. It is
+    called once per such channel, in ascending channel id, sequentially.
+    The default is the §2 uniform draw from [rng] (no draw for a lone
+    broadcaster). [counters.wins] counts successful resolutions,
+    [counters.contended] channels with two or more contenders.
+
+    [trace] runs the loop at one shard ([shards] is then ignored; results
+    still match, by the same contract) and records each slot's events in
+    the order documented in {!Trace}; the trace is byte-equal to
+    {!Reference.engine_run}'s for a protocol behaving identically.
 
     Raises [Invalid_argument] on an empty availability, negative
-    [max_slots], [shards < 1], wrongly-sized [metrics], or a [decide]
-    that picks a label outside [[0, c)]. *)
+    [max_slots], [shards < 1], wrongly-sized [metrics], a [decide] that
+    picks a label outside [[0, c)], or a [resolve] result
+    [>= contenders]. *)

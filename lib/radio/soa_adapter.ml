@@ -1,7 +1,7 @@
 (* Generic bridge from the closure-per-node {!Action.node} shape to a
-   {!Soa.protocol}, so every machine-based protocol — and {!Engine.run}
-   itself — runs on the struct-of-arrays engine without a hand-written
-   duplicate.
+   {!Soa.protocol}, so every machine-based protocol — and {!Engine.run} and
+   {!Emulation.run} themselves — runs on the struct-of-arrays engine
+   without a hand-written duplicate.
 
    The SoA engine stores messages as ints, but protocols are polymorphic
    in their message type. The adapter never asks the engine to carry the
@@ -47,6 +47,8 @@ let protocol (type msg) ?(parallel = false) (nodes : msg Action.node array) :
           nodes.(v).Action.feedback ~slot
             (Action.Lost { winner = w; msg = winner_msg w })
         end
+        else if Soa.no_winner t v then
+          nodes.(v).Action.feedback ~slot Action.No_winner
         else if Soa.heard t v then begin
           let w = Soa.sender t v in
           nodes.(v).Action.feedback ~slot

@@ -112,6 +112,25 @@ type event =
           the instrumented availability wrapper
           ({!Crn_proto.Adversary_lab.instrument}), not by the engines. *)
 
+(** {2 Per-slot event order}
+
+    Every slot loop — {!Soa.run} and therefore {!Engine.run} and
+    {!Emulation.run}, and the {!Reference} specifications — records a
+    slot's events in one canonical order:
+
+    + events the protocol records while deciding;
+    + {!Down}, {!Jam} and {!Decide}, one per node, in ascending node id;
+    + {!Session}, in ascending channel id (emulation only);
+    + {!Win}, in ascending channel id;
+    + {!Deliver} and {!Silent}, one per audible listener, in ascending
+      node id;
+    + events the protocol records during feedback, which every node
+      receives in ascending node id.
+
+    Traces from a backend and from its specification are therefore
+    byte-equal. {!Check} does not depend on the order of events within a
+    slot. *)
+
 (** {1 The trace buffer} *)
 
 type t

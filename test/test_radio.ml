@@ -690,6 +690,32 @@ let test_emulation_raw_round_bound () =
   in
   check "bounded by cap per slot" true (outcome.Emulation.raw_rounds <= 50 * cap)
 
+(* Every slot-loop entry point rejects bad run parameters up front, naming
+   itself rather than the loop it fronts. *)
+let test_run_argument_validation () =
+  let module Reference = Crn_radio.Reference in
+  let nodes = [| scripted ~id:0 ~decision:(Action.listen ~label:0) (ref []) |] in
+  let availability = one_channel 1 in
+  let raises msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "Engine.run: negative max_slots" (fun () ->
+      Engine.run ~availability ~rng:(Rng.create 1) ~nodes ~max_slots:(-1) ());
+  raises "Emulation.run: negative max_slots" (fun () ->
+      Emulation.run ~availability ~rng:(Rng.create 1) ~nodes ~max_slots:(-1) ());
+  raises "Reference.engine_run: negative max_slots" (fun () ->
+      Reference.engine_run ~availability ~rng:(Rng.create 1) ~nodes
+        ~max_slots:(-1) ());
+  raises "Reference.emulation_run: negative max_slots" (fun () ->
+      Reference.emulation_run ~availability ~rng:(Rng.create 1) ~nodes
+        ~max_slots:(-1) ());
+  raises "Emulation.run: session_cap must be >= 1" (fun () ->
+      Emulation.run ~session_cap:0 ~availability ~rng:(Rng.create 1) ~nodes
+        ~max_slots:1 ());
+  raises "Reference.emulation_run: session_cap must be >= 1" (fun () ->
+      Reference.emulation_run ~session_cap:0 ~availability ~rng:(Rng.create 1)
+        ~nodes ~max_slots:1 ())
+
 (* --- Jamming reduction ----------------------------------------------------- *)
 
 let test_reduction_availability_dims () =
@@ -980,6 +1006,8 @@ let () =
           Alcotest.test_case "contention unique winner" `Quick
             test_emulation_contention_unique_winner;
           Alcotest.test_case "raw round bound" `Quick test_emulation_raw_round_bound;
+          Alcotest.test_case "run argument validation" `Quick
+            test_run_argument_validation;
           QCheck_alcotest.to_alcotest prop_emulation_one_feedback_per_slot;
         ] );
       ( "jamming reduction",

@@ -20,9 +20,10 @@
       same entry on the reference backend, and COGCAST on the soa backend
       is shard-invariant.
 
-   4. Feedback-order independence: untraced runs deliver feedback in
-      ascending node id, traced runs in the specification's per-channel
-      order; COGCOMP and robust COGCOMP give the same results either way. *)
+   4. Tracing is transparent: traced and untraced runs deliver feedback
+      in the same ascending node order, so COGCOMP (on the engine and on
+      the decay and CSMA emulations) and robust COGCOMP give the same
+      results either way. *)
 
 module Rng = Crn_prng.Rng
 module Topology = Crn_channel.Topology
@@ -287,7 +288,7 @@ let prop_cogcast_shard_invariance seed =
 (* Claim 3, machine half — the universal-backend audit: every of_machine
    registry entry produces a byte-equal summary on the soa backend at
    shards {1, 2, 8}, with both occupancy strategies (dense and
-   forced-sparse), and a byte-equal trace through the traced loop — all
+   forced-sparse), and a byte-equal trace from a traced run — all
    against the same entry on the reference backend. Scenarios randomize
    dims, topology and a nap schedule; each run gets a fresh rng from the
    same seed, so any divergence is the backend's. *)
@@ -400,16 +401,18 @@ let test_shards_rejected () =
   Alcotest.(check bool) "seq_scan completes on soa shards=2" true
     (s.Crn_proto.Protocol.completed)
 
-(* Claim 4: COGCOMP's phases are feedback-order independent. Untraced
-   engine runs deliver feedback in ascending node id, traced runs replay
-   the specification's per-channel order, and both protocols must give
-   equal results either way. Plain COGCOMP runs fault-free (its phases
-   assume it); robust COGCOMP also runs under nap, crash-restart and
-   churn schedules, which arm its watchdogs and retries. *)
+(* Claim 4: tracing never changes results. Traced runs take the same loop
+   at one shard with the same ascending-node feedback order, so COGCOMP —
+   on the engine and on both emulation strategies, where raw rounds and
+   failed sessions must also agree — and robust COGCOMP give equal results
+   traced and untraced. Plain COGCOMP runs fault-free (its phases assume
+   it); robust COGCOMP also runs under nap, crash-restart and churn
+   schedules, which arm its watchdogs and retries. *)
 
 module Aggregate = Crn_core.Aggregate
 module Cogcomp = Crn_core.Cogcomp
 module Cogcomp_robust = Crn_core.Cogcomp_robust
+module Emulation = Crn_radio.Emulation
 
 let prop_cogcomp_order_independent seed =
   let rng = Rng.create (523_000 + seed) in
@@ -439,18 +442,27 @@ let prop_cogcomp_order_independent seed =
              ~mean_down:4.0)
   in
   let trace traced = if traced then Some (Trace.create ()) else None in
-  let plain traced =
-    let r =
-      Cogcomp.run ?trace:(trace traced) ~monoid:Aggregate.sum ~values ~source
-        ~assignment ~k ~rng:(Rng.create seed) ()
-    in
+  let plain_fields (r : int Cogcomp.result) =
     ( r.Cogcomp.root_value,
       [ r.Cogcomp.phase1_slots; r.Cogcomp.phase2_slots; r.Cogcomp.phase3_slots;
         r.Cogcomp.phase4_steps; r.Cogcomp.phase4_slots; r.Cogcomp.total_slots ],
       r.Cogcomp.terminated,
       r.Cogcomp.mediators,
       r.Cogcomp.tree,
-      counters_fields r.Cogcomp.counters )
+      counters_fields r.Cogcomp.counters,
+      r.Cogcomp.failed_sessions )
+  in
+  let plain traced =
+    plain_fields
+      (Cogcomp.run ?trace:(trace traced) ~monoid:Aggregate.sum ~values ~source
+         ~assignment ~k ~rng:(Rng.create seed) ())
+  in
+  let emulated strategy traced =
+    let r, raw_rounds =
+      Cogcomp.run_emulated ~strategy ?trace:(trace traced) ~monoid:Aggregate.sum
+        ~values ~source ~assignment ~k ~rng:(Rng.create seed) ()
+    in
+    (plain_fields r, raw_rounds)
   in
   let robust traced =
     let r =
@@ -472,6 +484,10 @@ let prop_cogcomp_order_independent seed =
   in
   if plain false <> plain true then
     Some (Printf.sprintf "cogcomp n=%d: traced and untraced results differ" n)
+  else if emulated Emulation.Decay false <> emulated Emulation.Decay true then
+    Some (Printf.sprintf "cogcomp on decay emulation n=%d: traced and untraced differ" n)
+  else if emulated Emulation.Csma false <> emulated Emulation.Csma true then
+    Some (Printf.sprintf "cogcomp on csma emulation n=%d: traced and untraced differ" n)
   else if robust false <> robust true then
     Some
       (Printf.sprintf "cogcomp_robust n=%d faults=%s: traced and untraced differ"
