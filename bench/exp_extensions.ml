@@ -375,6 +375,9 @@ let e21 () =
 (* E22: footnote 4 end-to-end — COGCAST executed over decay-backoff
    contention sessions on the raw collision radio; overhead in raw rounds
    per abstract slot should be O(log² n) with a small constant. *)
+let decay_emulation =
+  Crn_radio.Runner.Emulation { strategy = Crn_radio.Emulation.Decay; session_cap = None }
+
 let e22 () =
   header "E22" "COGCAST on the raw radio via decay sessions (footnote 4, end-to-end)";
   let c = 8 and k = 2 in
@@ -392,14 +395,12 @@ let e22 () =
             let run_rng = Rng.split rng in
             let assignment = Topology.shared_plus_random rng spec in
             let max_slots = 8 * Complexity.cogcast_slots ~n ~c ~k () in
-            let r, outcome =
-              Cogcast.run_emulated ~source:0
+            let r =
+              Cogcast.run ~backend:decay_emulation ~source:0
                 ~availability:(Dynamic.static assignment)
                 ~rng:run_rng ~max_slots ()
             in
-            ( r.Cogcast.slots_run,
-              outcome.Crn_radio.Emulation.raw_rounds,
-              outcome.Crn_radio.Emulation.failed_sessions ))
+            (r.Cogcast.slots_run, r.Cogcast.raw_rounds, r.Cogcast.failed_sessions))
       in
       let slots = Array.fold_left (fun acc (s, _, _) -> acc + s) 0 runs in
       let rounds = Array.fold_left (fun acc (_, r, _) -> acc + r) 0 runs in
@@ -425,10 +426,11 @@ let e22 () =
     Topology.shared_plus_random (Rng.create 29_500) { Topology.n; c; k }
   in
   let values = Array.init n (fun i -> i) in
-  let res, raw_rounds =
-    Cogcomp.run_emulated ~monoid:Aggregate.sum ~values ~source:0 ~assignment ~k
-      ~rng:(Rng.create 29_501) ()
+  let res =
+    Cogcomp.run ~backend:decay_emulation ~monoid:Aggregate.sum ~values ~source:0
+      ~assignment ~k ~rng:(Rng.create 29_501) ()
   in
+  let raw_rounds = res.Crn_core.Cogcomp.raw_rounds in
   note "COGCOMP end-to-end on the raw radio (n=32): complete=%b, sum %s, %d abstract"
     res.Crn_core.Cogcomp.complete
     (match res.Crn_core.Cogcomp.root_value with
@@ -439,7 +441,7 @@ let e22 () =
     (float_of_int raw_rounds /. float_of_int (max 1 res.Crn_core.Cogcomp.total_slots))
 
 (* E25: the footnote-4 loop closed for the whole registry — every
-   emulation-capable protocol executed on the raw collision radio under
+   protocol executed on the raw collision radio under
    both contention realizations. The decay overhead factor (raw rounds per
    abstract slot) must stay within the 4(⌈lg n⌉+1)² budget; the CSMA/CA
    curve is reported alongside (no budget is claimed for it: its window
@@ -453,8 +455,9 @@ let e25 () =
   let module Emulation = Crn_radio.Emulation in
   let c = 8 and k = 2 in
   let ns = if !quick then [ 16; 64 ] else [ 16; 64; 256 ] in
-  (* Every registry entry that accepts the emulation backend: all but
-     robust COGCOMP, which is engine-only. *)
+  (* Every registry entry but robust COGCOMP: fault-free it is plain
+     COGCOMP slot for slot on either emulation (test_cogcomp_robust pins
+     this), so its row would repeat cogcomp's. *)
   let protos =
     [
       "cogcast";
@@ -548,9 +551,9 @@ let e25 () =
    doubles as a shard-invariance audit. The engine backend is the soa
    backend at one shard, so there is no separate engine row; the engine's
    oracle is {!Crn_radio.Reference}, held trace-for-trace in
-   test/test_soa.ml. cogcomp and cogcomp_robust are excluded: they
-   orchestrate several engine runs across phases on the engine backend
-   and reject [--backend soa] — see EXPERIMENTS.md. *)
+   test/test_soa.ml. cogcomp and cogcomp_robust run on the soa backend
+   too, but are excluded here: every cell sets one [max_slots], which a
+   multi-phase run rejects — see EXPERIMENTS.md. *)
 let e26 () =
   header "E26" "Registry on the SoA backend: scale and shard parity";
   let module Protocol = Crn_proto.Protocol in
@@ -638,4 +641,4 @@ let e26 () =
         (String.concat ", " (List.rev cs)));
   note "the engine backend is this loop at shards=1; its oracle is the";
   note "reference spec, held trace-for-trace in test/test_soa.ml. Excluded:";
-  note "cogcomp and cogcomp_robust, multi-phase runs on the engine backend"
+  note "cogcomp and cogcomp_robust, whose multi-phase budget is not one max_slots"

@@ -412,7 +412,9 @@ let bench_emulated =
     (Staged.stage (fun () ->
          let rng = Rng.create 12 in
          let assignment = Topology.shared_core rng { Topology.n = 32; c = 8; k = 4 } in
-         Cogcast.run_emulated ~source:0
+         Cogcast.run
+           ~backend:(Runner.Emulation { strategy = Emulation.Decay; session_cap = None })
+           ~source:0
            ~availability:(Crn_channel.Dynamic.static assignment) ~rng
            ~max_slots:2_000 ()))
 

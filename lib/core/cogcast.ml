@@ -33,8 +33,6 @@ type result = {
   failed_sessions : int;
 }
 
-(* Mutable protocol state shared by the engine-backed and emulation-backed
-   runners. *)
 (* Shard safety (for the {!Crn_radio.Runner.Soa} backend): [informed],
    [parent], [informed_at], [informed_label] and [current_label] are
    node-indexed and only ever written at the node's own index from the
@@ -42,19 +40,8 @@ type result = {
    fetch-and-add, whose total is shard-count independent because a node
    is informed at most once; each node draws labels from its own
    pre-split stream. Hence [run] passes [machine_parallel:true]. *)
-type runtime = {
-  rt_n : int;
-  rt_source : int;
-  informed : bool array;
-  informed_count : int Atomic.t;
-  parent : int option array;
-  informed_at : int option array;
-  informed_label : int option array;
-  rt_logs : slot_log array array option;
-  nodes : msg Engine.node array;
-}
-
-let build_protocol ?trace ~record ~source ~availability ~rng ~max_slots () =
+let run ?pool ?jammer ?faults ?metrics ?trace ?backend ?(record = false)
+    ?(stop_when_complete = true) ~source ~availability ~rng ~max_slots () =
   let n = Dynamic.num_nodes availability in
   let c = Dynamic.channels_per_node availability in
   if source < 0 || source >= n then invalid_arg "Cogcast.run: source out of range";
@@ -114,80 +101,34 @@ let build_protocol ?trace ~record ~source ~availability ~rng ~max_slots () =
     | Action.No_winner -> log v ~slot Session_failed
   in
   let nodes = Array.init n (fun v -> Engine.node ~id:v ~decide:(decide v) ~feedback:(feedback v)) in
+  let stop =
+    if stop_when_complete then Some (fun ~slot:_ -> Atomic.get informed_count = n)
+    else None
+  in
+  (* A one-node network is complete before the first slot. *)
+  let max_slots = if stop_when_complete && n = 1 then 0 else max_slots in
+  let runner =
+    Runner.make ?pool ~machine_parallel:true ?jammer ?faults ?metrics ?trace
+      ?backend ~availability ~rng ()
+  in
+  let outcome = runner.Runner.run ?stop ~nodes ~max_slots () in
+  let informed_count = Atomic.get informed_count in
   {
-    rt_n = n;
-    rt_source = source;
+    n;
+    source;
+    completed_at =
+      (if informed_count = n then Some outcome.Runner.slots_run else None);
+    slots_run = outcome.Runner.slots_run;
     informed;
     informed_count;
     parent;
     informed_at;
     informed_label;
-    rt_logs = logs;
-    nodes;
-  }
-
-let result_of_runtime rt (outcome : Runner.outcome) =
-  {
-    n = rt.rt_n;
-    source = rt.rt_source;
-    completed_at =
-      (if Atomic.get rt.informed_count = rt.rt_n then
-         Some outcome.Runner.slots_run
-       else None);
-    slots_run = outcome.Runner.slots_run;
-    informed = rt.informed;
-    informed_count = Atomic.get rt.informed_count;
-    parent = rt.parent;
-    informed_at = rt.informed_at;
-    informed_label = rt.informed_label;
-    logs = rt.rt_logs;
+    logs;
     counters = outcome.Runner.counters;
     raw_rounds = outcome.Runner.raw_rounds;
     failed_sessions = outcome.Runner.failed_sessions;
   }
-
-let run ?pool ?jammer ?faults ?metrics ?trace ?backend ?(record = false)
-    ?(stop_when_complete = true) ~source ~availability ~rng ~max_slots () =
-  let rt = build_protocol ?trace ~record ~source ~availability ~rng ~max_slots () in
-  let n = rt.rt_n in
-  let stop =
-    if stop_when_complete then
-      Some (fun ~slot:_ -> Atomic.get rt.informed_count = n)
-    else None
-  in
-  (* A one-node network is complete before the first slot. *)
-  let max_slots =
-    if stop_when_complete && Atomic.get rt.informed_count = n then 0
-    else max_slots
-  in
-  let runner =
-    Runner.make ?pool ~machine_parallel:true ?jammer ?faults ?metrics ?trace
-      ?backend ~availability ~rng ()
-  in
-  let outcome = runner.Runner.run ?stop ~nodes:rt.nodes ~max_slots () in
-  result_of_runtime rt outcome
-
-let run_emulated ?(strategy = Crn_radio.Emulation.Decay) ?session_cap ?jammer
-    ?faults ?metrics ?trace ?(record = false) ?(stop_when_complete = true)
-    ~source ~availability ~rng ~max_slots () =
-  let rt = build_protocol ?trace ~record ~source ~availability ~rng ~max_slots () in
-  let n = rt.rt_n in
-  let stop =
-    if stop_when_complete then
-      Some (fun ~slot:_ -> Atomic.get rt.informed_count = n)
-    else None
-  in
-  let max_slots =
-    if stop_when_complete && Atomic.get rt.informed_count = n then 0
-    else max_slots
-  in
-  let runner =
-    Runner.make ?jammer ?faults ?metrics ?trace
-      ~backend:(Runner.Emulation { strategy; session_cap })
-      ~availability ~rng ()
-  in
-  let outcome = runner.Runner.run ?stop ~nodes:rt.nodes ~max_slots () in
-  (result_of_runtime rt outcome, Runner.emulation_outcome outcome)
 
 let run_static ?pool ?jammer ?faults ?metrics ?trace ?backend ?record
     ?stop_when_complete ?budget_factor ~source ~assignment ~k ~rng () =

@@ -82,39 +82,19 @@ val run :
     front, the engine streams its slot events into it, and every first
     reception adds a {!Crn_radio.Trace.Informed} tree edge. [?backend]
     selects the slot-loop implementation through {!Crn_radio.Runner}
-    (default {!Crn_radio.Runner.Engine}); use {!run_emulated} instead when
-    the raw-round cost of the footnote-4 composition is wanted. The
-    protocol state honors the SoA sharding contract (per-node RNG streams,
-    atomic informed counter), so on a {!Crn_radio.Runner.Soa} backend one
-    trial shards across domains — [?pool] (Soa only) reuses an existing
-    domain pool instead of spinning one up per run. *)
-
-val run_emulated :
-  ?strategy:Crn_radio.Emulation.strategy ->
-  ?session_cap:int ->
-  ?jammer:Crn_radio.Jammer.t ->
-  ?faults:Crn_radio.Faults.t ->
-  ?metrics:Crn_radio.Metrics.t ->
-  ?trace:Crn_radio.Trace.t ->
-  ?record:bool ->
-  ?stop_when_complete:bool ->
-  source:int ->
-  availability:Crn_channel.Dynamic.t ->
-  rng:Crn_prng.Rng.t ->
-  max_slots:int ->
-  unit ->
-  result * Crn_radio.Emulation.outcome
-(** The footnote-4 composition: the same protocol executed on the *raw
-    collision radio*, each abstract slot realized by per-channel contention
-    sessions ({!Crn_radio.Emulation}; [strategy] picks decay backoff — the
-    default — or CSMA/CA). Returns the usual result — its [counters] are
-    the emulation's real channel accounting (shared with the paired
-    outcome), not zeros — together with the emulation outcome carrying the
-    raw-round cost. Experiments E22/E25 measure the overhead ratio. With
-    [?trace] supplied, the emulation additionally streams per-channel
-    {!Crn_radio.Trace.Session} events recording each contention session's
-    raw-round cost. Jamming, faults and metrics compose at the
-    abstract-slot level, exactly as with {!run} on the engine. *)
+    (default {!Crn_radio.Runner.Engine}). On a
+    {!Crn_radio.Runner.Emulation} backend the same protocol runs on the
+    raw collision radio — the footnote-4 composition, each abstract slot
+    realized by per-channel contention sessions — and the result's
+    [raw_rounds] and [failed_sessions] report its cost (experiments
+    E22/E25 measure the overhead ratio); with [?trace] the emulation also
+    streams a {!Crn_radio.Trace.Session} event per contention session.
+    Jamming, faults and metrics compose at the abstract-slot level on
+    every backend. The protocol state honors the SoA sharding contract
+    (per-node RNG streams, atomic informed counter), so on a
+    {!Crn_radio.Runner.Soa} backend one trial shards across domains —
+    [?pool] (Soa only) reuses an existing domain pool instead of spinning
+    one up per run. *)
 
 val run_static :
   ?pool:Crn_exec.Pool.t ->

@@ -20,30 +20,59 @@ type 'a result = {
   max_payload : int;
   total_payload : int;
   counters : Trace.Counters.t;
+  raw_rounds : int;
   failed_sessions : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Phases 2-4 run either on the abstract one-winner engine or on the
-   raw-radio emulation (footnote 4), behind the shared backend-selecting
-   {!Crn_radio.Runner}. Every phase runner is {!Runner.accumulating}, so
-   the counters, raw rounds and failed sessions of all four phases add up
-   in one total that phase 1's COGCAST cost seeds.                      *)
-(* ------------------------------------------------------------------ *)
-
 module Runner = Crn_radio.Runner
 
-let cast_cost (cast : Cogcast.result) =
-  {
-    Runner.slots_run = cast.Cogcast.slots_run;
-    stopped_early = false;
-    counters = cast.Cogcast.counters;
-    raw_rounds = cast.Cogcast.raw_rounds;
-    failed_sessions = cast.Cogcast.failed_sessions;
-  }
+(* ------------------------------------------------------------------ *)
+(* Building blocks shared with {!Cogcomp_robust}.                      *)
+(* ------------------------------------------------------------------ *)
+
+let validate ~who ?budget_factor ?max_phase4_steps ~values ~source ~assignment () =
+  let n = Assignment.num_nodes assignment in
+  if Array.length values <> n then invalid_arg (who ^ ": values length mismatch");
+  if source < 0 || source >= n then invalid_arg (who ^ ": source out of range");
+  Option.iter (Complexity.check_factor ~who) budget_factor;
+  match max_phase4_steps with
+  | Some s when s < 0 -> invalid_arg (who ^ ": max_phase4_steps must be >= 0")
+  | _ -> ()
 
 let run_slots runner ?stop ~nodes ~max_slots () =
   (runner.Runner.run ?stop ~nodes ~max_slots ()).Runner.slots_run
+
+(* Phase 1 is COGCAST with recording, of fixed length so that all nodes
+   agree on phase boundaries. Phases 2-4 run on [next_runner ()], one
+   runner per phase on the same backend, each {!Runner.accumulating} into
+   [total] — seeded with phase 1's cost — so the counters, raw rounds and
+   failed sessions of all four phases add up in one outcome. The phase
+   runners keep {!Runner.make}'s [machine_parallel:false]: phase 4's nodes
+   share [done_count] and the payload accounting, so on a sharded backend
+   only the channel phases split. *)
+let phase1 ?jammer ?faults ?trace ?backend ?budget_factor ~source ~assignment ~k
+    ~rng () =
+  let cast =
+    Cogcast.run_static ?jammer ?faults ?trace ?backend ?budget_factor ~record:true
+      ~stop_when_complete:false ~source ~assignment ~k ~rng:(Rng.split rng) ()
+  in
+  let total =
+    ref
+      {
+        Runner.slots_run = cast.Cogcast.slots_run;
+        stopped_early = false;
+        counters = cast.Cogcast.counters;
+        raw_rounds = cast.Cogcast.raw_rounds;
+        failed_sessions = cast.Cogcast.failed_sessions;
+      }
+  in
+  let availability = Dynamic.static assignment in
+  let next_runner () =
+    Runner.accumulating total
+      (Runner.make ?jammer ?faults ?trace ?backend ~availability
+         ~rng:(Rng.split rng) ())
+  in
+  (cast, next_runner, total)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: cluster sizes and mediator election.                       *)
@@ -128,15 +157,18 @@ let run_phase2 ~(cast : Cogcast.result) ~runner =
   (info, slots_run)
 
 (* ------------------------------------------------------------------ *)
-(* Phase 3: the rewind — informers learn their clusters' sizes.        *)
+(* Phase 3: the rewind — informers learn their clusters' sizes. Robust
+   COGCOMP runs it unchanged: a node that was down in a mirrored slot
+   simply misses a cluster size, and its phase-4 watchdogs absorb the
+   resulting disagreement.                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_phase3 ~(cast : Cogcast.result) ~(info : phase2_info array) ~runner =
+let run_phase3 ~(cast : Cogcast.result) ~cluster_size ~runner =
   let n = cast.Cogcast.n in
   let logs =
     match cast.Cogcast.logs with
     | Some logs -> logs
-    | None -> invalid_arg "Cogcomp: phase 1 must be run with recording on"
+    | None -> invalid_arg "Cogcomp.run_phase3: phase 1 must be run with recording on"
   in
   let l = cast.Cogcast.slots_run in
   (* clusters_collected.(v) = (r, label, size) list for clusters v informed. *)
@@ -148,7 +180,7 @@ let run_phase3 ~(cast : Cogcast.result) ~(info : phase2_info array) ~runner =
     let entry = logs.(v).(mirrored) in
     match entry.Cogcast.event with
     | Cogcast.Got_informed _ ->
-        Action.broadcast ~label:entry.Cogcast.label info.(v).cluster_size
+        Action.broadcast ~label:entry.Cogcast.label (cluster_size v)
     | Cogcast.Sent_won | Cogcast.Sent_lost | Cogcast.Heard_silence | Cogcast.Was_jammed
     | Cogcast.Session_failed ->
         Action.listen ~label:entry.Cogcast.label
@@ -400,45 +432,24 @@ let run_phase4 (type a) ?measure ?trace ~mediated ~(monoid : a Aggregate.monoid)
 (* The full protocol.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run_with ~emulated ?(strategy = Crn_radio.Emulation.Decay) ?session_cap
-    ?jammer ?faults ?budget_factor ?max_phase4_steps
-    ?(mediated = true) ?measure ?trace ~monoid ~values ~source ~assignment ~k ~rng ()
-    =
+let run ?jammer ?faults ?backend ?budget_factor ?max_phase4_steps
+    ?(mediated = true) ?measure ?trace ~monoid ~values ~source ~assignment ~k
+    ~rng () =
+  validate ~who:"Cogcomp.run" ?budget_factor ?max_phase4_steps ~values ~source
+    ~assignment ();
   let n = Assignment.num_nodes assignment in
-  if Array.length values <> n then invalid_arg "Cogcomp.run: values length mismatch";
-  let availability = Dynamic.static assignment in
   let mark name =
     match trace with
     | Some tr -> Trace.record tr (Trace.Phase { name })
     | None -> ()
   in
-  (* Phase 1: COGCAST with recording; fixed length so that all nodes agree on
-     phase boundaries. *)
-  let cast =
-    if emulated then begin
-      let c = Assignment.channels_per_node assignment in
-      let max_slots = Complexity.cogcast_slots ?factor:budget_factor ~n ~c ~k () in
-      fst
-        (Cogcast.run_emulated ~strategy ?session_cap ?jammer ?faults ?trace
-           ~record:true ~stop_when_complete:false ~source ~availability
-           ~rng:(Rng.split rng) ~max_slots ())
-    end
-    else
-      Cogcast.run_static ?jammer ?faults ?budget_factor ?trace ~record:true
-        ~stop_when_complete:false ~source ~assignment ~k ~rng:(Rng.split rng) ()
-  in
-  let total = ref (cast_cost cast) in
-  let make_runner rng =
-    let backend =
-      if emulated then Runner.Emulation { strategy; session_cap }
-      else Runner.Engine
-    in
-    Runner.accumulating total
-      (Runner.make ?jammer ?faults ?trace ~backend ~availability ~rng ())
+  let cast, next_runner, total =
+    phase1 ?jammer ?faults ?trace ?backend ?budget_factor ~source ~assignment ~k
+      ~rng ()
   in
   let tree = Disttree.of_result cast in
   mark "cogcomp-phase2";
-  let info, phase2_slots = run_phase2 ~cast ~runner:(make_runner (Rng.split rng)) in
+  let info, phase2_slots = run_phase2 ~cast ~runner:(next_runner ()) in
   (match trace with
   | Some tr ->
       Array.iteri
@@ -448,7 +459,9 @@ let run_with ~emulated ?(strategy = Crn_radio.Emulation.Decay) ?session_cap
   | None -> ());
   mark "cogcomp-phase3";
   let clusters, phase3_slots =
-    run_phase3 ~cast ~info ~runner:(make_runner (Rng.split rng))
+    run_phase3 ~cast
+      ~cluster_size:(fun v -> info.(v).cluster_size)
+      ~runner:(next_runner ())
   in
   mark "cogcomp-phase4";
   let max_steps =
@@ -456,7 +469,7 @@ let run_with ~emulated ?(strategy = Crn_radio.Emulation.Decay) ?session_cap
   in
   let root_acc, terminated, phase4_slots, max_payload, total_payload =
     run_phase4 ?measure ?trace ~mediated ~monoid ~values ~cast ~info ~clusters
-      ~runner:(make_runner (Rng.split rng)) ~max_steps ()
+      ~runner:(next_runner ()) ~max_steps ()
   in
   let mediators =
     Array.to_list
@@ -469,35 +482,21 @@ let run_with ~emulated ?(strategy = Crn_radio.Emulation.Decay) ?session_cap
     cast.Cogcast.informed_count = n && Array.for_all (fun b -> b) terminated
   in
   if complete then mark "cogcomp-done";
-  let cost = !total in
-  ( {
-      complete;
-      root_value = (if complete then Some root_acc else None);
-      phase1_slots = cast.Cogcast.slots_run;
-      phase2_slots;
-      phase3_slots;
-      phase4_steps = (phase4_slots + 2) / 3;
-      phase4_slots;
-      total_slots = cast.Cogcast.slots_run + phase2_slots + phase3_slots + phase4_slots;
-      tree;
-      mediators;
-      terminated;
-      max_payload;
-      total_payload;
-      counters = cost.Runner.counters;
-      failed_sessions = cost.Runner.failed_sessions;
-    },
-    cost.Runner.raw_rounds )
-
-let run ?jammer ?faults ?budget_factor ?max_phase4_steps ?mediated ?measure ?trace
-    ~monoid ~values ~source ~assignment ~k ~rng () =
-  fst
-    (run_with ~emulated:false ?jammer ?faults ?budget_factor ?max_phase4_steps
-       ?mediated ?measure ?trace ~monoid ~values ~source ~assignment ~k ~rng ())
-
-let run_emulated ?strategy ?session_cap ?jammer ?faults ?budget_factor
-    ?max_phase4_steps ?mediated ?measure ?trace ~monoid ~values ~source
-    ~assignment ~k ~rng () =
-  run_with ~emulated:true ?strategy ?session_cap ?jammer ?faults ?budget_factor
-    ?max_phase4_steps ?mediated ?measure ?trace ~monoid ~values ~source
-    ~assignment ~k ~rng ()
+  {
+    complete;
+    root_value = (if complete then Some root_acc else None);
+    phase1_slots = cast.Cogcast.slots_run;
+    phase2_slots;
+    phase3_slots;
+    phase4_steps = (phase4_slots + 2) / 3;
+    phase4_slots;
+    total_slots = cast.Cogcast.slots_run + phase2_slots + phase3_slots + phase4_slots;
+    tree;
+    mediators;
+    terminated;
+    max_payload;
+    total_payload;
+    counters = !total.Runner.counters;
+    raw_rounds = !total.Runner.raw_rounds;
+    failed_sessions = !total.Runner.failed_sessions;
+  }

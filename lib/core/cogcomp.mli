@@ -29,7 +29,12 @@
     rather than a dynamic availability — and, like the paper's protocol,
     fault-free execution: the phase-2 roster and phase-3 rewind arguments
     rely on every node acting in every slot. COGCAST alone carries the §7
-    dynamic/fault tolerance. *)
+    dynamic/fault tolerance.
+
+    Every phase is ordinary one-winner slots, so by footnote 4 the whole
+    protocol runs on any {!Crn_radio.Runner.backend}: the abstract engine,
+    the sharded SoA loop, the reference specification, or the raw
+    collision radio (emulation). *)
 
 type 'a result = {
   complete : bool;
@@ -52,44 +57,18 @@ type 'a result = {
   counters : Crn_radio.Trace.Counters.t;
       (** Slot counters summed over all four phases; [slots_run] equals
           [total_slots]. *)
+  raw_rounds : int;
+      (** Raw radio rounds consumed, summed over all four phases; [0] on
+          the abstract backends. *)
   failed_sessions : int;
       (** Contention sessions that hit their cap, summed over all four
-          phases; [0] on the abstract engine. *)
+          phases; [0] on the abstract backends. *)
 }
-
-val run_emulated :
-  ?strategy:Crn_radio.Emulation.strategy ->
-  ?session_cap:int ->
-  ?jammer:Crn_radio.Jammer.t ->
-  ?faults:Crn_radio.Faults.t ->
-  ?budget_factor:float ->
-  ?max_phase4_steps:int ->
-  ?mediated:bool ->
-  ?measure:('a -> int) ->
-  ?trace:Crn_radio.Trace.t ->
-  monoid:'a Aggregate.monoid ->
-  values:'a array ->
-  source:int ->
-  assignment:Crn_channel.Assignment.t ->
-  k:int ->
-  rng:Crn_prng.Rng.t ->
-  unit ->
-  'a result * int
-(** All four phases executed over the raw collision radio
-    ({!Crn_radio.Emulation}): every abstract slot of every phase is realized
-    by contention sessions — decay backoff by default, CSMA/CA with
-    [~strategy:Csma] — so the complete aggregation stack runs without the
-    §2 one-winner abstraction. Returns the result paired with the total raw
-    rounds consumed across all phases. Correct for the same reason the
-    abstract version is — the emulation preserves the one-winner semantics
-    per slot w.h.p. (a session that does fail its cap surfaces as
-    {!Crn_radio.Action.No_winner} to its broadcasters, and the phases
-    degrade exactly as they would under a lost slot). [?jammer]/[?faults]
-    compose at the abstract-slot level with the same caveats as {!run}. *)
 
 val run :
   ?jammer:Crn_radio.Jammer.t ->
   ?faults:Crn_radio.Faults.t ->
+  ?backend:Crn_radio.Runner.backend ->
   ?budget_factor:float ->
   ?max_phase4_steps:int ->
   ?mediated:bool ->
@@ -110,6 +89,20 @@ val run :
     [12·n + 64] steps, far above the [O(n)] the paper proves, so hitting it
     indicates a genuine failure and yields [complete = false]).
 
+    [?backend] (default {!Crn_radio.Runner.Engine}) runs every phase —
+    phase 1's COGCAST and phases 2–4 — on that slot loop. Results are
+    identical on [Engine], [Reference] and [Soa] at any shard count, and
+    traces on [Engine] and [Reference] are byte-identical. On a [Soa]
+    backend only the channel phases shard; phases 2–4 call their nodes
+    sequentially, since phase 4's nodes share drain state. On an
+    [Emulation] backend every abstract slot is realized by contention
+    sessions on the raw collision radio — decay backoff or CSMA/CA — and
+    [raw_rounds]/[failed_sessions] report the cost. That run is correct
+    for the same reason the abstract one is: the emulation preserves the
+    one-winner semantics per slot w.h.p., and a session that does fail its
+    cap surfaces as {!Crn_radio.Action.No_winner} to its broadcasters, so
+    the phases degrade exactly as under a lost slot.
+
     [?jammer]/[?faults] thread adversaries through every phase's engine run
     — but the plain protocol makes {e no} attempt to survive them: a missed
     slot can corrupt rosters, mediator election or the drain, typically
@@ -124,4 +117,66 @@ val run :
     2, the engine's per-slot events throughout, phase 4's
     [Sent_value]/[Value_delivered]/[Retired] drain events, and a final
     [Phase "cogcomp-done"] marker iff the run completed — the stream
-    {!Crn_radio.Trace.Check} validates. *)
+    {!Crn_radio.Trace.Check} validates.
+
+    Raises [Invalid_argument] naming [Cogcomp.run], before any slot runs,
+    on a [values] length mismatch, a [source] out of range, a
+    [budget_factor] that is not finite and positive, or a negative
+    [max_phase4_steps]. *)
+
+(** {2 Building blocks shared with robust COGCOMP}
+
+    The robust variant reuses phase 1, the phase runners and the phase-3
+    rewind unchanged; only phases 2 and 4 differ. *)
+
+val validate :
+  who:string ->
+  ?budget_factor:float ->
+  ?max_phase4_steps:int ->
+  values:'a array ->
+  source:int ->
+  assignment:Crn_channel.Assignment.t ->
+  unit ->
+  unit
+(** The argument checks of {!run}, with errors prefixed by [who]. *)
+
+val run_slots :
+  Crn_radio.Runner.t ->
+  ?stop:(slot:int -> bool) ->
+  nodes:'msg Crn_radio.Engine.node array ->
+  max_slots:int ->
+  unit ->
+  int
+(** Run one phase and return its slot count. *)
+
+val phase1 :
+  ?jammer:Crn_radio.Jammer.t ->
+  ?faults:Crn_radio.Faults.t ->
+  ?trace:Crn_radio.Trace.t ->
+  ?backend:Crn_radio.Runner.backend ->
+  ?budget_factor:float ->
+  source:int ->
+  assignment:Crn_channel.Assignment.t ->
+  k:int ->
+  rng:Crn_prng.Rng.t ->
+  unit ->
+  Cogcast.result * (unit -> Crn_radio.Runner.t) * Crn_radio.Runner.outcome ref
+(** [phase1 … ()] runs phase 1 — a recorded COGCAST of fixed length,
+    {!Complexity.cogcast_slots} scaled by [budget_factor] — and returns its
+    result, a factory for the later phases' runners and the running total.
+    Each call of the factory makes a runner on the same backend, with the
+    same adversaries and trace, on the next stream split from [rng]; every
+    run of such a runner is added into the total, which starts at phase
+    1's cost. *)
+
+val run_phase3 :
+  cast:Cogcast.result ->
+  cluster_size:(int -> int) ->
+  runner:Crn_radio.Runner.t ->
+  (int * int * int) list array * int
+(** The phase-3 rewind over [cast]'s phase-1 logs: in the mirror of the
+    slot where node [v] was informed it broadcasts [cluster_size v]; in
+    every other slot it listens, and keeps what it hears where its phase-1
+    broadcast won. Returns, per node, the [(phase-1 slot, label, size)] of
+    every cluster it informed (descending slot), and the phase's slot
+    count. *)

@@ -1,10 +1,9 @@
-module Rng = Crn_prng.Rng
 module Assignment = Crn_channel.Assignment
-module Dynamic = Crn_channel.Dynamic
 module Action = Crn_radio.Action
 module Engine = Crn_radio.Engine
 module Trace = Crn_radio.Trace
 module Backoff = Crn_radio.Backoff
+module Runner = Crn_radio.Runner
 
 type 'a result = {
   complete : bool;
@@ -23,6 +22,7 @@ type 'a result = {
   mediators : int list;
   terminated : bool array;
   counters : Trace.Counters.t;
+  raw_rounds : int;
   failed_sessions : int;
 }
 
@@ -42,15 +42,9 @@ type 'a result = {
 let backoff_cap = 4
 let grace_slots = 96
 
-(* Phases 2-4 execute on the shared backend-selecting runner; the robust
-   variant only ever uses the abstract engine backend (the raw radio has no
-   fault model to be robust against). Every phase runner is
-   {!Runner.accumulating}, so the counters of all four phases add up in
-   one total that phase 1's COGCAST cost seeds. *)
-module Runner = Crn_radio.Runner
-
-let run_slots runner ?stop ~nodes ~max_slots () =
-  (runner.Runner.run ?stop ~nodes ~max_slots ()).Runner.slots_run
+(* Phase 1, the phase runners and the phase-3 rewind are plain
+   COGCOMP's ({!Cogcomp.phase1}, {!Cogcomp.run_phase3}); only phases 2 and
+   4 differ. *)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2 with a watchdog: the phase keeps running past the plain n
@@ -124,7 +118,7 @@ let run_phase2 ~(cast : Cogcast.result) ~watchdog_retries ~runner =
      is gone. *)
   let stop ~slot = slot >= n - 1 && !pending = 0 in
   let max_slots = n * (1 + max 0 watchdog_retries) in
-  let slots_run = run_slots runner ~stop ~nodes ~max_slots () in
+  let slots_run = Cogcomp.run_slots runner ~stop ~nodes ~max_slots () in
   let info =
     Array.init n (fun v ->
         match participant.(v) with
@@ -181,57 +175,6 @@ let run_phase2 ~(cast : Cogcast.result) ~watchdog_retries ~runner =
             })
   in
   (info, slots_run)
-
-(* ------------------------------------------------------------------ *)
-(* Phase 3: identical to the plain rewind — robustness needs no change
-   here. A node that was down in a mirrored slot simply misses a cluster
-   size; the phase-4 watchdogs absorb the resulting disagreement.       *)
-(* ------------------------------------------------------------------ *)
-
-let run_phase3 ~(cast : Cogcast.result) ~(info : phase2_info array) ~runner =
-  let n = cast.Cogcast.n in
-  let logs =
-    match cast.Cogcast.logs with
-    | Some logs -> logs
-    | None -> invalid_arg "Cogcomp_robust: phase 1 must be run with recording on"
-  in
-  let l = cast.Cogcast.slots_run in
-  let clusters_collected = Array.make n [] in
-  let decide v ~slot =
-    let mirrored = l - 1 - slot in
-    let entry = logs.(v).(mirrored) in
-    match entry.Cogcast.event with
-    | Cogcast.Got_informed _ ->
-        Action.broadcast ~label:entry.Cogcast.label info.(v).cluster_size
-    | Cogcast.Sent_won | Cogcast.Sent_lost | Cogcast.Heard_silence | Cogcast.Was_jammed
-    | Cogcast.Session_failed ->
-        Action.listen ~label:entry.Cogcast.label
-  in
-  let feedback v ~slot = function
-    | Action.Heard { msg = size; _ } ->
-        let mirrored = l - 1 - slot in
-        let entry = logs.(v).(mirrored) in
-        (match entry.Cogcast.event with
-        | Cogcast.Sent_won ->
-            clusters_collected.(v) <-
-              (mirrored, entry.Cogcast.label, size) :: clusters_collected.(v)
-        | Cogcast.Sent_lost | Cogcast.Got_informed _ | Cogcast.Heard_silence
-        | Cogcast.Was_jammed | Cogcast.Session_failed ->
-            ())
-    | Action.Won | Action.Lost _ | Action.Silence | Action.Jammed
-    | Action.No_winner ->
-        ()
-  in
-  let nodes =
-    Array.init n (fun v -> Engine.node ~id:v ~decide:(decide v) ~feedback:(feedback v))
-  in
-  let slots_run = run_slots runner ~nodes ~max_slots:l () in
-  let clusters =
-    Array.map
-      (fun cs -> List.sort (fun (a, _, _) (b, _, _) -> compare b a) cs)
-      clusters_collected
-  in
-  (clusters, slots_run)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 4: mediated drain with acks, bounded retries, re-election.     *)
@@ -635,7 +578,7 @@ let run_phase4 (type a) ?trace ~faulty ~timeout ~max_retries ~patience
                (Array.init n (fun v -> v)))
   in
   let max_slots = if !done_count = n then 0 else 3 * max_steps in
-  let slots_run = run_slots runner ~stop ~nodes ~max_slots () in
+  let slots_run = Cogcomp.run_slots runner ~stop ~nodes ~max_slots () in
   (* Coverage: v's value reached the source iff its chain of fresh
      deliveries does. Values folded into a node that was then lost are lost
      with it. *)
@@ -657,45 +600,32 @@ let run_phase4 (type a) ?trace ~faulty ~timeout ~max_retries ~patience
 (* The full protocol.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run ?jammer ?faults ?budget_factor ?max_phase4_steps ?(watchdog_retries = 2)
-    ?(timeout = 6) ?(max_retries = 8) ?trace ~monoid ~values ~source ~assignment ~k
-    ~rng () =
+let run ?jammer ?faults ?backend ?budget_factor ?max_phase4_steps
+    ?(watchdog_retries = 2) ?(timeout = 6) ?(max_retries = 8) ?trace ~monoid
+    ~values ~source ~assignment ~k ~rng () =
+  let who = "Cogcomp_robust.run" in
+  Cogcomp.validate ~who ?budget_factor ?max_phase4_steps ~values ~source
+    ~assignment ();
+  if watchdog_retries < 0 then invalid_arg (who ^ ": watchdog_retries must be >= 0");
+  if timeout < 1 then invalid_arg (who ^ ": timeout must be >= 1");
+  if max_retries < 0 then invalid_arg (who ^ ": max_retries must be >= 0");
   let n = Assignment.num_nodes assignment in
-  if Array.length values <> n then
-    invalid_arg "Cogcomp_robust.run: values length mismatch";
-  if timeout < 1 then invalid_arg "Cogcomp_robust.run: timeout must be >= 1";
-  if max_retries < 0 then invalid_arg "Cogcomp_robust.run: max_retries must be >= 0";
   let faulty = jammer <> None || faults <> None in
-  let availability = Dynamic.static assignment in
   let mark name =
     match trace with
     | Some tr -> Trace.record tr (Trace.Phase { name })
     | None -> ()
   in
-  let cast =
-    Cogcast.run_static ?jammer ?faults ?budget_factor ?trace ~record:true
-      ~stop_when_complete:false ~source ~assignment ~k ~rng:(Rng.split rng) ()
-  in
-  let total =
-    ref
-      {
-        Runner.slots_run = cast.Cogcast.slots_run;
-        stopped_early = false;
-        counters = cast.Cogcast.counters;
-        raw_rounds = cast.Cogcast.raw_rounds;
-        failed_sessions = cast.Cogcast.failed_sessions;
-      }
-  in
-  let make_runner rng =
-    Runner.accumulating total
-      (Runner.make ?jammer ?faults ?trace ~availability ~rng ())
+  let cast, next_runner, total =
+    Cogcomp.phase1 ?jammer ?faults ?trace ?backend ?budget_factor ~source
+      ~assignment ~k ~rng ()
   in
   let tree = Disttree.of_result cast in
   mark "cogcomp-phase2";
   let info, phase2_slots =
     run_phase2 ~cast
       ~watchdog_retries:(if faulty then watchdog_retries else 0)
-      ~runner:(make_runner (Rng.split rng))
+      ~runner:(next_runner ())
   in
   (match trace with
   | Some tr ->
@@ -706,7 +636,9 @@ let run ?jammer ?faults ?budget_factor ?max_phase4_steps ?(watchdog_retries = 2)
   | None -> ());
   mark "cogcomp-phase3";
   let clusters, phase3_slots =
-    run_phase3 ~cast ~info ~runner:(make_runner (Rng.split rng))
+    Cogcomp.run_phase3 ~cast
+      ~cluster_size:(fun v -> info.(v).cluster_size)
+      ~runner:(next_runner ())
   in
   mark "cogcomp-phase4";
   let max_steps =
@@ -718,8 +650,7 @@ let run ?jammer ?faults ?budget_factor ?max_phase4_steps ?(watchdog_retries = 2)
   let root_acc, terminated, covered, phase4_slots, reelections, retries =
     run_phase4 ?trace ~faulty ~timeout ~max_retries ~patience ~monoid ~values ~cast
       ~info ~clusters
-      ~runner:(make_runner (Rng.split rng))
-      ~max_steps ()
+      ~runner:(next_runner ()) ~max_steps ()
   in
   let mediators =
     Array.to_list
@@ -755,5 +686,6 @@ let run ?jammer ?faults ?budget_factor ?max_phase4_steps ?(watchdog_retries = 2)
     mediators;
     terminated;
     counters = !total.Runner.counters;
+    raw_rounds = !total.Runner.raw_rounds;
     failed_sessions = !total.Runner.failed_sessions;
   }

@@ -31,9 +31,10 @@
 
     {b Fault-free parity.} With neither [?faults] nor [?jammer] supplied,
     every robust mechanism is disarmed (its trigger counters never advance)
-    and the run is {e bit-identical} to {!Cogcomp.run}: same root value,
-    same per-phase slot counts, same RNG stream. The robust machinery costs
-    nothing until an adversary is actually installed. *)
+    and the run is {e bit-identical} to {!Cogcomp.run} on the same
+    backend: same root value, same per-phase slot counts, same RNG stream.
+    The robust machinery costs nothing until an adversary is actually
+    installed. *)
 
 type 'a result = {
   complete : bool;
@@ -67,14 +68,18 @@ type 'a result = {
   counters : Crn_radio.Trace.Counters.t;
       (** Slot counters summed over all four phases; [slots_run] equals
           [total_slots]. *)
+  raw_rounds : int;
+      (** Raw radio rounds consumed, summed over all four phases; [0] on
+          the abstract backends. *)
   failed_sessions : int;
       (** Contention sessions that hit their cap, summed over all four
-          phases; [0] on the abstract engine this protocol runs on. *)
+          phases; [0] on the abstract backends. *)
 }
 
 val run :
   ?jammer:Crn_radio.Jammer.t ->
   ?faults:Crn_radio.Faults.t ->
+  ?backend:Crn_radio.Runner.backend ->
   ?budget_factor:float ->
   ?max_phase4_steps:int ->
   ?watchdog_retries:int ->
@@ -98,8 +103,15 @@ val run :
     re-election and head-cluster skipping; [max_retries] (default [8])
     bounds unacked phase-4 sends per node. [max_phase4_steps] defaults to
     [48·n + 256] on faulty runs ([12·n + 64] fault-free, matching plain
-    COGCOMP). [budget_factor] scales the phase-1 COGCAST budget as in
+    COGCOMP). [budget_factor] scales the phase-1 COGCAST budget and
+    [?backend] picks the slot loop of every phase, both as in
     {!Cogcomp.run}.
+
+    The watchdogs arm only when [?faults] or [?jammer] is supplied. On an
+    emulation backend alone they stay disarmed, so a contention session
+    that fails its cap is not recovered from: the run degrades exactly as
+    plain COGCOMP does. With a tight [session_cap] (e.g. 3) neither variant
+    completes.
 
     The run always terminates: every watchdog is bounded, and the phase-4
     stop also fires when every non-terminated node has been absent for a
@@ -112,5 +124,6 @@ val run :
     {!Crn_radio.Trace.Check.all} validates including
     {!Crn_radio.Trace.Check.exactly_once_drain}.
 
-    Raises [Invalid_argument] on a [values] length mismatch, [timeout < 1],
-    or [max_retries < 0]. *)
+    Raises [Invalid_argument] naming [Cogcomp_robust.run], before any slot
+    runs, on every argument {!Cogcomp.run} rejects, on a negative
+    [watchdog_retries], on [timeout < 1] and on [max_retries < 0]. *)

@@ -4,8 +4,13 @@ let check ~n ~c ~k =
   if n < 1 || c < 1 || k < 1 || k > c then
     invalid_arg "Complexity: need n >= 1 and 1 <= k <= c"
 
+let check_factor ~who factor =
+  if not (Float.is_finite factor && factor > 0.0) then
+    invalid_arg (who ^ ": budget factor must be finite and > 0")
+
 let cogcast ?(factor = 12.0) ~n ~c ~k () =
   check ~n ~c ~k;
+  check_factor ~who:"Complexity.cogcast" factor;
   let fc = float_of_int c and fk = float_of_int k and fn = float_of_int n in
   factor *. (fc /. fk) *. Float.max 1.0 (fc /. fn) *. lg fn
 

@@ -6,7 +6,14 @@
 val cogcast : ?factor:float -> n:int -> c:int -> k:int -> unit -> float
 (** Theorem 4: [factor · (c/k) · max{1, c/n} · lg n]. The default [factor]
     (12.0) is the empirical constant under which COGCAST completes w.h.p.
-    across every topology in the test suite. *)
+    across every topology in the test suite. Raises [Invalid_argument]
+    unless [factor] is finite and positive ({!check_factor}). *)
+
+val check_factor : who:string -> float -> unit
+(** [check_factor ~who factor] raises [Invalid_argument] prefixed with
+    [who] unless [factor] is finite and [> 0] — the one rule for every
+    budget factor, checked by {!cogcast} and by each entry point that takes
+    one before it runs a slot. *)
 
 val cogcast_slots : ?factor:float -> n:int -> c:int -> k:int -> unit -> int
 (** {!cogcast} rounded up to an integer slot budget (at least 1). *)

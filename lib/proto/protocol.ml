@@ -28,6 +28,7 @@ type env = {
 let env ?(source = 0) ?(k = 1) ?budget_factor ?max_slots ?jammer ?faults ?metrics
     ?trace ?(backend = Runner.Engine) ?(shards = 1) ?load ~availability ~rng () =
   if shards < 1 then invalid_arg "Protocol.env: shards must be >= 1";
+  Option.iter (Crn_core.Complexity.check_factor ~who:"Protocol.env") budget_factor;
   (match load with
   | Some { rate; _ } when not (rate > 0.0) ->
       invalid_arg "Protocol.env: load rate must be > 0"

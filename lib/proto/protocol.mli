@@ -76,8 +76,9 @@ val env :
   env
 (** Environment constructor; defaults: [source = 0], [k = 1], backend
     {!Crn_radio.Runner.Engine}, [shards = 1], everything else off. Raises
-    [Invalid_argument] when [shards < 1] or a supplied load rate is not
-    positive. [shards > 1] is validated against the backend at run time
+    [Invalid_argument] when [shards < 1], a supplied [budget_factor] is not
+    finite and positive ({!Crn_core.Complexity.check_factor}), or a
+    supplied load rate is not positive. [shards > 1] is validated against the backend at run time
     ({!resolve_backend}), by the entry that runs, so the error names the
     protocol. *)
 
@@ -179,6 +180,5 @@ val synopsis : t -> string
 
 val run : t -> env -> summary
 (** Executes the protocol in the environment. Raises [Invalid_argument] for
-    environment features the protocol cannot honor (e.g. a [Reference]
-    backend on a multi-phase protocol, or [max_slots] on one whose budget is
-    not a single number). *)
+    environment features the protocol cannot honor (e.g. [max_slots] on a
+    multi-phase protocol, whose budget is not a single number). *)

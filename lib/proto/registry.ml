@@ -38,17 +38,6 @@ let reject_metrics_and_max_slots ~name (env : Protocol.env) =
       (name ^ ": max_slots does not apply to a multi-phase protocol; use \
               budget_factor")
 
-let require_plain ~name (env : Protocol.env) =
-  (match env.backend with
-  | Runner.Engine -> ()
-  | (Runner.Emulation _ | Runner.Reference | Runner.Soa _) as b ->
-      invalid_arg
-        (Printf.sprintf "%s: the %s backend is not supported; only engine"
-           name (Runner.backend_name b)));
-  ignore
-    (Protocol.resolve_backend ~protocol:name env.backend ~shards:env.shards);
-  reject_metrics_and_max_slots ~name env
-
 (* ---- the paper's protocols: delegate to the direct APIs so that a
    registry-dispatched run is byte-identical to a direct call ---- *)
 
@@ -89,32 +78,17 @@ let cogcomp =
     ~synopsis:"Four-phase data aggregation in O((c/k) max{1,c/n} lg n + n) slots (S5, Thm 10)"
     (fun env ->
       reject_metrics_and_max_slots ~name:"cogcomp" env;
-      ignore
-        (Protocol.resolve_backend ~protocol:"cogcomp" env.backend
-           ~shards:env.shards);
+      let backend =
+        Protocol.resolve_backend ~protocol:"cogcomp" env.backend
+          ~shards:env.shards
+      in
       let n, _ = dims env in
       let assignment = Dynamic.at env.availability 0 in
-      let r, raw_rounds =
-        match env.backend with
-        | Runner.Reference ->
-            invalid_arg "cogcomp: the reference backend is not supported"
-        | Runner.Soa _ ->
-            invalid_arg
-              "cogcomp: the soa backend is not supported (multi-phase \
-               protocol; each phase orchestrates its own engine runs)"
-        | Runner.Engine ->
-            let r =
-              Cogcomp.run ?jammer:env.jammer ?faults:env.faults
-                ?budget_factor:env.budget_factor ?trace:env.trace
-                ~monoid:Aggregate.sum ~values:(id_values n) ~source:env.source
-                ~assignment ~k:env.k ~rng:env.rng ()
-            in
-            (r, 0)
-        | Runner.Emulation { strategy; session_cap } ->
-            Cogcomp.run_emulated ~strategy ?session_cap ?jammer:env.jammer
-              ?faults:env.faults ?budget_factor:env.budget_factor
-              ?trace:env.trace ~monoid:Aggregate.sum ~values:(id_values n)
-              ~source:env.source ~assignment ~k:env.k ~rng:env.rng ()
+      let r =
+        Cogcomp.run ?jammer:env.jammer ?faults:env.faults ~backend
+          ?budget_factor:env.budget_factor ?trace:env.trace
+          ~monoid:Aggregate.sum ~values:(id_values n) ~source:env.source
+          ~assignment ~k:env.k ~rng:env.rng ()
       in
       let terminated =
         Array.fold_left (fun acc t -> if t then acc + 1 else acc) 0 r.Cogcomp.terminated
@@ -126,7 +100,7 @@ let cogcomp =
         completed_at =
           (if r.Cogcomp.complete then Some r.Cogcomp.total_slots else None);
         coverage = frac terminated n;
-        raw_rounds;
+        raw_rounds = r.Cogcomp.raw_rounds;
         failed_sessions = r.Cogcomp.failed_sessions;
         counters = r.Cogcomp.counters;
         detail =
@@ -148,11 +122,15 @@ let cogcomp_robust =
   Protocol.of_run ~name:"cogcomp_robust"
     ~synopsis:"Fault-tolerant COGCOMP: watchdogs, mediator re-election, acked drain"
     (fun env ->
-      require_plain ~name:"cogcomp_robust" env;
+      reject_metrics_and_max_slots ~name:"cogcomp_robust" env;
+      let backend =
+        Protocol.resolve_backend ~protocol:"cogcomp_robust" env.backend
+          ~shards:env.shards
+      in
       let n, _ = dims env in
       let assignment = Dynamic.at env.availability 0 in
       let r =
-        Cogcomp_robust.run ?jammer:env.jammer ?faults:env.faults
+        Cogcomp_robust.run ?jammer:env.jammer ?faults:env.faults ~backend
           ?budget_factor:env.budget_factor ?trace:env.trace
           ~monoid:Aggregate.sum ~values:(id_values n) ~source:env.source
           ~assignment ~k:env.k ~rng:env.rng ()
@@ -165,7 +143,7 @@ let cogcomp_robust =
           (if r.Cogcomp_robust.complete then Some r.Cogcomp_robust.total_slots
            else None);
         coverage = frac r.Cogcomp_robust.coverage n;
-        raw_rounds = 0;
+        raw_rounds = r.Cogcomp_robust.raw_rounds;
         failed_sessions = r.Cogcomp_robust.failed_sessions;
         counters = r.Cogcomp_robust.counters;
         detail =

@@ -68,15 +68,6 @@ let accumulating total runner =
         outcome);
   }
 
-let emulation_outcome o =
-  {
-    Emulation.slots_run = o.slots_run;
-    stopped_early = o.stopped_early;
-    counters = o.counters;
-    raw_rounds = o.raw_rounds;
-    failed_sessions = o.failed_sessions;
-  }
-
 let make ?pool ?machine_parallel:(parallel = false) ?jammer ?faults ?metrics
     ?trace ?(backend = Engine) ~availability ~rng () =
   match backend with

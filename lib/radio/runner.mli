@@ -107,6 +107,3 @@ val accumulating : outcome ref -> t -> t
     a multi-phase protocol reports one summary over all of its engine
     runs. *)
 
-val emulation_outcome : outcome -> Emulation.outcome
-(** Repackage a runner outcome as the {!Emulation.outcome} the footnote-4
-    APIs return; meaningful for runs on the {!Emulation} backend. *)

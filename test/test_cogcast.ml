@@ -216,6 +216,9 @@ let test_completes_under_jamming_via_reduction () =
 
 (* --- the raw-radio composition (footnote 4) ------------------------------------ *)
 
+let decay_emulation =
+  Crn_radio.Runner.Emulation { strategy = Crn_radio.Emulation.Decay; session_cap = None }
+
 let test_emulated_cogcast_completes () =
   (* COGCAST over decay-backoff contention sessions on the raw radio:
      completes in a similar number of abstract slots, paying O(log² n) raw
@@ -223,24 +226,24 @@ let test_emulated_cogcast_completes () =
   let spec = { Topology.n = 32; c = 8; k = 2 } in
   let assignment = Topology.shared_plus_random (Rng.create 40) spec in
   let max_slots = 4 * Complexity.cogcast_slots ~n:32 ~c:8 ~k:2 () in
-  let r, outcome =
-    Cogcast.run_emulated ~source:0 ~availability:(Dynamic.static assignment)
-      ~rng:(Rng.create 41) ~max_slots ()
+  let r =
+    Cogcast.run ~backend:decay_emulation ~source:0
+      ~availability:(Dynamic.static assignment) ~rng:(Rng.create 41) ~max_slots ()
   in
   check "emulated run completes" true (r.Cogcast.completed_at <> None);
   check "raw rounds >= abstract slots" true
-    (outcome.Crn_radio.Emulation.raw_rounds >= r.Cogcast.slots_run);
+    (r.Cogcast.raw_rounds >= r.Cogcast.slots_run);
   let cap = Crn_radio.Backoff.expected_rounds_bound 32 in
   check "raw rounds within cap * slots" true
-    (outcome.Crn_radio.Emulation.raw_rounds <= cap * r.Cogcast.slots_run)
+    (r.Cogcast.raw_rounds <= cap * r.Cogcast.slots_run)
 
 let test_emulated_tree_still_valid () =
   let spec = { Topology.n = 24; c = 6; k = 3 } in
   let assignment = Topology.shared_core (Rng.create 42) spec in
   let max_slots = 4 * Complexity.cogcast_slots ~n:24 ~c:6 ~k:3 () in
-  let r, _ =
-    Cogcast.run_emulated ~source:0 ~availability:(Dynamic.static assignment)
-      ~rng:(Rng.create 43) ~max_slots ()
+  let r =
+    Cogcast.run ~backend:decay_emulation ~source:0
+      ~availability:(Dynamic.static assignment) ~rng:(Rng.create 43) ~max_slots ()
   in
   check "complete" true (r.Cogcast.completed_at <> None);
   let tree = Disttree.of_result r in

@@ -96,7 +96,31 @@ let test_values_length_mismatch () =
     (Invalid_argument "Cogcomp.run: values length mismatch") (fun () ->
       ignore
         (Cogcomp.run ~monoid:Aggregate.sum ~values:[| 1; 2 |] ~source:0 ~assignment
-           ~k:2 ~rng:(Rng.create 1) ()))
+           ~k:2 ~rng:(Rng.create 1) ()));
+  (* Every other bad argument is rejected under the entry point's name
+     before any slot runs: the trace stays empty. *)
+  let rejects name msg run =
+    let trace = Crn_radio.Trace.create () in
+    Alcotest.check_raises name (Invalid_argument ("Cogcomp.run: " ^ msg)) (fun () ->
+        ignore (run trace));
+    check_int (name ^ ": no slot ran") 0
+      (Crn_radio.Trace.fold (fun acc _ -> acc + 1) 0 trace)
+  in
+  let run ?budget_factor ?max_phase4_steps ?(source = 0) trace =
+    Cogcomp.run ?budget_factor ?max_phase4_steps ~trace ~monoid:Aggregate.sum
+      ~values:[| 1; 2; 3; 4 |] ~source ~assignment ~k:2 ~rng:(Rng.create 1) ()
+  in
+  rejects "source past the end" "source out of range" (run ~source:4);
+  rejects "negative source" "source out of range" (run ~source:(-1));
+  rejects "negative phase-4 cap" "max_phase4_steps must be >= 0"
+    (run ~max_phase4_steps:(-1));
+  List.iter
+    (fun factor ->
+      rejects
+        (Printf.sprintf "budget factor %g" factor)
+        "budget factor must be finite and > 0"
+        (run ~budget_factor:factor))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 let test_incomplete_when_budget_tiny () =
   (* With a starved phase-1 budget, the run must report incomplete and no
@@ -260,6 +284,9 @@ let test_payload_multiset_linear () =
        ~source:0 ~assignment ~k:3 ~rng:(Rng.create 11) ())
       .Cogcomp.max_payload
 
+let decay_emulation =
+  Crn_radio.Runner.Emulation { strategy = Crn_radio.Emulation.Decay; session_cap = None }
+
 let test_fully_emulated_cogcomp () =
   (* The entire four-phase protocol over the raw collision radio: correct
      result, raw-round cost bounded by cap x total abstract slots. *)
@@ -268,10 +295,11 @@ let test_fully_emulated_cogcomp () =
       let spec = { Topology.n = 24; c = 8; k = 3 } in
       let assignment = Topology.shared_plus_random (Rng.create seed) spec in
       let values = Array.init 24 (fun i -> i + 2) in
-      let res, raw_rounds =
-        Cogcomp.run_emulated ~monoid:Aggregate.sum ~values ~source:0 ~assignment
-          ~k:3 ~rng:(Rng.create (seed + 60)) ()
+      let res =
+        Cogcomp.run ~backend:decay_emulation ~monoid:Aggregate.sum ~values
+          ~source:0 ~assignment ~k:3 ~rng:(Rng.create (seed + 60)) ()
       in
+      let raw_rounds = res.Cogcomp.raw_rounds in
       check "emulated complete" true res.Cogcomp.complete;
       Alcotest.(check (option int)) "emulated sum" (Some (Array.fold_left ( + ) 0 values))
         res.Cogcomp.root_value;
@@ -290,9 +318,9 @@ let test_emulated_matches_abstract_value () =
     Cogcomp.run ~monoid:Aggregate.sum ~values ~source:0 ~assignment ~k:2
       ~rng:(Rng.create 71) ()
   in
-  let b, _ =
-    Cogcomp.run_emulated ~monoid:Aggregate.sum ~values ~source:0 ~assignment ~k:2
-      ~rng:(Rng.create 72) ()
+  let b =
+    Cogcomp.run ~backend:decay_emulation ~monoid:Aggregate.sum ~values ~source:0
+      ~assignment ~k:2 ~rng:(Rng.create 72) ()
   in
   Alcotest.(check (option int)) "same value" a.Cogcomp.root_value b.Cogcomp.root_value
 

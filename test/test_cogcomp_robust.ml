@@ -11,22 +11,24 @@ module Cogcomp_robust = Crn_core.Cogcomp_robust
 module Faults = Crn_radio.Faults
 module Jammer = Crn_radio.Jammer
 module Trace = Crn_radio.Trace
+module Runner = Crn_radio.Runner
+module Emulation = Crn_radio.Emulation
 
 let check_int = Alcotest.(check int)
 
-let run_pair ?jammer ?faults ~seed ~source kind spec =
+let run_pair ?jammer ?faults ?backend ~seed ~source kind spec =
   let values = Array.init spec.Topology.n (fun i -> (i * 13) + 1) in
   let plain =
     let rng = Rng.create seed in
     let assignment = Topology.generate kind rng spec in
-    Cogcomp.run ~monoid:Aggregate.sum ~values ~source ~assignment
+    Cogcomp.run ?backend ~monoid:Aggregate.sum ~values ~source ~assignment
       ~k:spec.Topology.k ~rng ()
   in
   let robust =
     let rng = Rng.create seed in
     let assignment = Topology.generate kind rng spec in
-    Cogcomp_robust.run ?jammer ?faults ~monoid:Aggregate.sum ~values ~source
-      ~assignment ~k:spec.Topology.k ~rng ()
+    Cogcomp_robust.run ?jammer ?faults ?backend ~monoid:Aggregate.sum ~values
+      ~source ~assignment ~k:spec.Topology.k ~rng ()
   in
   (plain, robust)
 
@@ -40,18 +42,25 @@ let parity_specs =
     { Topology.n = 50; c = 6; k = 1 };
   ]
 
+(* Parity holds on every backend, the raw-radio emulations included (at
+   their default session caps): no fault schedule means no armed
+   watchdog, whatever realizes the slots. *)
+let parity_backends =
+  let emulation strategy = Runner.Emulation { strategy; session_cap = None } in
+  [ Runner.Engine; emulation Emulation.Decay; emulation Emulation.Csma ]
+
 let test_faultfree_parity () =
   List.iter
-    (fun kind ->
+    (fun (backend, kind) ->
       List.iter
         (fun spec ->
           for seed = 1 to 3 do
             let ctx =
-              Printf.sprintf "%s n=%d c=%d k=%d seed=%d"
-                (Topology.kind_name kind) spec.Topology.n spec.Topology.c
-                spec.Topology.k seed
+              Printf.sprintf "%s %s n=%d c=%d k=%d seed=%d"
+                (Runner.backend_name backend) (Topology.kind_name kind)
+                spec.Topology.n spec.Topology.c spec.Topology.k seed
             in
-            let plain, robust = run_pair ~seed ~source:0 kind spec in
+            let plain, robust = run_pair ~backend ~seed ~source:0 kind spec in
             Alcotest.(check bool)
               (ctx ^ " complete") plain.Cogcomp.complete
               robust.Cogcomp_robust.complete;
@@ -76,10 +85,16 @@ let test_faultfree_parity () =
             Alcotest.(check (list int)) (ctx ^ " lost") []
               robust.Cogcomp_robust.lost;
             check_int (ctx ^ " reelections") 0 robust.Cogcomp_robust.reelections;
-            check_int (ctx ^ " retries") 0 robust.Cogcomp_robust.retries
+            check_int (ctx ^ " retries") 0 robust.Cogcomp_robust.retries;
+            check_int (ctx ^ " raw rounds") plain.Cogcomp.raw_rounds
+              robust.Cogcomp_robust.raw_rounds;
+            check_int (ctx ^ " failed sessions") plain.Cogcomp.failed_sessions
+              robust.Cogcomp_robust.failed_sessions
           done)
         parity_specs)
-    Topology.all_kinds
+    (List.concat_map
+       (fun backend -> List.map (fun kind -> (backend, kind)) Topology.all_kinds)
+       parity_backends)
 
 (* The strongest form of parity: the slot-level traces — every decide, win,
    delivery and drain event the two runs emit — are byte-identical, so the
@@ -285,6 +300,37 @@ let test_coverage_degrades_gracefully () =
     "churned coverage bounded" true
     (churned.Cogcomp_robust.coverage <= spec.Topology.n)
 
+(* --- argument validation ---------------------------------------------------- *)
+
+let test_bad_arguments () =
+  let spec = { Topology.n = 4; c = 4; k = 2 } in
+  let assignment = Topology.identical (Rng.create 1) spec in
+  let rejects name msg run =
+    let trace = Trace.create () in
+    Alcotest.check_raises name
+      (Invalid_argument ("Cogcomp_robust.run: " ^ msg))
+      (fun () -> ignore (run trace));
+    check_int (name ^ ": no slot ran") 0 (Trace.fold (fun acc _ -> acc + 1) 0 trace)
+  in
+  let run ?budget_factor ?max_phase4_steps ?watchdog_retries ?timeout ?max_retries
+      ?(values = [| 1; 2; 3; 4 |]) ?(source = 0) trace =
+    Cogcomp_robust.run ?budget_factor ?max_phase4_steps ?watchdog_retries ?timeout
+      ?max_retries ~trace ~monoid:Aggregate.sum ~values ~source ~assignment ~k:2
+      ~rng:(Rng.create 1) ()
+  in
+  rejects "length mismatch" "values length mismatch" (run ~values:[| 1 |]);
+  rejects "source out of range" "source out of range" (run ~source:4);
+  rejects "nan budget factor" "budget factor must be finite and > 0"
+    (run ~budget_factor:Float.nan);
+  rejects "zero budget factor" "budget factor must be finite and > 0"
+    (run ~budget_factor:0.0);
+  rejects "negative phase-4 cap" "max_phase4_steps must be >= 0"
+    (run ~max_phase4_steps:(-1));
+  rejects "negative watchdog retries" "watchdog_retries must be >= 0"
+    (run ~watchdog_retries:(-1));
+  rejects "zero timeout" "timeout must be >= 1" (run ~timeout:0);
+  rejects "negative max retries" "max_retries must be >= 0" (run ~max_retries:(-1))
+
 let () =
   Alcotest.run "cogcomp_robust"
     [
@@ -295,6 +341,8 @@ let () =
           Alcotest.test_case "fault-free traces byte-identical" `Quick
             test_faultfree_trace_identical;
         ] );
+      ( "arguments",
+        [ Alcotest.test_case "bad arguments rejected up front" `Quick test_bad_arguments ] );
       ( "faults",
         [
           Alcotest.test_case "single non-source crash" `Quick test_single_crash;

@@ -143,10 +143,24 @@ let test_cogcomp_summary_counters () =
       ("cogcomp", summary "cogcomp");
       ("cogcomp emulated", summary ~backend:capped "cogcomp");
       ("cogcomp_robust", summary ~faults:(naps_faults ()) "cogcomp_robust");
+      ("cogcomp_robust emulated", summary ~backend:capped "cogcomp_robust");
     ];
-  Alcotest.(check bool)
-    "capped sessions fail and are reported" true
-    ((summary ~backend:capped "cogcomp").Protocol.failed_sessions > 0)
+  List.iter
+    (fun name ->
+      let emulated = summary ~backend:capped name in
+      Alcotest.(check bool)
+        (name ^ ": capped sessions fail and are reported")
+        true
+        (emulated.Protocol.failed_sessions > 0);
+      (* Every slot costs at least one raw round. *)
+      Alcotest.(check bool)
+        (name ^ ": emulated raw rounds are measured")
+        true
+        (emulated.Protocol.raw_rounds >= emulated.Protocol.slots_run);
+      Alcotest.(check int)
+        (name ^ ": no raw rounds on the engine")
+        0 (summary name).Protocol.raw_rounds)
+    [ "cogcomp"; "cogcomp_robust" ]
 
 
 let test_cogcomp_robust_differential () =
@@ -395,11 +409,9 @@ let test_faulty_run_all_protocols () =
     (Registry.names ())
 
 let test_soa_backend_sweep () =
-  (* The registry audit on the soa backend: every entry that supports it
-     (the eight machines and cogcast) runs sharded under faults and
-     matches its engine summary byte-for-byte; the of_run multi-phase
-     entries reject it by name. The deeper shard/strategy/trace matrix
-     lives in test/test_soa.ml. *)
+  (* The registry audit on the soa backend: every entry runs sharded under
+     faults and matches its engine summary byte-for-byte. The deeper
+     shard/strategy/trace matrix lives in test/test_soa.ml. *)
   let module Runner = Crn_radio.Runner in
   let module Json = Crn_stats.Json in
   let n = 24 and c = 6 and k = 2 in
@@ -423,18 +435,7 @@ let test_soa_backend_sweep () =
       let engine = summary name Runner.Engine 1 in
       Alcotest.(check string) (name ^ ": soa shards=2 = engine") engine
         (summary name soa 2))
-    ("cogcast" :: Registry.machine_names ());
-  List.iter
-    (fun name ->
-      match summary name soa 2 with
-      | exception Invalid_argument msg ->
-          Alcotest.(check bool)
-            (name ^ ": rejection names the protocol")
-            true
-            (String.length msg >= String.length name
-            && String.sub msg 0 (String.length name) = name)
-      | _ -> Alcotest.failf "%s accepted the soa backend" name)
-    [ "cogcomp"; "cogcomp_robust" ]
+    (Registry.names ())
 
 (* ---- registry lookup ---- *)
 
@@ -453,6 +454,21 @@ let test_registry_lookup () =
       Alcotest.(check string) "hyphen normalization" "cogcomp_robust" (Protocol.name p)
   | None -> Alcotest.fail "cogcomp-robust not found");
   Alcotest.(check bool) "unknown name" true (Registry.find "no_such_protocol" = None)
+
+let test_env_budget_factor () =
+  let availability =
+    Dynamic.static
+      (Topology.identical (Rng.create 1) { Topology.n = 4; c = 4; k = 2 })
+  in
+  List.iter
+    (fun budget_factor ->
+      Alcotest.check_raises
+        (Printf.sprintf "budget factor %g" budget_factor)
+        (Invalid_argument "Protocol.env: budget factor must be finite and > 0")
+        (fun () ->
+          ignore
+            (Protocol.env ~budget_factor ~availability ~rng:(Rng.create 2) ())))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 let () =
   Alcotest.run "proto"
@@ -488,5 +504,10 @@ let () =
           Alcotest.test_case "registry audit on the soa backend" `Quick
             test_soa_backend_sweep;
         ] );
-      ("registry", [ Alcotest.test_case "lookup" `Quick test_registry_lookup ]);
+      ( "registry",
+        [
+          Alcotest.test_case "lookup" `Quick test_registry_lookup;
+          Alcotest.test_case "env rejects bad budget factors" `Quick
+            test_env_budget_factor;
+        ] );
     ]

@@ -23,7 +23,9 @@
    4. Tracing is transparent: traced and untraced runs deliver feedback
       in the same ascending node order, so COGCOMP (on the engine and on
       the decay and CSMA emulations) and robust COGCOMP give the same
-      results either way. *)
+      results either way — and the same results on the reference and on
+      the sharded soa backend, with engine and reference traces equal
+      event for event. *)
 
 module Rng = Crn_prng.Rng
 module Topology = Crn_channel.Topology
@@ -405,9 +407,12 @@ let test_shards_rejected () =
    at one shard with the same ascending-node feedback order, so COGCOMP —
    on the engine and on both emulation strategies, where raw rounds and
    failed sessions must also agree — and robust COGCOMP give equal results
-   traced and untraced. Plain COGCOMP runs fault-free (its phases assume
-   it); robust COGCOMP also runs under nap, crash-restart and churn
-   schedules, which arm its watchdogs and retries. *)
+   traced and untraced. Both protocols take one backend through every
+   phase, so they also give the engine's results on the reference (trace
+   events included) and on the soa backend at 2 and 8 shards. Plain
+   COGCOMP runs fault-free (its phases assume it); robust COGCOMP also
+   runs under nap, crash-restart and churn schedules, which arm its
+   watchdogs and retries. *)
 
 module Aggregate = Crn_core.Aggregate
 module Cogcomp = Crn_core.Cogcomp
@@ -441,59 +446,84 @@ let prop_cogcomp_order_independent seed =
           (Faults.bernoulli_churn ~seed:(Int64.of_int seed) ~mean_up:40.0
              ~mean_down:4.0)
   in
-  let trace traced = if traced then Some (Trace.create ()) else None in
-  let plain_fields (r : int Cogcomp.result) =
-    ( r.Cogcomp.root_value,
-      [ r.Cogcomp.phase1_slots; r.Cogcomp.phase2_slots; r.Cogcomp.phase3_slots;
-        r.Cogcomp.phase4_steps; r.Cogcomp.phase4_slots; r.Cogcomp.total_slots ],
-      r.Cogcomp.terminated,
-      r.Cogcomp.mediators,
-      r.Cogcomp.tree,
-      counters_fields r.Cogcomp.counters,
-      r.Cogcomp.failed_sessions )
+  (* Each run returns its result fields and, when traced, its events. *)
+  let traced_run traced f =
+    let trace = if traced then Some (Trace.create ()) else None in
+    let fields = f trace in
+    (fields, match trace with Some tr -> Trace.to_list tr | None -> [])
   in
-  let plain traced =
-    plain_fields
-      (Cogcomp.run ?trace:(trace traced) ~monoid:Aggregate.sum ~values ~source
-         ~assignment ~k ~rng:(Rng.create seed) ())
+  let plain ?backend traced =
+    traced_run traced (fun trace ->
+        let r =
+          Cogcomp.run ?backend ?trace ~monoid:Aggregate.sum ~values ~source
+            ~assignment ~k ~rng:(Rng.create seed) ()
+        in
+        ( r.Cogcomp.root_value,
+          [ r.Cogcomp.phase1_slots; r.Cogcomp.phase2_slots; r.Cogcomp.phase3_slots;
+            r.Cogcomp.phase4_steps; r.Cogcomp.phase4_slots; r.Cogcomp.total_slots ],
+          r.Cogcomp.terminated,
+          r.Cogcomp.mediators,
+          r.Cogcomp.tree,
+          counters_fields r.Cogcomp.counters,
+          (r.Cogcomp.raw_rounds, r.Cogcomp.failed_sessions) ))
   in
-  let emulated strategy traced =
-    let r, raw_rounds =
-      Cogcomp.run_emulated ~strategy ?trace:(trace traced) ~monoid:Aggregate.sum
-        ~values ~source ~assignment ~k ~rng:(Rng.create seed) ()
-    in
-    (plain_fields r, raw_rounds)
+  let robust ?backend traced =
+    traced_run traced (fun trace ->
+        let r =
+          Cogcomp_robust.run ?backend ?faults ?trace ~monoid:Aggregate.sum
+            ~values ~source ~assignment ~k ~rng:(Rng.create seed) ()
+        in
+        ( ( r.Cogcomp_robust.root_value,
+            r.Cogcomp_robust.coverage,
+            r.Cogcomp_robust.lost,
+            r.Cogcomp_robust.reelections,
+            r.Cogcomp_robust.retries ),
+          [ r.Cogcomp_robust.phase1_slots; r.Cogcomp_robust.phase2_slots;
+            r.Cogcomp_robust.phase3_slots; r.Cogcomp_robust.phase4_steps;
+            r.Cogcomp_robust.phase4_slots; r.Cogcomp_robust.total_slots ],
+          r.Cogcomp_robust.terminated,
+          r.Cogcomp_robust.mediators,
+          r.Cogcomp_robust.tree,
+          counters_fields r.Cogcomp_robust.counters ))
   in
-  let robust traced =
-    let r =
-      Cogcomp_robust.run ?faults ?trace:(trace traced) ~monoid:Aggregate.sum
-        ~values ~source ~assignment ~k ~rng:(Rng.create seed) ()
-    in
-    ( ( r.Cogcomp_robust.root_value,
-        r.Cogcomp_robust.coverage,
-        r.Cogcomp_robust.lost,
-        r.Cogcomp_robust.reelections,
-        r.Cogcomp_robust.retries ),
-      [ r.Cogcomp_robust.phase1_slots; r.Cogcomp_robust.phase2_slots;
-        r.Cogcomp_robust.phase3_slots; r.Cogcomp_robust.phase4_steps;
-        r.Cogcomp_robust.phase4_slots; r.Cogcomp_robust.total_slots ],
-      r.Cogcomp_robust.terminated,
-      r.Cogcomp_robust.mediators,
-      r.Cogcomp_robust.tree,
-      counters_fields r.Cogcomp_robust.counters )
+  (* Eight shards oversubscribe a small host's cores, and every COGCOMP
+     phase then pays for the barrier waits: one scenario in five runs them. *)
+  let shard_counts = if Rng.int rng 5 = 0 then [ 2; 8 ] else [ 2 ] in
+  let soa shards = Runner.Soa { shards; dense_channel_limit = None } in
+  let emulation strategy = Runner.Emulation { strategy; session_cap = None } in
+  (* [run] on every backend against its engine run: untraced results agree
+     on reference and soa at 2 and 8 shards; traced, the engine agrees
+     with its untraced self and with the reference, event for event. *)
+  let check_backends name run =
+    let engine, _ = run ?backend:None false in
+    let engine_traced, engine_events = run ?backend:None true in
+    let reference_traced, reference_events = run ?backend:(Some Runner.Reference) true in
+    if engine_traced <> engine then Some (name ^ ": traced and untraced results differ")
+    else if reference_traced <> engine then Some (name ^ ": reference results differ")
+    else if reference_events <> engine_events then Some (name ^ ": reference trace differs")
+    else
+      List.find_map
+        (fun shards ->
+          if fst (run ?backend:(Some (soa shards)) false) <> engine then
+            Some (Printf.sprintf "%s: soa shards=%d results differ" name shards)
+          else None)
+        shard_counts
   in
-  if plain false <> plain true then
-    Some (Printf.sprintf "cogcomp n=%d: traced and untraced results differ" n)
-  else if emulated Emulation.Decay false <> emulated Emulation.Decay true then
-    Some (Printf.sprintf "cogcomp on decay emulation n=%d: traced and untraced differ" n)
-  else if emulated Emulation.Csma false <> emulated Emulation.Csma true then
-    Some (Printf.sprintf "cogcomp on csma emulation n=%d: traced and untraced differ" n)
-  else if robust false <> robust true then
-    Some
-      (Printf.sprintf "cogcomp_robust n=%d faults=%s: traced and untraced differ"
-         n
-         (match faults with Some f -> Faults.to_string f | None -> "none"))
-  else None
+  let emulated strategy traced = fst (plain ~backend:(emulation strategy) traced) in
+  let faults_name =
+    match faults with Some f -> Faults.to_string f | None -> "none"
+  in
+  match check_backends (Printf.sprintf "cogcomp n=%d" n) plain with
+  | Some _ as failure -> failure
+  | None ->
+      if emulated Emulation.Decay false <> emulated Emulation.Decay true then
+        Some (Printf.sprintf "cogcomp on decay emulation n=%d: traced and untraced differ" n)
+      else if emulated Emulation.Csma false <> emulated Emulation.Csma true then
+        Some (Printf.sprintf "cogcomp on csma emulation n=%d: traced and untraced differ" n)
+      else
+        check_backends
+          (Printf.sprintf "cogcomp_robust n=%d faults=%s" n faults_name)
+          robust
 
 let seed_gen = Prop.int_range 1 100_000
 

@@ -63,6 +63,9 @@ let test_cogcast_invariants () =
         [ Topology.Shared_core; Topology.Shared_plus_random ])
     points
 
+let decay_emulation =
+  Crn_radio.Runner.Emulation { strategy = Crn_radio.Emulation.Decay; session_cap = None }
+
 let test_cogcast_emulated_invariants () =
   List.iteri
     (fun i (n, c, k) ->
@@ -73,8 +76,9 @@ let test_cogcast_emulated_invariants () =
       let availability = Crn_channel.Dynamic.static assignment in
       let tr = Trace.create () in
       let max_slots = Crn_core.Complexity.cogcast_slots ~n ~c ~k () in
-      let _r, _outcome =
-        Cogcast.run_emulated ~trace:tr ~source:0 ~availability ~rng ~max_slots ()
+      let _r =
+        Cogcast.run ~backend:decay_emulation ~trace:tr ~source:0 ~availability
+          ~rng ~max_slots ()
       in
       let name = Printf.sprintf "cogcast emulated n=%d c=%d k=%d" n c k in
       assert_clean ~name tr;
@@ -94,13 +98,9 @@ let run_cogcomp ~emulated ~n ~c ~k ~rng tr =
     Topology.generate Topology.Shared_plus_random rng { Topology.n; c; k }
   in
   let values = Array.init n (fun v -> v + 1) in
-  if emulated then
-    fst
-      (Cogcomp.run_emulated ~trace:tr ~monoid:Aggregate.sum ~values ~source:0
-         ~assignment ~k ~rng ())
-  else
-    Cogcomp.run ~trace:tr ~monoid:Aggregate.sum ~values ~source:0 ~assignment ~k ~rng
-      ()
+  let backend = if emulated then decay_emulation else Crn_radio.Runner.Engine in
+  Cogcomp.run ~backend ~trace:tr ~monoid:Aggregate.sum ~values ~source:0
+    ~assignment ~k ~rng ()
 
 let test_cogcomp_invariants () =
   List.iteri
