@@ -1,10 +1,10 @@
 (* crn_sim: command-line front end for the cognitive radio network simulator.
 
    Subcommands:
-     protocols  — list every protocol in the registry
-     run        — run any registered protocol by name, uniformly
-     broadcast  — run COGCAST and report completion statistics
-     aggregate  — run COGCOMP (and optionally the rendezvous baseline)
+     protocols  — list every protocol in the registry and what it supports
+     run        — run any registered protocol by name, uniformly (COGCAST is
+                  `run -p cogcast`, COGCOMP `run -p cogcomp`, fault-tolerant
+                  COGCOMP `run -p cogcomp_robust`)
      game       — play the §6 hitting games against the closed-form bounds
      backoff    — measure the decay-backoff realization of the slot model
      jam        — broadcast under an n-uniform jammer (Theorem 18 reduction)
@@ -13,10 +13,10 @@
      load       — sustained-traffic workloads (gossip/push-sum) under an
                   open-loop load generator: throughput + latency percentiles
 
-   The broadcast/aggregate/game/... subcommands keep their protocol-specific
-   reporting; `run` and `chaos` dispatch through Crn_proto.Registry, so any
+   `run`, `chaos` and `load` dispatch through Crn_proto.Registry, so any
    newly registered protocol is immediately drivable with --faults, --trace,
-   --metrics, --check and --jobs without touching this file.
+   --metrics, --check and --jobs without touching this file; what an entry
+   supports comes from its declared Protocol.capabilities.
 
    Every run is reproducible from --seed: trials execute on a domain pool
    sized by --jobs, with one RNG stream split off per trial up front, so
@@ -36,9 +36,6 @@ module Trace = Crn_radio.Trace
 module Runner = Crn_radio.Runner
 module Emulation = Crn_radio.Emulation
 module Cogcast = Crn_core.Cogcast
-module Cogcomp = Crn_core.Cogcomp
-module Cogcomp_robust = Crn_core.Cogcomp_robust
-module Aggregate = Crn_core.Aggregate
 module Complexity = Crn_core.Complexity
 module Protocol = Crn_proto.Protocol
 module Registry = Crn_proto.Registry
@@ -46,11 +43,36 @@ module Adversary_lab = Crn_proto.Adversary_lab
 
 (* ---- shared arguments ---- *)
 
+(* Counts that must be at least one (trials, nodes, shards, ...): cmdliner
+   rejects anything else before the command runs, naming the flag. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= 1 -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* Command bodies report user errors as [`Error]; [let*] threads the
+   [Error msg] of a validation step into that. *)
+let ( let* ) r f = match r with Ok v -> f v | Error m -> `Error (false, m)
+
+(* A comma-separated list parsed item by item; the first bad item is the
+   error. *)
+let parse_list parse l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | s :: rest -> Result.bind (parse s) (fun x -> go (x :: acc) rest)
+  in
+  go []
+    (String.split_on_char ',' l |> List.map String.trim
+    |> List.filter (fun s -> s <> ""))
+
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let trials_arg =
-  Arg.(value & opt int 9 & info [ "trials" ] ~docv:"T" ~doc:"Independent trials.")
+  Arg.(value & opt pos_int 9 & info [ "trials" ] ~docv:"T" ~doc:"Independent trials.")
 
 let jobs_arg =
   Arg.(
@@ -62,7 +84,8 @@ let jobs_arg =
            value, including 1 (the seed determines every trial's stream, \
            not the schedule).")
 
-let n_arg = Arg.(value & opt int 64 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
+let n_arg =
+  Arg.(value & opt pos_int 64 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
 
 let c_arg =
   Arg.(value & opt int 16 & info [ "c"; "channels" ] ~docv:"C" ~doc:"Channels per node.")
@@ -95,10 +118,7 @@ let topology_arg =
           "Overlap pattern: shared-core, identical, shared+random, \
            pairwise-private or clustered.")
 
-let check_params n c k =
-  if n < 1 then `Error (false, "n must be at least 1")
-  else if k < 1 || k > c then `Error (false, "need 1 <= k <= c")
-  else `Ok ()
+let check_params c k = if k < 1 || k > c then Error "need 1 <= k <= c" else Ok ()
 
 (* ---- dynamic-spectrum adversaries (--dynamic, §7) ---- *)
 
@@ -126,19 +146,15 @@ let dynamic_arg =
            stalling COGCAST forever).")
 
 (* Non-static modes must be honored, not silently snapshotted: reject the
-   protocols that cannot, with the lab's user-facing message. *)
-let check_dynamic ~mode ~spec proto_names =
-  let first_error =
-    List.find_map
-      (fun name ->
-        match Adversary_lab.compatible_protocol ~mode name with
-        | Error m -> Some m
-        | Ok () -> None)
-      proto_names
-  in
-  match (Adversary_lab.validate ~mode ~spec, first_error) with
-  | Error m, _ | _, Some m -> `Error (false, m)
-  | Ok (), None -> `Ok ()
+   protocols whose capabilities say they cannot. *)
+let check_dynamic ~mode ~spec protos =
+  Result.bind (Adversary_lab.validate ~mode ~spec) (fun () ->
+      match
+        List.find_opt (fun p -> not (Protocol.capabilities p).Protocol.dynamic) protos
+      with
+      | Some p when mode <> Adversary_lab.Static ->
+          Error (Protocol.unsupported p ("--dynamic " ^ Adversary_lab.mode_name mode))
+      | _ -> Ok ())
 
 (* Per-trial availability + run stream for one --dynamic mode, with the
    reassignment provenance events streamed into [?trace] when one is
@@ -342,7 +358,7 @@ let backend_arg =
 
 let shards_arg =
   Arg.(
-    value & opt int 1
+    value & opt pos_int 1
     & info [ "shards" ] ~docv:"S"
         ~doc:
           "Intra-trial shards on the struct-of-arrays engine \
@@ -402,20 +418,18 @@ let backend_name = Runner.backend_name
 
 let is_emulation = function Runner.Emulation _ -> true | _ -> false
 
-(* Commands that fan trials out on the domain pool validate the
-   --shards/--backend combination eagerly, so a bad pairing fails before
-   any trial starts. *)
-let check_shards ~backend ~shards proto_names =
-  if shards < 1 then Some "--shards must be at least 1"
-  else if shards = 1 then None
-  else
-    List.find_map
-      (fun name ->
-        try
-          ignore (Protocol.resolve_backend ~protocol:name backend ~shards);
-          None
-        with Invalid_argument m -> Some m)
-      proto_names
+(* Commands validate the --shards/--backend combination eagerly, so a bad
+   pairing fails before any trial starts. Every entry runs on every
+   backend, so one check covers any protocol selection. *)
+let check_shards ~backend ~shards =
+  match Protocol.resolve_backend ~protocol:"--shards" backend ~shards with
+  | _ -> Ok ()
+  | exception Invalid_argument m -> Error m
+
+let find_protocol name =
+  match Registry.find_exn name with
+  | p -> Ok p
+  | exception Invalid_argument m -> Error m
 
 (* When any of --trace/--metrics/--check was requested, perform one extra
    instrumented run via [f ~trace] (the statistics trials above stay
@@ -465,130 +479,171 @@ let protocols_cmd =
     List.iter
       (fun p -> Printf.printf "%-28s %s\n" (Protocol.name p) (Protocol.synopsis p))
       Registry.all;
+    let yes_no b = if b then "yes" else "no" in
+    let table =
+      Crn_stats.Table.create [ "protocol"; "dynamic"; "max_slots"; "metrics"; "load" ]
+    in
+    List.iter
+      (fun p ->
+        let c = Protocol.capabilities p in
+        Crn_stats.Table.add_row table
+          [
+            Protocol.name p;
+            yes_no c.Protocol.dynamic;
+            yes_no c.Protocol.max_slots;
+            yes_no c.Protocol.metrics;
+            yes_no c.Protocol.load;
+          ])
+      Registry.all;
+    Crn_stats.Table.add_row table
+      [ "jam_resist:<name>"; "no"; "as <name>"; "as <name>"; "as <name>" ];
+    Crn_stats.Table.print
+      ~title:"Capabilities (no: the run is rejected with an error naming the protocol)"
+      table;
     Printf.printf
-      "\nEvery entry also resolves as jam_resist:<name>: the Theorem 18 \
-       transform\nrunning the protocol unmodified on the jammer's sensed \
-       spectrum.\n"
+      "\nEvery entry runs on every backend (engine, soa with --shards, \
+       reference,\nemulation, emulation-csma). Every entry also resolves as \
+       jam_resist:<name>:\nthe Theorem 18 transform running the protocol \
+       unmodified on the jammer's\nsensed spectrum.\n"
   in
   Cmd.v
-    (Cmd.info "protocols" ~doc:"List every protocol in the registry.")
+    (Cmd.info "protocols"
+       ~doc:"List every protocol in the registry and what each one supports.")
     Term.(const run $ const ())
+
+(* The numeric fields of the trials' [detail] objects, each as a mean over
+   the trials that reported it as a number. A field some trials left null
+   (e.g. COGCOMP's root value on an incomplete run) carries an "(m/T)"
+   count, so its mean is never read as covering trials it does not. *)
+let detail_means (summaries : Protocol.summary array) =
+  let keys =
+    match summaries.(0).Protocol.detail with
+    | Json.Obj fields -> List.map fst fields
+    | _ -> []
+  in
+  let number key (s : Protocol.summary) =
+    match Json.member key s.Protocol.detail with
+    | Some (Json.Int i) -> Some (float_of_int i)
+    | Some (Json.Float f) -> Some f
+    | _ -> None
+  in
+  List.filter_map
+    (fun key ->
+      match List.filter_map (number key) (Array.to_list summaries) with
+      | [] -> None
+      | xs ->
+          let m = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
+          let v =
+            if Float.is_integer m then Printf.sprintf "%.0f" m
+            else Printf.sprintf "%.4g" m
+          in
+          let trials = Array.length summaries in
+          Some
+            (if List.length xs = trials then Printf.sprintf "%s=%s" key v
+             else Printf.sprintf "%s=%s (%d/%d)" key v (List.length xs) trials))
+    keys
 
 let run_cmd =
   let run name n c k topology dynamic jam_budget seed trials jobs shards
       backend_choice session_cap dense_channel_limit faults_spec fault_seed
       trace_path metrics_path check =
-    match (check_params n c k, Registry.find name) with
-    | (`Error _ as e), _ -> e
-    | `Ok (), None ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown protocol %S (try: %s, or jam_resist:<name>)"
-              name
-              (String.concat ", " (Registry.names ())) )
-    | `Ok (), _ when shards < 1 -> `Error (false, "shards must be at least 1")
-    | `Ok (), _ when jam_budget < 0 ->
-        `Error (false, "jam budget must be non-negative")
-    | `Ok (), Some proto -> (
-        let spec = { Topology.n; c; k } in
-        match
-          (check_dynamic ~mode:dynamic ~spec [ Protocol.name proto ],
-           build_backend ?dense_channel_limit backend_choice session_cap)
-        with
-        | (`Error _ as e), _ -> e
-        | `Ok (), Error m -> `Error (false, m)
-        | `Ok (), Ok backend -> (
-        try
-        let faults = build_faults faults_spec fault_seed in
-        (* The spectrum size is determined by the topology spec, so one
-           probe assignment tells us C for the jammer. *)
-        let jammer =
-          if jam_budget = 0 then None
+    let spec = { Topology.n; c; k } in
+    let* () = check_params c k in
+    let* proto = find_protocol name in
+    let* () =
+      if jam_budget < 0 then Error "jam budget must be non-negative" else Ok ()
+    in
+    let* () = check_dynamic ~mode:dynamic ~spec [ proto ] in
+    let* backend = build_backend ?dense_channel_limit backend_choice session_cap in
+    let* () = check_shards ~backend ~shards in
+    try
+      let faults = build_faults faults_spec fault_seed in
+      (* The spectrum size is determined by the topology spec, so one
+         probe assignment tells us C for the jammer. *)
+      let jammer =
+        if jam_budget = 0 then None
+        else
+          let probe = Topology.generate topology (Rng.create seed) spec in
+          let num_channels = Crn_channel.Assignment.num_channels probe in
+          if 2 * jam_budget >= num_channels then
+            invalid_arg
+              (Printf.sprintf
+                 "--jam-budget %d: Theorem 18 needs 2t < C (spectrum here has \
+                  C=%d channels)"
+                 jam_budget num_channels)
           else
-            let probe = Topology.generate topology (Rng.create seed) spec in
-            let num_channels = Crn_channel.Assignment.num_channels probe in
-            if 2 * jam_budget >= num_channels then
-              invalid_arg
-                (Printf.sprintf
-                   "--jam-budget %d: Theorem 18 needs 2t < C (spectrum here \
-                    has C=%d channels)"
-                   jam_budget num_channels)
-            else
-              Some
-                (Jammer.random_per_node
-                   ~seed:(Int64.of_int fault_seed)
-                   ~budget:jam_budget ~num_channels)
+            Some
+              (Jammer.random_per_node
+                 ~seed:(Int64.of_int fault_seed)
+                 ~budget:jam_budget ~num_channels)
+      in
+      let env ?trace ~rng () =
+        let availability, rng =
+          armed_availability ~mode:dynamic ~topology ~spec ?trace ~rng ()
         in
-        let env ?trace ~rng () =
-          let availability, rng =
-            armed_availability ~mode:dynamic ~topology ~spec ?trace ~rng ()
-          in
-          Protocol.env ?faults ?jammer ?trace ~backend ~k ~shards ~availability
-            ~rng ()
-        in
-        let runs =
-          Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
-              let s = Protocol.run proto (env ~rng ()) in
-              let slots =
-                match s.Protocol.completed_at with
-                | Some v -> float_of_int v
-                | None -> float_of_int s.Protocol.slots_run
-              in
-              ( slots,
-                s.Protocol.completed,
-                s.Protocol.coverage,
-                s.Protocol.raw_rounds,
-                s.Protocol.failed_sessions ))
-        in
-        Printf.printf "%s  n=%d c=%d k=%d topology=%s trials=%d\n"
-          (Protocol.name proto) n c k
-          (Topology.kind_name topology) trials;
-        Printf.printf "  %s\n" (Protocol.synopsis proto);
-        (if backend <> Runner.Engine then
-           Printf.printf "  backend: %s%s\n" (backend_name backend)
-             (match session_cap with
-             | Some cap -> Printf.sprintf " (session cap %d)" cap
-             | None -> ""));
-        (if dynamic <> Adversary_lab.Static then
-           Printf.printf "  dynamic: %s reassignment per slot\n"
-             (Adversary_lab.mode_name dynamic));
-        (match jammer with
-        | Some j ->
-            Printf.printf "  jammer: %s (budget %d, seed %d)\n" (Jammer.name j)
-              (Jammer.budget j) fault_seed
-        | None -> ());
-        (match faults with
-        | Some f ->
-            Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f) fault_seed
-        | None -> ());
-        Printf.printf "  completion slots: %s\n"
-          (Summary.to_string
-             (Summary.of_floats (Array.map (fun (s, _, _, _, _) -> s) runs)));
-        let completions =
-          Array.fold_left
-            (fun acc (_, c, _, _, _) -> if c then acc + 1 else acc)
-            0 runs
-        in
-        let mean_coverage =
-          Array.fold_left (fun acc (_, _, cov, _, _) -> acc +. cov) 0.0 runs
-          /. float_of_int (max 1 trials)
-        in
-        Printf.printf "  complete: %d/%d; mean coverage: %.3f\n" completions trials
-          mean_coverage;
-        (if is_emulation backend then
-           let raw =
-             Summary.of_floats
-               (Array.map (fun (_, _, _, r, _) -> float_of_int r) runs)
-           in
-           let failed =
-             Array.fold_left (fun acc (_, _, _, _, f) -> acc + f) 0 runs
-           in
-           Printf.printf "  raw rounds: %s; failed sessions: %d\n"
-             (Summary.to_string raw) failed);
-        observe ~trace_path ~metrics_path ~check (fun ~trace ->
-            let rng = Rng.create seed in
-            ignore (Protocol.run proto (env ~trace ~rng ())))
-        with Invalid_argument msg -> `Error (false, msg)))
+        Protocol.env ?faults ?jammer ?trace ~backend ~k ~shards ~availability
+          ~rng ()
+      in
+      let summaries =
+        Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
+            Protocol.run proto (env ~rng ()))
+      in
+      Printf.printf "%s  n=%d c=%d k=%d topology=%s trials=%d\n"
+        (Protocol.name proto) n c k
+        (Topology.kind_name topology) trials;
+      Printf.printf "  %s\n" (Protocol.synopsis proto);
+      (if backend <> Runner.Engine then
+         Printf.printf "  backend: %s%s\n" (backend_name backend)
+           (match session_cap with
+           | Some cap -> Printf.sprintf " (session cap %d)" cap
+           | None -> ""));
+      (if dynamic <> Adversary_lab.Static then
+         Printf.printf "  dynamic: %s reassignment per slot\n"
+           (Adversary_lab.mode_name dynamic));
+      (match jammer with
+      | Some j ->
+          Printf.printf "  jammer: %s (budget %d, seed %d)\n" (Jammer.name j)
+            (Jammer.budget j) fault_seed
+      | None -> ());
+      (match faults with
+      | Some f ->
+          Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f) fault_seed
+      | None -> ());
+      let floats f = Array.map f summaries in
+      Printf.printf "  completion slots: %s\n"
+        (Summary.to_string
+           (Summary.of_floats
+              (floats (fun s ->
+                   float_of_int
+                     (Option.value s.Protocol.completed_at
+                        ~default:s.Protocol.slots_run)))));
+      let completions =
+        Array.fold_left
+          (fun acc s -> if s.Protocol.completed then acc + 1 else acc)
+          0 summaries
+      in
+      let mean_coverage =
+        Array.fold_left ( +. ) 0.0 (floats (fun s -> s.Protocol.coverage))
+        /. float_of_int trials
+      in
+      Printf.printf "  complete: %d/%d; mean coverage: %.3f\n" completions trials
+        mean_coverage;
+      (match detail_means summaries with
+      | [] -> ()
+      | fields ->
+          Printf.printf "  detail (mean over trials): %s\n"
+            (String.concat " " fields));
+      (if is_emulation backend then
+         let raw = floats (fun s -> float_of_int s.Protocol.raw_rounds) in
+         let failed =
+           Array.fold_left (fun acc s -> acc + s.Protocol.failed_sessions) 0 summaries
+         in
+         Printf.printf "  raw rounds: %s; failed sessions: %d\n"
+           (Summary.to_string (Summary.of_floats raw)) failed);
+      observe ~trace_path ~metrics_path ~check (fun ~trace ->
+          let rng = Rng.create seed in
+          ignore (Protocol.run proto (env ~trace ~rng ())))
+    with Invalid_argument msg -> `Error (false, msg)
   in
   let protocol_arg =
     Arg.(
@@ -626,260 +681,6 @@ let run_cmd =
          "Run any registered protocol by name with the uniform trial, fault \
           and observability machinery.")
     term
-
-(* ---- broadcast ---- *)
-
-let broadcast_cmd =
-  let run n c k topology dynamic seed trials jobs shards backend_choice
-      session_cap dense_channel_limit baseline faults_spec fault_seed
-      trace_path metrics_path check =
-    match check_params n c k with
-    | `Error _ as e -> e
-    | `Ok () -> (
-        let spec = { Topology.n; c; k } in
-        match
-          (check_dynamic ~mode:dynamic ~spec [ "cogcast" ],
-           build_backend ?dense_channel_limit backend_choice session_cap)
-        with
-        | (`Error _ as e), _ -> e
-        | `Ok (), Error m -> `Error (false, m)
-        | `Ok (), Ok backend -> (
-        (* Fold --shards into the backend payload (soa) or reject it
-           (anything else) the same way the registry layer does. *)
-        match
-          try Ok (Protocol.resolve_backend ~protocol:"cogcast" backend ~shards)
-          with Invalid_argument m -> Error m
-        with
-        | Error m -> `Error (false, m)
-        | Ok backend ->
-        let faults = build_faults faults_spec fault_seed in
-        let max_slots = Complexity.cogcast_slots ~n ~c ~k () in
-        let samples =
-          Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
-              let availability, rng =
-                armed_availability ~mode:dynamic ~topology ~spec ~rng ()
-              in
-              let r =
-                Cogcast.run ?faults ~backend ~source:0 ~availability ~rng
-                  ~max_slots ()
-              in
-              let slots =
-                match r.Cogcast.completed_at with
-                | Some s -> float_of_int s
-                | None -> float_of_int r.Cogcast.slots_run
-              in
-              (slots, r.Cogcast.raw_rounds, r.Cogcast.failed_sessions))
-        in
-        let s =
-          Summary.of_floats (Array.map (fun (s, _, _) -> s) samples)
-        in
-        Printf.printf "COGCAST  n=%d c=%d k=%d topology=%s trials=%d\n" n c k
-          (Topology.kind_name topology) trials;
-        (if backend <> Runner.Engine then
-           Printf.printf "  backend: %s%s\n" (backend_name backend)
-             (match session_cap with
-             | Some cap -> Printf.sprintf " (session cap %d)" cap
-             | None -> ""));
-        (if dynamic <> Adversary_lab.Static then
-           Printf.printf "  dynamic: %s reassignment per slot\n"
-             (Adversary_lab.mode_name dynamic));
-        (match faults with
-        | Some f -> Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f) fault_seed
-        | None -> ());
-        Printf.printf "  completion slots: %s\n" (Summary.to_string s);
-        (if is_emulation backend then
-           let raw =
-             Summary.of_floats
-               (Array.map (fun (_, r, _) -> float_of_int r) samples)
-           in
-           let failed =
-             Array.fold_left (fun acc (_, _, f) -> acc + f) 0 samples
-           in
-           Printf.printf "  raw rounds: %s; failed sessions: %d\n"
-             (Summary.to_string raw) failed);
-        Printf.printf "  Theorem 4 shape (unit constant): %.1f; budget used: %d\n"
-          (Complexity.cogcast ~factor:1.0 ~n ~c ~k ())
-          max_slots;
-        if baseline then begin
-          let proto = Registry.find_exn "broadcast_baseline" in
-          let base =
-            Trials.run_jobs ~jobs ~trials ~seed:(seed + 1000) (fun rng ->
-                let availability, rng =
-                  armed_availability ~mode:dynamic ~topology ~spec ~rng ()
-                in
-                let s =
-                  Protocol.run proto
-                    (Protocol.env ?faults ~backend ~k ~availability ~rng ())
-                in
-                match s.Protocol.completed_at with
-                | Some v -> float_of_int v
-                | None -> float_of_int s.Protocol.slots_run)
-          in
-          Printf.printf "  rendezvous baseline: %s\n"
-            (Summary.to_string (Summary.of_floats base))
-        end;
-        observe ~trace_path ~metrics_path ~check (fun ~trace ->
-            let rng = Rng.create seed in
-            let availability, rng =
-              armed_availability ~mode:dynamic ~topology ~spec ~trace ~rng ()
-            in
-            ignore
-              (Cogcast.run ?faults ~backend ~trace ~source:0 ~availability ~rng
-                 ~max_slots ()))))
-  in
-  let baseline_arg =
-    Arg.(
-      value & flag
-      & info [ "baseline" ]
-          ~doc:
-            "Also run the straw-man rendezvous broadcast baseline (registry \
-             protocol $(b,broadcast_baseline)) on an independent seed for \
-             comparison.")
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ n_arg $ c_arg $ k_arg $ topology_arg $ dynamic_arg
-       $ seed_arg $ trials_arg $ jobs_arg $ shards_arg $ backend_arg
-       $ session_cap_arg $ dense_channel_limit_arg $ baseline_arg $ faults_arg
-       $ fault_seed_arg $ trace_arg $ metrics_arg $ check_arg))
-  in
-  Cmd.v (Cmd.info "broadcast" ~doc:"Run COGCAST local broadcast (Theorem 4).") term
-
-(* ---- aggregate ---- *)
-
-let aggregate_cmd =
-  let run n c k topology dynamic seed trials jobs baseline robust faults_spec
-      fault_seed trace_path metrics_path check =
-    match check_params n c k with
-    | `Error _ as e -> e
-    | `Ok () when dynamic <> Adversary_lab.Static ->
-        `Error
-          ( false,
-            Printf.sprintf
-              "--dynamic %s: aggregate (COGCOMP) runs its phases on the \
-               slot-0 assignment and cannot honor per-slot reassignment; \
-               see crn_sim run/broadcast/chaos for the dynamic modes"
-              (Adversary_lab.mode_name dynamic) )
-    | `Ok () ->
-        let spec = { Topology.n; c; k } in
-        let faults = build_faults faults_spec fault_seed in
-        Pool.with_pool ~jobs (fun pool ->
-            let header () =
-              Printf.printf "COGCOMP%s  n=%d c=%d k=%d topology=%s trials=%d\n"
-                (if robust then " (robust)" else "")
-                n c k
-                (Topology.kind_name topology) trials;
-              match faults with
-              | Some f ->
-                  Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f)
-                    fault_seed
-              | None -> ()
-            in
-            if robust then begin
-              let runs =
-                Trials.run ~pool ~trials ~seed (fun rng ->
-                    let assignment = Topology.generate topology rng spec in
-                    let values = Array.init n (fun v -> v) in
-                    let r =
-                      Cogcomp_robust.run ?faults ~monoid:Aggregate.sum ~values
-                        ~source:0 ~assignment ~k ~rng ()
-                    in
-                    ( float_of_int r.Cogcomp_robust.total_slots,
-                      ( r.Cogcomp_robust.complete,
-                        r.Cogcomp_robust.coverage,
-                        List.length r.Cogcomp_robust.lost,
-                        r.Cogcomp_robust.reelections,
-                        r.Cogcomp_robust.retries ) ))
-              in
-              header ();
-              let totals = Array.map fst runs in
-              Printf.printf "  total slots: %s\n"
-                (Summary.to_string (Summary.of_floats totals));
-              let completions =
-                Array.fold_left
-                  (fun acc (_, (c, _, _, _, _)) -> if c then acc + 1 else acc)
-                  0 runs
-              in
-              let sum f = Array.fold_left (fun acc (_, t) -> acc + f t) 0 runs in
-              Printf.printf "  complete: %d/%d\n" completions trials;
-              Printf.printf "  mean coverage: %.1f/%d nodes; values lost: %d total\n"
-                (float_of_int (sum (fun (_, cov, _, _, _) -> cov))
-                /. float_of_int trials)
-                n
-                (sum (fun (_, _, l, _, _) -> l));
-              Printf.printf "  mediator re-elections: %d; value-send retries: %d\n"
-                (sum (fun (_, _, _, re, _) -> re))
-                (sum (fun (_, _, _, _, rt) -> rt))
-            end
-            else begin
-              let runs =
-                Trials.run ~pool ~trials ~seed (fun rng ->
-                    let assignment = Topology.generate topology rng spec in
-                    let values = Array.init n (fun v -> v) in
-                    let r =
-                      Cogcomp.run ?faults ~monoid:Aggregate.sum ~values ~source:0
-                        ~assignment ~k ~rng ()
-                    in
-                    ( float_of_int r.Cogcomp.total_slots,
-                      r.Cogcomp.root_value = Some (n * (n - 1) / 2) ))
-              in
-              header ();
-              let totals = Array.map fst runs in
-              let ok = Array.for_all snd runs in
-              Printf.printf "  total slots: %s\n"
-                (Summary.to_string (Summary.of_floats totals));
-              Printf.printf "  all runs aggregated the exact sum: %b\n" ok
-            end;
-            if baseline then begin
-              let proto = Registry.find_exn "aggregation_baseline_honest" in
-              let base =
-                Trials.run ~pool ~trials ~seed:(seed + 1000) (fun rng ->
-                    let assignment = Topology.generate topology rng spec in
-                    let s =
-                      Protocol.run proto
-                        (Protocol.env ~k
-                           ~availability:(Dynamic.static assignment) ~rng ())
-                    in
-                    float_of_int s.Protocol.slots_run)
-              in
-              Printf.printf "  rendezvous baseline (honest): %s\n"
-                (Summary.to_string (Summary.of_floats base))
-            end;
-            observe ~trace_path ~metrics_path ~check (fun ~trace ->
-                let rng = Rng.create seed in
-                let assignment = Topology.generate topology rng spec in
-                let values = Array.init n (fun v -> v) in
-                if robust then
-                  ignore
-                    (Cogcomp_robust.run ?faults ~trace ~monoid:Aggregate.sum
-                       ~values ~source:0 ~assignment ~k ~rng ())
-                else
-                  ignore
-                    (Cogcomp.run ?faults ~trace ~monoid:Aggregate.sum ~values
-                       ~source:0 ~assignment ~k ~rng ())))
-  in
-  let baseline_arg =
-    Arg.(value & flag & info [ "baseline" ] ~doc:"Also run the rendezvous baseline.")
-  in
-  let robust_arg =
-    Arg.(
-      value & flag
-      & info [ "robust" ]
-          ~doc:
-            "Run the fault-tolerant COGCOMP variant (watchdogs, mediator \
-             re-election, bounded-retry drain) and report coverage, lost \
-             values, re-elections and retries. Bit-identical to the plain \
-             protocol when no --faults are given.")
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ n_arg $ c_arg $ k_arg $ topology_arg $ dynamic_arg
-       $ seed_arg $ trials_arg $ jobs_arg $ baseline_arg $ robust_arg
-       $ faults_arg $ fault_seed_arg $ trace_arg $ metrics_arg $ check_arg))
-  in
-  Cmd.v (Cmd.info "aggregate" ~doc:"Run COGCOMP data aggregation (Theorem 10).") term
 
 (* ---- game ---- *)
 
@@ -935,33 +736,29 @@ let game_cmd =
 
 let backoff_cmd =
   let run contenders seed trials jobs =
-    if contenders < 1 then `Error (false, "need at least one contender")
-    else begin
-      let sessions =
-        Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
-            match Crn_radio.Backoff.session ~rng ~contenders ~cap:1_000_000 with
-            | Some { Crn_radio.Backoff.rounds; _ } -> Some rounds
-            | None -> None)
-      in
-      let samples =
-        Array.map (function Some r -> float_of_int r | None -> 0.0) sessions
-      in
-      let failures =
-        Array.fold_left (fun acc s -> if s = None then acc + 1 else acc) 0 sessions
-      in
-      Printf.printf "decay backoff  m=%d contenders, trials=%d\n" contenders trials;
-      Printf.printf "  raw rounds per one-winner slot: %s\n"
-        (Summary.to_string (Summary.of_floats samples));
-      Printf.printf "  O(log^2 m) budget: %d; failures: %d\n"
-        (Crn_radio.Backoff.expected_rounds_bound contenders)
-        failures;
-      `Ok ()
-    end
+    let sessions =
+      Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
+          match Crn_radio.Backoff.session ~rng ~contenders ~cap:1_000_000 with
+          | Some { Crn_radio.Backoff.rounds; _ } -> Some rounds
+          | None -> None)
+    in
+    let samples =
+      Array.map (function Some r -> float_of_int r | None -> 0.0) sessions
+    in
+    let failures =
+      Array.fold_left (fun acc s -> if s = None then acc + 1 else acc) 0 sessions
+    in
+    Printf.printf "decay backoff  m=%d contenders, trials=%d\n" contenders trials;
+    Printf.printf "  raw rounds per one-winner slot: %s\n"
+      (Summary.to_string (Summary.of_floats samples));
+    Printf.printf "  O(log^2 m) budget: %d; failures: %d\n"
+      (Crn_radio.Backoff.expected_rounds_bound contenders)
+      failures
   in
   let contenders_arg =
-    Arg.(value & opt int 64 & info [ "m"; "contenders" ] ~docv:"M" ~doc:"Contenders in the session.")
+    Arg.(value & opt pos_int 64 & info [ "m"; "contenders" ] ~docv:"M" ~doc:"Contenders in the session.")
   in
-  let term = Term.(ret (const run $ contenders_arg $ seed_arg $ trials_arg $ jobs_arg)) in
+  let term = Term.(const run $ contenders_arg $ seed_arg $ trials_arg $ jobs_arg) in
   Cmd.v
     (Cmd.info "backoff" ~doc:"Measure the decay-backoff contention layer (footnote 4).")
     term
@@ -1024,74 +821,82 @@ let jam_cmd =
 
 let sweep_cmd =
   let run param values n c k topology seed trials jobs csv =
-    let values =
-      List.filter_map int_of_string_opt (String.split_on_char ',' values)
+    (* Every token and every point is validated before any trial runs. *)
+    let* values =
+      parse_list
+        (fun tok ->
+          match int_of_string_opt tok with
+          | Some v -> Ok v
+          | None ->
+              Error
+                (Printf.sprintf
+                   "--values: %S is not an integer (expected a \
+                    comma-separated int list)"
+                   tok))
+        values
     in
-    if values = [] then `Error (false, "need --values as a comma-separated int list")
-    else begin
-      let table = Crn_stats.Table.create [ param; "median slots"; "p90 slots" ] in
-      let pts = ref [] in
-      let bad = ref None in
+    let* () = if values = [] then Error "--values: need at least one value" else Ok () in
+    let point v =
+      match param with "n" -> (v, c, k) | "c" -> (n, v, k) | _ -> (n, c, v)
+    in
+    let invalid v =
+      let n, c, k = point v in
+      n < 1 || k < 1 || k > c
+    in
+    let* () =
+      match List.find_opt invalid values with
+      | Some v ->
+          let n, c, k = point v in
+          Error (Printf.sprintf "invalid point %s=%d (n=%d c=%d k=%d)" param v n c k)
+      | None -> Ok ()
+    in
+    let table = Crn_stats.Table.create [ param; "median slots"; "p90 slots" ] in
+    let pts =
       Pool.with_pool ~jobs (fun pool ->
-          List.iter
+          List.map
             (fun v ->
-              let n, c, k =
-                match param with
-                | "n" -> (v, c, k)
-                | "c" -> (n, v, k)
-                | "k" -> (n, c, v)
-                | _ -> (n, c, k)
+              let n, c, k = point v in
+              let spec = { Topology.n; c; k } in
+              let samples =
+                Trials.run ~pool ~trials ~seed (fun rng ->
+                    let assignment = Topology.generate topology rng spec in
+                    let r = Cogcast.run_static ~source:0 ~assignment ~k ~rng () in
+                    match r.Cogcast.completed_at with
+                    | Some s -> float_of_int s
+                    | None -> float_of_int r.Cogcast.slots_run)
               in
-              if n < 1 || k < 1 || k > c then
-                bad := Some (Printf.sprintf "invalid point %s=%d (n=%d c=%d k=%d)" param v n c k)
-              else begin
-                let spec = { Topology.n; c; k } in
-                let samples =
-                  Trials.run ~pool ~trials ~seed (fun rng ->
-                      let assignment = Topology.generate topology rng spec in
-                      let r = Cogcast.run_static ~source:0 ~assignment ~k ~rng () in
-                      match r.Cogcast.completed_at with
-                      | Some s -> float_of_int s
-                      | None -> float_of_int r.Cogcast.slots_run)
-                in
-                let s = Summary.of_floats samples in
-                Crn_stats.Table.add_row table
-                  [
-                    string_of_int v;
-                    Printf.sprintf "%.1f" s.Summary.median;
-                    Printf.sprintf "%.1f" s.Summary.p90;
-                  ];
-                pts := (float_of_int v, s.Summary.median) :: !pts
-              end)
-            values);
-      match !bad with
-      | Some msg -> `Error (false, msg)
-      | None ->
-          if not (List.mem param [ "n"; "c"; "k" ]) then
-            `Error (false, "param must be one of n, c, k")
-          else begin
-            Crn_stats.Table.print
-              ~title:(Printf.sprintf "COGCAST sweep over %s (topology %s)" param
-                        (Topology.kind_name topology))
-              table;
-            (if List.length !pts >= 2 then
-               try
-                 let fit = Crn_stats.Fit.log_log (Array.of_list (List.rev !pts)) in
-                 Printf.printf "  log-log slope vs %s: %.2f (r2=%.3f)\n" param
-                   fit.Crn_stats.Fit.slope fit.Crn_stats.Fit.r2
-               with Invalid_argument _ -> ());
-            (match csv with
-            | Some path ->
-                Crn_stats.Csv.write_table ~path table;
-                Printf.printf "  wrote %s\n" path
-            | None -> ());
-            `Ok ()
-          end
-    end
+              let s = Summary.of_floats samples in
+              Crn_stats.Table.add_row table
+                [
+                  string_of_int v;
+                  Printf.sprintf "%.1f" s.Summary.median;
+                  Printf.sprintf "%.1f" s.Summary.p90;
+                ];
+              (float_of_int v, s.Summary.median))
+            values)
+    in
+    Crn_stats.Table.print
+      ~title:
+        (Printf.sprintf "COGCAST sweep over %s (topology %s)" param
+           (Topology.kind_name topology))
+      table;
+    (if List.length pts >= 2 then
+       try
+         let fit = Crn_stats.Fit.log_log (Array.of_list pts) in
+         Printf.printf "  log-log slope vs %s: %.2f (r2=%.3f)\n" param
+           fit.Crn_stats.Fit.slope fit.Crn_stats.Fit.r2
+       with Invalid_argument _ -> ());
+    (match csv with
+    | Some path ->
+        Crn_stats.Csv.write_table ~path table;
+        Printf.printf "  wrote %s\n" path
+    | None -> ());
+    `Ok ()
   in
   let param_arg =
     Arg.(
-      value & opt string "n"
+      value
+      & opt (enum [ ("n", "n"); ("c", "c"); ("k", "k") ]) "n"
       & info [ "param" ] ~docv:"P" ~doc:"Swept parameter: n, c or k.")
   in
   let values_arg =
@@ -1129,230 +934,202 @@ let chaos_cmd =
   let run n c k topology dynamic seed fault_seed trials jobs shards
       backend_choice session_cap dense_channel_limit kind protocols rates
       json_path check =
-    let protos =
-      String.split_on_char ',' protocols
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             let name =
-               if String.lowercase_ascii s = "robust" then "cogcomp_robust" else s
-             in
-             match Registry.find name with
-             | Some p -> Ok p
-             | None ->
-                 Error
-                   (Printf.sprintf
-                      "unknown protocol %S (try: %s, or jam_resist:<name>)" s
-                      (String.concat ", " (Registry.names ()))))
+    let* protos =
+      parse_list
+        (fun s ->
+          find_protocol
+            (if String.lowercase_ascii s = "robust" then "cogcomp_robust" else s))
+        protocols
     in
-    let rates =
-      String.split_on_char ',' rates
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             match float_of_string_opt s with
-             | Some r when r >= 0.0 && r < 1.0 -> Ok r
-             | _ -> Error (Printf.sprintf "rate %S must be a float in [0, 1)" s))
+    let* rates =
+      parse_list
+        (fun s ->
+          match float_of_string_opt s with
+          | Some r when r >= 0.0 && r < 1.0 -> Ok r
+          | _ -> Error (Printf.sprintf "rate %S must be a float in [0, 1)" s))
+        rates
     in
-    let first_error l =
-      List.find_map (function Error m -> Some m | Ok _ -> None) l
+    let* () = check_params c k in
+    let* kind = Adversary_lab.fault_kind_of_string kind in
+    let* backend = build_backend ?dense_channel_limit backend_choice session_cap in
+    let spec = { Topology.n; c; k } in
+    let kind_name = Adversary_lab.fault_kind_name kind in
+    let* () = check_dynamic ~mode:dynamic ~spec protos in
+    let* () = check_shards ~backend ~shards in
+    (* Selftest hook: with CRN_CHAOS_INJECT_VIOLATION set, every trial
+       reports one fake violation, so the --check exit-code path can be
+       tested end to end (healthy runs have nothing to fail on). *)
+    let checker =
+      if Sys.getenv_opt "CRN_CHAOS_INJECT_VIOLATION" = None then None
+      else
+        Some
+          (fun _ ->
+            [
+              {
+                Trace.Check.invariant = "selftest";
+                detail = "injected by CRN_CHAOS_INJECT_VIOLATION";
+              };
+            ])
     in
-    match
-      ( check_params n c k,
-        first_error protos,
-        first_error rates,
-        Adversary_lab.fault_kind_of_string kind,
-        build_backend ?dense_channel_limit backend_choice session_cap )
-    with
-    | (`Error _ as e), _, _, _, _ -> e
-    | _, Some m, _, _, _ | _, _, Some m, _, _ -> `Error (false, m)
-    | _, _, _, Error m, _ | _, _, _, _, Error m -> `Error (false, m)
-    | `Ok (), None, None, Ok kind, Ok backend -> (
-        let protos = List.filter_map Result.to_option protos in
-        let rates = List.filter_map Result.to_option rates in
-        let spec = { Topology.n; c; k } in
-        let kind_name = Adversary_lab.fault_kind_name kind in
-        match
-          ( check_dynamic ~mode:dynamic ~spec (List.map Protocol.name protos),
-            check_shards ~backend ~shards (List.map Protocol.name protos) )
-        with
-        | (`Error _ as e), _ -> e
-        | `Ok (), Some m -> `Error (false, m)
-        | `Ok (), None ->
-        (* Selftest hook: with CRN_CHAOS_INJECT_VIOLATION set, every trial
-           reports one fake violation, so the --check exit-code path can be
-           tested end to end (healthy runs have nothing to fail on). *)
-        let checker =
-          if Sys.getenv_opt "CRN_CHAOS_INJECT_VIOLATION" = None then None
-          else
-            Some
-              (fun _ ->
-                [
-                  {
-                    Trace.Check.invariant = "selftest";
-                    detail = "injected by CRN_CHAOS_INJECT_VIOLATION";
-                  };
-                ])
-        in
-        let run_trial proto ~rate rng =
-          (* Each trial gets its own fault stream, derived from the trial's
-             RNG so --fault-seed shifts all of them at once. *)
-          let trial_fault_seed =
-            Int64.add (Int64.of_int fault_seed)
-              (Int64.mul 0x9E3779B97F4A7C15L (Rng.bits64 rng))
-          in
-          let faults, jammer =
-            Adversary_lab.adversary_for ~kind ~rate ~n
-              ~fault_seed:trial_fault_seed
-          in
-          let t =
-            Adversary_lab.run_trial ?checker proto (fun ~trace ->
-                (match jammer with
-                | Some j ->
-                    Trace.record trace
-                      (Trace.Adversary
-                         { name = Jammer.name j; budget = Jammer.budget j })
-                | None -> ());
-                let availability, rng =
-                  armed_availability ~mode:dynamic ~topology ~spec ~trace ~rng
-                    ()
-                in
-                Protocol.env ?faults ?jammer ~trace ~backend ~k ~shards
-                  ~availability ~rng ())
-          in
-          let s = t.Adversary_lab.summary in
-          ( s.Protocol.completed,
-            s.Protocol.coverage,
-            s.Protocol.slots_run,
-            List.length t.Adversary_lab.violations,
-            t.Adversary_lab.trace_jsonl )
-        in
-        Pool.with_pool ~jobs (fun pool ->
-            let failures = ref [] in
-            let proto_objs =
-              List.map
-                (fun proto ->
-                  let baseline_slots = ref None in
-                  let points =
-                    List.map
-                      (fun rate ->
-                        let cell =
-                          Trials.run ~pool ~trials
-                            ~seed:(seed + int_of_float (rate *. 1_000_000.))
-                            (run_trial proto ~rate)
-                        in
-                        let mean f =
-                          Array.fold_left (fun acc x -> acc +. f x) 0.0 cell
-                          /. float_of_int (Array.length cell)
-                        in
-                        let completion =
-                          mean (fun (c, _, _, _, _) -> if c then 1.0 else 0.0)
-                        in
-                        let coverage = mean (fun (_, cov, _, _, _) -> cov) in
-                        let slots =
-                          mean (fun (_, _, s, _, _) -> float_of_int s)
-                        in
-                        if rate = 0.0 && !baseline_slots = None then
-                          baseline_slots := Some slots;
-                        let inflation =
-                          match !baseline_slots with
-                          | Some b when b > 0.0 -> slots /. b
-                          | _ -> Float.nan
-                        in
-                        let violations =
-                          Array.fold_left
-                            (fun acc (_, _, _, v, _) -> acc + v)
-                            0 cell
-                        in
-                        (* Any violation is a simulator bug, not
-                           degradation: adversaries may slow a protocol
-                           down, but a trace that breaks the invariants
-                           means the machinery lied. Every trial is held
-                           to the same standard. *)
-                        Array.iteri
-                          (fun i (_, _, _, v, dump) ->
-                            match dump with
-                            | Some jsonl ->
-                                let path =
-                                  Printf.sprintf
-                                    "trace_failure_%s_%s_rate%g_trial%d.jsonl"
-                                    kind_name
-                                    (Protocol.name proto) rate i
-                                in
-                                let oc = open_out path in
-                                output_string oc jsonl;
-                                close_out oc;
-                                failures :=
-                                  Printf.sprintf
-                                    "%s %s rate=%g trial=%d: %d violation(s), \
-                                     trace in %s"
-                                    kind_name (Protocol.name proto) rate i v
-                                    path
-                                  :: !failures
-                            | None -> ())
-                          cell;
-                        Printf.printf
-                          "  %-15s rate=%-5g completion=%.2f coverage=%.2f \
-                           slots=%.0f inflation=%.2f violations=%d\n%!"
-                          (Protocol.name proto) rate completion coverage slots
-                          inflation violations;
-                        Json.Obj
-                          [
-                            ("rate", Json.Float rate);
-                            ("completion_rate", Json.Float completion);
-                            ("mean_coverage", Json.Float coverage);
-                            ("mean_total_slots", Json.Float slots);
-                            ("slot_inflation", Json.Float inflation);
-                            ("violations", Json.Int violations);
-                          ])
-                      rates
-                  in
-                  Json.Obj
-                    [
-                      ("protocol", Json.String (Protocol.name proto));
-                      ("points", Json.List points);
-                    ])
-                protos
+    let run_trial proto ~rate rng =
+      (* Each trial gets its own fault stream, derived from the trial's
+         RNG so --fault-seed shifts all of them at once. *)
+      let trial_fault_seed =
+        Int64.add (Int64.of_int fault_seed)
+          (Int64.mul 0x9E3779B97F4A7C15L (Rng.bits64 rng))
+      in
+      let faults, jammer =
+        Adversary_lab.adversary_for ~kind ~rate ~n
+          ~fault_seed:trial_fault_seed
+      in
+      let t =
+        Adversary_lab.run_trial ?checker proto (fun ~trace ->
+            (match jammer with
+            | Some j ->
+                Trace.record trace
+                  (Trace.Adversary
+                     { name = Jammer.name j; budget = Jammer.budget j })
+            | None -> ());
+            let availability, rng =
+              armed_availability ~mode:dynamic ~topology ~spec ~trace ~rng
+                ()
             in
-            Printf.printf
-              "chaos  n=%d c=%d k=%d topology=%s kind=%s dynamic=%s \
-               backend=%s trials=%d/point\n"
-              n c k
-              (Topology.kind_name topology) kind_name
-              (Adversary_lab.mode_name dynamic) (backend_name backend) trials;
-            let doc =
+            Protocol.env ?faults ?jammer ~trace ~backend ~k ~shards
+              ~availability ~rng ())
+      in
+      let s = t.Adversary_lab.summary in
+      ( s.Protocol.completed,
+        s.Protocol.coverage,
+        s.Protocol.slots_run,
+        List.length t.Adversary_lab.violations,
+        t.Adversary_lab.trace_jsonl )
+    in
+    Pool.with_pool ~jobs (fun pool ->
+        let failures = ref [] in
+        let proto_objs =
+          List.map
+            (fun proto ->
+              let baseline_slots = ref None in
+              let points =
+                List.map
+                  (fun rate ->
+                    let cell =
+                      Trials.run ~pool ~trials
+                        ~seed:(seed + int_of_float (rate *. 1_000_000.))
+                        (run_trial proto ~rate)
+                    in
+                    let mean f =
+                      Array.fold_left (fun acc x -> acc +. f x) 0.0 cell
+                      /. float_of_int (Array.length cell)
+                    in
+                    let completion =
+                      mean (fun (c, _, _, _, _) -> if c then 1.0 else 0.0)
+                    in
+                    let coverage = mean (fun (_, cov, _, _, _) -> cov) in
+                    let slots =
+                      mean (fun (_, _, s, _, _) -> float_of_int s)
+                    in
+                    if rate = 0.0 && !baseline_slots = None then
+                      baseline_slots := Some slots;
+                    let inflation =
+                      match !baseline_slots with
+                      | Some b when b > 0.0 -> slots /. b
+                      | _ -> Float.nan
+                    in
+                    let violations =
+                      Array.fold_left
+                        (fun acc (_, _, _, v, _) -> acc + v)
+                        0 cell
+                    in
+                    (* Any violation is a simulator bug, not
+                       degradation: adversaries may slow a protocol
+                       down, but a trace that breaks the invariants
+                       means the machinery lied. Every trial is held
+                       to the same standard. *)
+                    Array.iteri
+                      (fun i (_, _, _, v, dump) ->
+                        match dump with
+                        | Some jsonl ->
+                            let path =
+                              Printf.sprintf
+                                "trace_failure_%s_%s_rate%g_trial%d.jsonl"
+                                kind_name
+                                (Protocol.name proto) rate i
+                            in
+                            let oc = open_out path in
+                            output_string oc jsonl;
+                            close_out oc;
+                            failures :=
+                              Printf.sprintf
+                                "%s %s rate=%g trial=%d: %d violation(s), \
+                                 trace in %s"
+                                kind_name (Protocol.name proto) rate i v
+                                path
+                              :: !failures
+                        | None -> ())
+                      cell;
+                    Printf.printf
+                      "  %-15s rate=%-5g completion=%.2f coverage=%.2f \
+                       slots=%.0f inflation=%.2f violations=%d\n%!"
+                      (Protocol.name proto) rate completion coverage slots
+                      inflation violations;
+                    Json.Obj
+                      [
+                        ("rate", Json.Float rate);
+                        ("completion_rate", Json.Float completion);
+                        ("mean_coverage", Json.Float coverage);
+                        ("mean_total_slots", Json.Float slots);
+                        ("slot_inflation", Json.Float inflation);
+                        ("violations", Json.Int violations);
+                      ])
+                  rates
+              in
               Json.Obj
                 [
-                  ("schema", Json.String "crn-chaos/1");
-                  ("n", Json.Int n);
-                  ("c", Json.Int c);
-                  ("k", Json.Int k);
-                  ("topology", Json.String (Topology.kind_name topology));
-                  ("fault_kind", Json.String kind_name);
-                  ("dynamic", Json.String (Adversary_lab.mode_name dynamic));
-                  ("backend", Json.String (backend_name backend));
-                  ("trials", Json.Int trials);
-                  ("seed", Json.Int seed);
-                  ("fault_seed", Json.Int fault_seed);
-                  ("protocols", Json.List proto_objs);
-                ]
-            in
-            (match json_path with
-            | Some path ->
-                Json.write ~path doc;
-                Printf.printf "  wrote %s\n" path
-            | None -> ());
-            match !failures with
-            | [] -> `Ok ()
-            | fs when check ->
-                List.iter (Format.eprintf "  violation: %s@.") fs;
-                `Error
-                  ( false,
-                    Printf.sprintf "chaos --check: %d cell(s) violated invariants"
-                      (List.length fs) )
-            | fs ->
-                List.iter (Format.eprintf "  warning: %s@.") fs;
-                `Ok ()))
+                  ("protocol", Json.String (Protocol.name proto));
+                  ("points", Json.List points);
+                ])
+            protos
+        in
+        Printf.printf
+          "chaos  n=%d c=%d k=%d topology=%s kind=%s dynamic=%s \
+           backend=%s trials=%d/point\n"
+          n c k
+          (Topology.kind_name topology) kind_name
+          (Adversary_lab.mode_name dynamic) (backend_name backend) trials;
+        let doc =
+          Json.Obj
+            [
+              ("schema", Json.String "crn-chaos/1");
+              ("n", Json.Int n);
+              ("c", Json.Int c);
+              ("k", Json.Int k);
+              ("topology", Json.String (Topology.kind_name topology));
+              ("fault_kind", Json.String kind_name);
+              ("dynamic", Json.String (Adversary_lab.mode_name dynamic));
+              ("backend", Json.String (backend_name backend));
+              ("trials", Json.Int trials);
+              ("seed", Json.Int seed);
+              ("fault_seed", Json.Int fault_seed);
+              ("protocols", Json.List proto_objs);
+            ]
+        in
+        (match json_path with
+        | Some path ->
+            Json.write ~path doc;
+            Printf.printf "  wrote %s\n" path
+        | None -> ());
+        match !failures with
+        | [] -> `Ok ()
+        | fs when check ->
+            List.iter (Format.eprintf "  violation: %s@.") fs;
+            `Error
+              ( false,
+                Printf.sprintf "chaos --check: %d cell(s) violated invariants"
+                  (List.length fs) )
+        | fs ->
+            List.iter (Format.eprintf "  warning: %s@.") fs;
+            `Ok ())
   in
   let kind_arg =
     Arg.(
@@ -1437,131 +1214,129 @@ let load_cmd =
   let run name rate arrivals rumors n c k topology seed trials jobs shards
       backend_choice dense_channel_limit faults_spec fault_seed trace_path
       metrics_path check json_path =
-    match (check_params n c k, Registry.find name) with
-    | (`Error _ as e), _ -> e
-    | `Ok (), None ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown protocol %S (try gossip or push_sum)" name )
-    | `Ok (), Some _ when not (rate > 0.0) -> `Error (false, "rate must be > 0")
-    | `Ok (), Some _ when rumors < 1 -> `Error (false, "rumors must be >= 1")
-    | `Ok (), Some proto -> (
-        match build_backend ?dense_channel_limit backend_choice None with
-        | Error m -> `Error (false, m)
-        | Ok backend ->
-        match check_shards ~backend ~shards [ Protocol.name proto ] with
-        | Some m -> `Error (false, m)
-        | None ->
-        let spec = { Topology.n; c; k } in
-        let load = { Protocol.rate; arrivals; rumors } in
-        let faults = build_faults faults_spec fault_seed in
-        let env ?trace ~rng () =
-          let assignment = Topology.generate topology rng spec in
-          Protocol.env ?faults ?trace ~backend ~k ~shards ~load
-            ~availability:(Dynamic.static assignment) ~rng ()
+    let* () = check_params c k in
+    let* proto = find_protocol name in
+    let* () =
+      if (Protocol.capabilities proto).Protocol.load then Ok ()
+      else Error (Protocol.unsupported proto "load")
+    in
+    let* () = if rate > 0.0 then Ok () else Error "rate must be > 0" in
+    let* backend = build_backend ?dense_channel_limit backend_choice None in
+    let* () = check_shards ~backend ~shards in
+    let spec = { Topology.n; c; k } in
+    let load = { Protocol.rate; arrivals; rumors } in
+    let faults = build_faults faults_spec fault_seed in
+    let env ?trace ~rng () =
+      let assignment = Topology.generate topology rng spec in
+      Protocol.env ?faults ?trace ~backend ~k ~shards ~load
+        ~availability:(Dynamic.static assignment) ~rng ()
+    in
+    let summaries =
+      Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
+          Protocol.run proto (env ~rng ()))
+    in
+    let detail_float key (s : Protocol.summary) =
+      match Json.member key s.Protocol.detail with
+      | Some (Json.Float f) -> f
+      | Some (Json.Int i) -> float_of_int i
+      | _ -> 0.0
+    in
+    let latencies =
+      Array.to_list summaries
+      |> List.concat_map (fun (s : Protocol.summary) ->
+             match Json.member "latencies" s.Protocol.detail with
+             | Some (Json.List l) ->
+                 List.filter_map
+                   (function Json.Float f -> Some f | _ -> None)
+                   l
+             | _ -> [])
+      |> Array.of_list
+    in
+    let mean f =
+      Array.fold_left (fun acc s -> acc +. f s) 0.0 summaries
+      /. float_of_int trials
+    in
+    (* Gossip reports delivered rumors per slot, push-sum mass transfers. *)
+    let throughput_key, throughput_unit =
+      match Json.member "throughput" summaries.(0).Protocol.detail with
+      | Some _ -> ("throughput", "rumors/slot")
+      | None -> ("transfer_rate", "transfers/slot")
+    in
+    let throughput = mean (detail_float throughput_key) in
+    let completion =
+      mean (fun s -> if s.Protocol.completed then 1.0 else 0.0)
+    in
+    let coverage = mean (fun s -> s.Protocol.coverage) in
+    let slots = mean (fun s -> float_of_int s.Protocol.slots_run) in
+    let pct p =
+      if Array.length latencies = 0 then Float.nan
+      else Summary.percentile latencies p
+    in
+    Printf.printf "load  %s  n=%d c=%d k=%d topology=%s trials=%d\n"
+      (Protocol.name proto) n c k (Topology.kind_name topology) trials;
+    Printf.printf "  offered: rate=%g rumors/slot (%s), batch=%d rumors\n" rate
+      (match arrivals with Protocol.Poisson -> "poisson" | Protocol.Uniform -> "uniform")
+      rumors;
+    (match faults with
+    | Some f ->
+        Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f) fault_seed
+    | None -> ());
+    Printf.printf "  completion: %.2f; mean coverage: %.3f; mean slots: %.0f\n"
+      completion coverage slots;
+    Printf.printf "  goodput: %.4f %s\n" throughput throughput_unit;
+    if Array.length latencies > 0 then
+      Printf.printf "  latency slots: p50=%.0f p95=%.0f p99=%.0f (%d samples)\n"
+        (pct 50.0) (pct 95.0) (pct 99.0) (Array.length latencies)
+    else Printf.printf "  latency slots: no samples\n";
+    (match json_path with
+    | Some path ->
+        let doc =
+          Json.Obj
+            [
+              ("schema", Json.String "crn-load/1");
+              ("protocol", Json.String (Protocol.name proto));
+              ("n", Json.Int n);
+              ("c", Json.Int c);
+              ("k", Json.Int k);
+              ("topology", Json.String (Topology.kind_name topology));
+              ("rate", Json.Float rate);
+              ( "arrivals",
+                Json.String
+                  (match arrivals with
+                  | Protocol.Poisson -> "poisson"
+                  | Protocol.Uniform -> "uniform") );
+              ("rumors", Json.Int rumors);
+              ("trials", Json.Int trials);
+              ("seed", Json.Int seed);
+              ("completion_rate", Json.Float completion);
+              ("mean_coverage", Json.Float coverage);
+              ("mean_slots", Json.Float slots);
+              ("throughput", Json.Float throughput);
+              ("latency_p50", Json.Float (pct 50.0));
+              ("latency_p95", Json.Float (pct 95.0));
+              ("latency_p99", Json.Float (pct 99.0));
+              ( "per_trial",
+                Json.List
+                  (Array.to_list
+                     (Array.map Protocol.summary_json summaries)) );
+            ]
         in
-        let summaries =
-          Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
-              Protocol.run proto (env ~rng ()))
-        in
-        let detail_float key (s : Protocol.summary) =
-          match Json.member key s.Protocol.detail with
-          | Some (Json.Float f) -> f
-          | Some (Json.Int i) -> float_of_int i
-          | _ -> 0.0
-        in
-        let latencies =
-          Array.to_list summaries
-          |> List.concat_map (fun (s : Protocol.summary) ->
-                 match Json.member "latencies" s.Protocol.detail with
-                 | Some (Json.List l) ->
-                     List.filter_map
-                       (function Json.Float f -> Some f | _ -> None)
-                       l
-                 | _ -> [])
-          |> Array.of_list
-        in
-        let mean f =
-          Array.fold_left (fun acc s -> acc +. f s) 0.0 summaries
-          /. float_of_int (max 1 (Array.length summaries))
-        in
-        let throughput_key =
-          if Protocol.name proto = "push_sum" then "transfer_rate" else "throughput"
-        in
-        let throughput = mean (detail_float throughput_key) in
-        let completion =
-          mean (fun s -> if s.Protocol.completed then 1.0 else 0.0)
-        in
-        let coverage = mean (fun s -> s.Protocol.coverage) in
-        let slots = mean (fun s -> float_of_int s.Protocol.slots_run) in
-        let pct p =
-          if Array.length latencies = 0 then Float.nan
-          else Summary.percentile latencies p
-        in
-        Printf.printf "load  %s  n=%d c=%d k=%d topology=%s trials=%d\n"
-          (Protocol.name proto) n c k (Topology.kind_name topology) trials;
-        Printf.printf "  offered: rate=%g rumors/slot (%s), batch=%d rumors\n" rate
-          (match arrivals with Protocol.Poisson -> "poisson" | Protocol.Uniform -> "uniform")
-          rumors;
-        (match faults with
-        | Some f ->
-            Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f) fault_seed
-        | None -> ());
-        Printf.printf "  completion: %.2f; mean coverage: %.3f; mean slots: %.0f\n"
-          completion coverage slots;
-        Printf.printf "  goodput: %.4f %s\n" throughput
-          (if Protocol.name proto = "push_sum" then "transfers/slot"
-           else "rumors/slot");
-        if Array.length latencies > 0 then
-          Printf.printf "  latency slots: p50=%.0f p95=%.0f p99=%.0f (%d samples)\n"
-            (pct 50.0) (pct 95.0) (pct 99.0) (Array.length latencies)
-        else Printf.printf "  latency slots: no samples\n";
-        (match json_path with
-        | Some path ->
-            let doc =
-              Json.Obj
-                [
-                  ("schema", Json.String "crn-load/1");
-                  ("protocol", Json.String (Protocol.name proto));
-                  ("n", Json.Int n);
-                  ("c", Json.Int c);
-                  ("k", Json.Int k);
-                  ("topology", Json.String (Topology.kind_name topology));
-                  ("rate", Json.Float rate);
-                  ( "arrivals",
-                    Json.String
-                      (match arrivals with
-                      | Protocol.Poisson -> "poisson"
-                      | Protocol.Uniform -> "uniform") );
-                  ("rumors", Json.Int rumors);
-                  ("trials", Json.Int trials);
-                  ("seed", Json.Int seed);
-                  ("completion_rate", Json.Float completion);
-                  ("mean_coverage", Json.Float coverage);
-                  ("mean_slots", Json.Float slots);
-                  ("throughput", Json.Float throughput);
-                  ("latency_p50", Json.Float (pct 50.0));
-                  ("latency_p95", Json.Float (pct 95.0));
-                  ("latency_p99", Json.Float (pct 99.0));
-                  ( "per_trial",
-                    Json.List
-                      (Array.to_list
-                         (Array.map Protocol.summary_json summaries)) );
-                ]
-            in
-            Json.write ~path doc;
-            Printf.printf "  wrote %s\n" path
-        | None -> ());
-        observe ~trace_path ~metrics_path ~check (fun ~trace ->
-            let rng = Rng.create seed in
-            ignore (Protocol.run proto (env ~trace ~rng ()))))
+        Json.write ~path doc;
+        Printf.printf "  wrote %s\n" path
+    | None -> ());
+    observe ~trace_path ~metrics_path ~check (fun ~trace ->
+        let rng = Rng.create seed in
+        ignore (Protocol.run proto (env ~trace ~rng ())))
   in
   let protocol_arg =
     Arg.(
       value
       & opt string "gossip"
       & info [ "p"; "protocol" ] ~docv:"NAME"
-          ~doc:"Workload protocol: $(b,gossip) or $(b,push_sum).")
+          ~doc:
+            "Workload protocol: $(b,gossip), $(b,push_sum), or any entry \
+             that $(b,crn_sim protocols) lists as reading a load; others \
+             are rejected.")
   in
   let rate_arg =
     Arg.(
@@ -1578,7 +1353,7 @@ let load_cmd =
   in
   let rumors_arg =
     Arg.(
-      value & opt int 16
+      value & opt pos_int 16
       & info [ "rumors" ] ~docv:"K"
           ~doc:
             "Rumors in the workload batch; the run drains until all \
@@ -1619,8 +1394,6 @@ let () =
       [
         protocols_cmd;
         run_cmd;
-        broadcast_cmd;
-        aggregate_cmd;
         game_cmd;
         backoff_cmd;
         jam_cmd;

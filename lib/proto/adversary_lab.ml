@@ -33,33 +33,6 @@ let mode_of_string s =
         (Printf.sprintf "unknown dynamic mode %S (try: %s)" s
            (String.concat ", " (List.map mode_name all_modes)))
 
-(* Protocols that delegate to a static direct API snapshot slot 0 of the
-   availability, so a non-static mode would be silently ignored — reject
-   the combination instead. The jam_resist transformer replaces the
-   availability wholesale with the jammer-sensed spectrum, so composing
-   it with a CLI-selected dynamic mode would likewise discard the
-   request. *)
-let compatible_protocol ~mode name =
-  if mode = Static then Ok ()
-  else
-    let pl = String.length Jam_resist.prefix in
-    if name = "cogcomp" || name = "cogcomp_robust" then
-      Error
-        (Printf.sprintf
-           "--dynamic %s: %s runs its phases on the slot-0 assignment and \
-            cannot honor per-slot reassignment; use cogcast or another \
-            engine-driven protocol"
-           (mode_name mode) name)
-    else if String.length name > pl && String.sub name 0 pl = Jam_resist.prefix
-    then
-      Error
-        (Printf.sprintf
-           "--dynamic %s: %s derives its availability from the jammer's \
-            sensed spectrum (Theorem 18) and cannot compose with a \
-            CLI-selected reassignment policy"
-           (mode_name mode) name)
-    else Ok ()
-
 let validate ~mode ~spec =
   let { Topology.n; c; k } = spec in
   match mode with

@@ -32,15 +32,11 @@ val all_modes : dynamic_mode list
 val mode_name : dynamic_mode -> string
 val mode_of_string : string -> (dynamic_mode, string) result
 
-val compatible_protocol : mode:dynamic_mode -> string -> (unit, string) result
-(** [compatible_protocol ~mode name] is [Error] (with a user-facing
-    message) when the named protocol cannot honor a non-static mode:
-    [cogcomp]/[cogcomp_robust] run their phases on the slot-0 snapshot,
-    and [jam_resist:*] derives its availability from the jammer. *)
-
 val validate : mode:dynamic_mode -> spec:Crn_channel.Topology.spec -> (unit, string) result
 (** Parameter preconditions per mode ([Isolate] needs [k < c] and
-    [n >= 2]), as user-facing errors. *)
+    [n >= 2]), as user-facing errors. Whether a protocol honors a
+    non-static mode at all is its declared
+    {!Protocol.type-capabilities}[.dynamic]. *)
 
 type armed = {
   availability : Crn_channel.Dynamic.t;

@@ -56,7 +56,10 @@ let wrap proto =
       { s with Protocol.protocol = name }
     end
   in
-  Protocol.of_run ~name
+  (* The wrap replaces the availability with the sensed spectrum, so it
+     cannot also honor a caller's per-slot reassignment. *)
+  let capabilities = { (Protocol.capabilities proto) with Protocol.dynamic = false } in
+  Protocol.of_run ~name ~capabilities
     ~synopsis:
       (Printf.sprintf "Theorem 18 wrapper: %s on the sensed unjammed spectrum"
          inner)

@@ -32,7 +32,9 @@ val wrapped_name : string -> string
 
 val wrap : Protocol.t -> Protocol.t
 (** [wrap p] is the jamming-resistant transform of [p], named
-    [wrapped_name (Protocol.name p)]. Raises [Invalid_argument] at run
+    [wrapped_name (Protocol.name p)], with [p]'s capabilities except
+    [dynamic], which is [false]: the wrap supplies its own per-slot
+    availability. Raises [Invalid_argument] at run
     time when the environment's jammer budget [t] violates [2t < C]
     (Theorem 18's precondition). Note the transform sets the inner run's
     overlap to [C - 2t]; protocols that snapshot the slot-0 assignment

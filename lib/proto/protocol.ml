@@ -51,6 +51,10 @@ let env ?(source = 0) ?(k = 1) ?budget_factor ?max_slots ?jammer ?faults ?metric
     load;
   }
 
+(* Declared before [summary] so that [summary]'s fields, which it shares,
+   win unqualified field lookups. *)
+type report = { completed_at : int option; coverage : float; detail : Json.t }
+
 type summary = {
   protocol : string;
   slots_run : int;
@@ -88,6 +92,8 @@ let summary_json s =
       ("detail", s.detail);
     ]
 
+type capabilities = { dynamic : bool; max_slots : bool; metrics : bool; load : bool }
+
 module type S = sig
   val name : string
   val synopsis : string
@@ -103,7 +109,7 @@ module type S = sig
   val feedback : state -> node:int -> slot:int -> msg Crn_radio.Action.feedback -> unit
   val finished : state -> bool
   val project : state -> outcome:Runner.outcome -> result
-  val summarize : env -> result -> summary
+  val summarize : env -> result -> report
 end
 
 (* Reconcile the two places a shard count can enter a run: [env.shards]
@@ -131,13 +137,35 @@ let resolve_backend ~protocol (backend : Runner.backend) ~shards =
               trial; use the soa backend"
              protocol shards (Runner.backend_name b))
 
-type t = { p_name : string; p_synopsis : string; p_exec : env -> summary }
+type t = {
+  p_name : string;
+  p_synopsis : string;
+  p_capabilities : capabilities;
+  p_exec : env -> summary;
+}
 
 let name t = t.p_name
 let synopsis t = t.p_synopsis
-let run t env = t.p_exec env
+let capabilities t = t.p_capabilities
 
-let of_run ~name ~synopsis exec = { p_name = name; p_synopsis = synopsis; p_exec = exec }
+let unsupported t what =
+  Printf.sprintf "%s does not support %s (crn_sim protocols lists what each \
+                  entry supports)"
+    t.p_name what
+
+(* The one place environment features are checked against what the entry
+   declared: a feature it cannot honor is rejected, never silently
+   dropped. *)
+let run t (env : env) =
+  let c = t.p_capabilities in
+  let reject what = invalid_arg (unsupported t what) in
+  if env.max_slots <> None && not c.max_slots then reject "max_slots";
+  if env.metrics <> None && not c.metrics then reject "metrics";
+  if env.load <> None && not c.load then reject "load";
+  t.p_exec env
+
+let of_run ~name ~synopsis ~capabilities exec =
+  { p_name = name; p_synopsis = synopsis; p_capabilities = capabilities; p_exec = exec }
 
 (* The generic driver: machine -> engine nodes -> Runner -> projection. The
    trace preamble (Meta header, then a phase marker named after the
@@ -172,16 +200,21 @@ let exec_machine (module P : S) env =
       ~availability:env.availability ~rng:env.rng ()
   in
   let outcome = runner.Runner.run ~stop ~nodes ~max_slots () in
-  let s = P.summarize env (P.project st ~outcome) in
-  (* The driver owns the channel accounting: whatever the machine reported,
-     the engine's own counters and the emulation's raw-round/failed-session
-     cost are authoritative for the run that actually happened. *)
+  let r = P.summarize env (P.project st ~outcome) in
+  (* The machine reports what only it knows; the channel accounting and
+     the emulation's raw-round/failed-session cost come from the run that
+     actually happened. *)
   {
-    s with
+    protocol = P.name;
+    slots_run = outcome.Runner.slots_run;
+    completed = r.completed_at <> None;
+    completed_at = r.completed_at;
+    coverage = r.coverage;
     raw_rounds = outcome.Runner.raw_rounds;
     failed_sessions = outcome.Runner.failed_sessions;
     counters = outcome.Runner.counters;
+    detail = r.detail;
   }
 
-let of_machine (module P : S) =
-  { p_name = P.name; p_synopsis = P.synopsis; p_exec = exec_machine (module P) }
+let of_machine ~capabilities (module P : S) =
+  of_run ~name:P.name ~synopsis:P.synopsis ~capabilities (exec_machine (module P))

@@ -38,7 +38,8 @@ type env = {
           protocol's own default constant. *)
   max_slots : int option;
       (** Explicit slot budget, overriding the protocol's default. Rejected
-          by multi-phase protocols whose budget is not one number. *)
+          by multi-phase protocols whose budget is not one number
+          ({!type-capabilities}). *)
   jammer : Crn_radio.Jammer.t option;
   faults : Crn_radio.Faults.t option;
   metrics : Crn_radio.Metrics.t option;
@@ -55,7 +56,8 @@ type env = {
   load : load option;
       (** Offered load for the sustained-traffic workload protocols
           ([gossip], [push_sum]); [None] leaves each workload's default
-          rate in force. One-shot protocols ignore it. *)
+          rate in force. Entries that do not read it reject it
+          ({!type-capabilities}). *)
 }
 
 val env :
@@ -95,7 +97,18 @@ val resolve_backend :
     [protocol]) when [shards > 1] meets a backend that cannot shard a
     trial — any non-SoA backend — or conflicts with an explicit SoA shard
     count. The machine driver behind {!of_machine} applies this to every
-    run; [of_run] protocols apply it themselves. *)
+    run; [of_run] protocols apply it themselves. Front ends call it once
+    before fanning trials out: since every entry runs on every backend,
+    the answer does not depend on the protocol. *)
+
+type report = {
+  completed_at : int option;  (** Slot count at completion, when complete. *)
+  coverage : float;  (** As in {!summary}. *)
+  detail : Crn_stats.Json.t;  (** As in {!summary}. *)
+}
+(** The protocol-specific part of a machine's {!summary}; the driver adds
+    the name, the slot count, [completed = (completed_at <> None)] and the
+    channel accounting of the run that happened. *)
 
 type summary = {
   protocol : string;
@@ -128,7 +141,7 @@ val summary_json : summary -> Crn_stats.Json.t
     [decide]/[feedback] per node and slot exactly as {!Crn_radio.Engine}
     specifies, stops as soon as [finished] holds (a machine finished before
     the first slot runs zero slots), and projects the typed [result] which
-    [summarize] renders into the uniform view. *)
+    [summarize] renders into its {!report}. *)
 module type S = sig
   val name : string
   val synopsis : string
@@ -158,27 +171,57 @@ module type S = sig
   val feedback : state -> node:int -> slot:int -> msg Crn_radio.Action.feedback -> unit
   val finished : state -> bool
   val project : state -> outcome:Crn_radio.Runner.outcome -> result
-  val summarize : env -> result -> summary
+  val summarize : env -> result -> report
 end
+
+type capabilities = {
+  dynamic : bool;
+      (** Honors an availability that reassigns channels from slot to slot;
+          [false] for entries that run on the slot-0 snapshot (the
+          COGCOMPs) or replace the availability themselves ([jam_resist:]).
+          The library cannot tell a reassigning availability from a static
+          one, so front ends check this before arming a dynamic mode. *)
+  max_slots : bool;
+      (** Honors [env.max_slots]; [false] for multi-phase entries, whose
+          budget is not one number. *)
+  metrics : bool;  (** Honors [env.metrics]. *)
+  load : bool;
+      (** Reads [env.load]; [true] only for the sustained-traffic
+          workloads. *)
+}
+(** What an entry supports, declared once where it is packed. Every entry
+    runs on every {!Crn_radio.Runner} backend, and shards on the
+    {!Crn_radio.Runner.Soa} one, so neither is a capability. *)
 
 type t
 (** A packed protocol: what the {!Registry} stores and the CLI/bench
     dispatch on. *)
 
-val of_machine : (module S) -> t
+val of_machine : capabilities:capabilities -> (module S) -> t
 (** Packs a state machine behind the engine-backed driver. With [env.trace]
     supplied the driver records a {!Crn_radio.Trace.Meta} header and a
     [Phase name] marker before the run, mirroring what COGCAST's direct API
     does, so every registry trace starts with the same preamble. *)
 
-val of_run : name:string -> synopsis:string -> (env -> summary) -> t
+val of_run :
+  name:string ->
+  synopsis:string ->
+  capabilities:capabilities ->
+  (env -> summary) ->
+  t
 (** Packs an opaque runner for protocols that orchestrate their own engine
     runs. *)
 
 val name : t -> string
 val synopsis : t -> string
+val capabilities : t -> capabilities
+
+val unsupported : t -> string -> string
+(** [unsupported p feature] is the one error wording for a feature [p]
+    does not support: ["NAME does not support FEATURE (...)"]. *)
 
 val run : t -> env -> summary
-(** Executes the protocol in the environment. Raises [Invalid_argument] for
-    environment features the protocol cannot honor (e.g. [max_slots] on a
-    multi-phase protocol, whose budget is not a single number). *)
+(** Executes the protocol in the environment. Raises [Invalid_argument]
+    with {!unsupported}'s wording when the environment sets [max_slots],
+    [metrics] or [load] and the entry's {!type-capabilities} say it cannot honor
+    them. *)

@@ -1,7 +1,6 @@
 module Dynamic = Crn_channel.Dynamic
 module Assignment = Crn_channel.Assignment
 module Runner = Crn_radio.Runner
-module Trace = Crn_radio.Trace
 module Json = Crn_stats.Json
 module Cogcast = Crn_core.Cogcast
 module Cogcomp = Crn_core.Cogcomp
@@ -25,24 +24,23 @@ let frac num den = float_of_int num /. float_of_int den
    the closed form n(n-1)/2. *)
 let id_values n = Array.init n (fun v -> v)
 
-(* Environment features the multi-phase delegating entries cannot honor are
-   rejected loudly rather than silently dropped. *)
-let reject_metrics_and_max_slots ~name (env : Protocol.env) =
-  if env.metrics <> None then
-    invalid_arg
-      (name
-     ^ ": per-node metrics are not plumbed through this protocol; derive \
-        metrics from the trace instead");
-  if env.max_slots <> None then
-    invalid_arg
-      (name ^ ": max_slots does not apply to a multi-phase protocol; use \
-              budget_factor")
+(* What each entry supports, declared where it is packed. A single engine
+   run honors every per-run feature; the COGCOMPs run four phases on the
+   slot-0 assignment, with no single slot budget and no per-node metrics;
+   only the workloads read an offered load. *)
+let single_run =
+  { Protocol.dynamic = true; max_slots = true; metrics = true; load = false }
+
+let with_load = { single_run with Protocol.load = true }
+
+let multi_phase =
+  { Protocol.dynamic = false; max_slots = false; metrics = false; load = false }
 
 (* ---- the paper's protocols: delegate to the direct APIs so that a
    registry-dispatched run is byte-identical to a direct call ---- *)
 
 let cogcast =
-  Protocol.of_run ~name:"cogcast"
+  Protocol.of_run ~name:"cogcast" ~capabilities:single_run
     ~synopsis:"Epidemic local broadcast in O((c/k) max{1,c/n} lg n) slots (S4, Thm 4)"
     (fun env ->
       let n, c = dims env in
@@ -74,10 +72,9 @@ let cogcast =
       })
 
 let cogcomp =
-  Protocol.of_run ~name:"cogcomp"
+  Protocol.of_run ~name:"cogcomp" ~capabilities:multi_phase
     ~synopsis:"Four-phase data aggregation in O((c/k) max{1,c/n} lg n + n) slots (S5, Thm 10)"
     (fun env ->
-      reject_metrics_and_max_slots ~name:"cogcomp" env;
       let backend =
         Protocol.resolve_backend ~protocol:"cogcomp" env.backend
           ~shards:env.shards
@@ -119,10 +116,9 @@ let cogcomp =
       })
 
 let cogcomp_robust =
-  Protocol.of_run ~name:"cogcomp_robust"
+  Protocol.of_run ~name:"cogcomp_robust" ~capabilities:multi_phase
     ~synopsis:"Fault-tolerant COGCOMP: watchdogs, mediator re-election, acked drain"
     (fun env ->
-      reject_metrics_and_max_slots ~name:"cogcomp_robust" env;
       let backend =
         Protocol.resolve_backend ~protocol:"cogcomp_robust" env.backend
           ~shards:env.shards
@@ -188,17 +184,11 @@ module Broadcast_baseline_p = struct
   let project (st : state) ~(outcome : Runner.outcome) =
     st.B.snapshot ~slots_run:outcome.Runner.slots_run
 
-  let summarize env (r : result) =
+  let summarize env (r : result) : Protocol.report =
     let n, _ = dims env in
     {
-      Protocol.protocol = name;
-      slots_run = r.B.slots_run;
-      completed = r.B.completed_at <> None;
-      completed_at = r.B.completed_at;
+      Protocol.completed_at = r.B.completed_at;
       coverage = frac r.B.informed_count n;
-      raw_rounds = 0;
-      failed_sessions = 0;
-      counters = Trace.Counters.create ();
       detail = Json.Obj [ ("informed_count", Json.Int r.B.informed_count) ];
     }
 end
@@ -238,17 +228,11 @@ struct
   let project (st : state) ~(outcome : Runner.outcome) =
     st.A.snapshot ~slots_run:outcome.Runner.slots_run
 
-  let summarize env (r : result) =
+  let summarize env (r : result) : Protocol.report =
     let n, _ = dims env in
     {
-      Protocol.protocol = name;
-      slots_run = r.A.slots_run;
-      completed = r.A.completed_at <> None;
-      completed_at = r.A.completed_at;
+      Protocol.completed_at = r.A.completed_at;
       coverage = frac r.A.received_count n;
-      raw_rounds = 0;
-      failed_sessions = 0;
-      counters = Trace.Counters.create ();
       detail =
         Json.Obj
           [
@@ -299,17 +283,11 @@ module Random_hop_p = struct
   let project (st : state) ~(outcome : Runner.outcome) =
     st.R.snapshot ~slots_run:outcome.Runner.slots_run
 
-  let summarize env (r : result) =
+  let summarize env (r : result) : Protocol.report =
     let n, _ = dims env in
     {
-      Protocol.protocol = name;
-      slots_run = r.R.slots_run;
-      completed = r.R.completed_at <> None;
-      completed_at = r.R.completed_at;
+      Protocol.completed_at = r.R.completed_at;
       coverage = frac r.R.met_count n;
-      raw_rounds = 0;
-      failed_sessions = 0;
-      counters = Trace.Counters.create ();
       detail = Json.Obj [ ("met_count", Json.Int r.R.met_count) ];
     }
 end
@@ -342,17 +320,11 @@ module Seq_scan_p = struct
   let project (st : state) ~(outcome : Runner.outcome) =
     st.S.snapshot ~slots_run:outcome.Runner.slots_run
 
-  let summarize env (r : result) =
+  let summarize env (r : result) : Protocol.report =
     let n, _ = dims env in
     {
-      Protocol.protocol = name;
-      slots_run = r.S.slots_run;
-      completed = r.S.completed_at <> None;
-      completed_at = r.S.completed_at;
+      Protocol.completed_at = r.S.completed_at;
       coverage = frac r.S.informed_count n;
-      raw_rounds = 0;
-      failed_sessions = 0;
-      counters = Trace.Counters.create ();
       detail = Json.Obj [ ("informed_count", Json.Int r.S.informed_count) ];
     }
 end
@@ -390,17 +362,11 @@ module Deterministic_p = struct
   let project (st : state) ~(outcome : Runner.outcome) =
     st.D.snapshot ~slots_run:outcome.Runner.slots_run
 
-  let summarize env (r : result) =
+  let summarize env (r : result) : Protocol.report =
     let n, _ = dims env in
     {
-      Protocol.protocol = name;
-      slots_run = r.D.slots_run;
-      completed = r.D.completed_at <> None;
-      completed_at = r.D.completed_at;
+      Protocol.completed_at = r.D.completed_at;
       coverage = frac r.D.informed_count n;
-      raw_rounds = 0;
-      failed_sessions = 0;
-      counters = Trace.Counters.create ();
       detail = Json.Obj [ ("informed_count", Json.Int r.D.informed_count) ];
     }
 end
@@ -483,19 +449,13 @@ module Gossip_p = struct
   let project (st : state) ~(outcome : Runner.outcome) =
     st.G.snapshot ~slots_run:outcome.Runner.slots_run
 
-  let summarize _env (r : result) =
+  let summarize _env (r : result) : Protocol.report =
     let throughput =
       if r.G.slots_run > 0 then frac r.G.completed r.G.slots_run else 0.0
     in
     {
-      Protocol.protocol = name;
-      slots_run = r.G.slots_run;
-      completed = r.G.completed = r.G.total_rumors;
-      completed_at = r.G.completed_at;
+      Protocol.completed_at = r.G.completed_at;
       coverage = (if r.G.total_rumors = 0 then 1.0 else frac r.G.completed r.G.total_rumors);
-      raw_rounds = 0;
-      failed_sessions = 0;
-      counters = Trace.Counters.create ();
       detail =
         Json.Obj
           ([
@@ -542,20 +502,14 @@ module Push_sum_p = struct
   let project (st : state) ~(outcome : Runner.outcome) =
     st.P.snapshot ~slots_run:outcome.Runner.slots_run
 
-  let summarize env (r : result) =
+  let summarize env (r : result) : Protocol.report =
     let n, _ = dims env in
     let throughput =
       if r.P.slots_run > 0 then frac r.P.transfers r.P.slots_run else 0.0
     in
     {
-      Protocol.protocol = name;
-      slots_run = r.P.slots_run;
-      completed = r.P.completed_at <> None;
-      completed_at = r.P.completed_at;
+      Protocol.completed_at = r.P.completed_at;
       coverage = frac r.P.converged n;
-      raw_rounds = 0;
-      failed_sessions = 0;
-      counters = Trace.Counters.create ();
       detail =
         Json.Obj
           ([
@@ -574,14 +528,14 @@ end
 
 let machines =
   [
-    Protocol.of_machine (module Broadcast_baseline_p);
-    Protocol.of_machine (module Aggregation_ack_p);
-    Protocol.of_machine (module Aggregation_honest_p);
-    Protocol.of_machine (module Random_hop_p);
-    Protocol.of_machine (module Seq_scan_p);
-    Protocol.of_machine (module Deterministic_p);
-    Protocol.of_machine (module Gossip_p);
-    Protocol.of_machine (module Push_sum_p);
+    Protocol.of_machine ~capabilities:single_run (module Broadcast_baseline_p);
+    Protocol.of_machine ~capabilities:single_run (module Aggregation_ack_p);
+    Protocol.of_machine ~capabilities:single_run (module Aggregation_honest_p);
+    Protocol.of_machine ~capabilities:single_run (module Random_hop_p);
+    Protocol.of_machine ~capabilities:single_run (module Seq_scan_p);
+    Protocol.of_machine ~capabilities:single_run (module Deterministic_p);
+    Protocol.of_machine ~capabilities:with_load (module Gossip_p);
+    Protocol.of_machine ~capabilities:with_load (module Push_sum_p);
   ]
 
 let all = [ cogcast; cogcomp; cogcomp_robust ] @ machines

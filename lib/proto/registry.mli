@@ -1,7 +1,9 @@
 (** The central protocol registry: every protocol in the repository —
     COGCAST, COGCOMP, fault-tolerant COGCOMP and all five rendezvous
     baselines — packed behind the {!Protocol} interface under a stable
-    name, in one list the CLI and the bench harness dispatch on.
+    name, in one list the CLI and the bench harness dispatch on. Each entry
+    declares what it supports ({!Protocol.type-capabilities}) where it is
+    packed; [crn_sim protocols] prints the resulting matrix.
 
     Names are matched case-insensitively with ['-'] and ['_']
     interchangeable, so [crn_sim run --protocol cogcomp-robust] and
@@ -24,9 +26,8 @@ val machine_names : unit -> string list
     single-engine-run state machines the generic driver can place on any
     {!Crn_radio.Runner} backend, the struct-of-arrays one included. The
     [of_run] entries (cogcast, cogcomp, cogcomp_robust) are
-    excluded: they orchestrate their own engine runs and police their own
-    backend support. The SoA differential suite and bench E26 sweep this
-    list. *)
+    excluded: they orchestrate their own engine runs. The SoA differential
+    suite and bench E26 sweep this list. *)
 
 val find : string -> Protocol.t option
 (** Lookup by (normalized) name; [jam_resist:<name>] yields the wrapped

@@ -322,43 +322,31 @@ let test_run_trial_surfaces_violations () =
    nonzero exit. Violations cannot occur in a healthy build, so the
    binary's CRN_CHAOS_INJECT_VIOLATION selftest hook injects one. *)
 let test_chaos_check_exit_code () =
-  (* cwd is _build/default/test under `dune runtest` (the declared dep
-     guarantees the binary), the workspace root under `dune exec`. *)
-  let exe =
-    List.map
-      (fun rel -> Filename.concat (Sys.getcwd ()) rel)
-      [ "../bin/crn_sim.exe"; "_build/default/bin/crn_sim.exe" ]
-    |> List.find_opt Sys.file_exists
+  let tmp = Filename.temp_file "crn_chaos" "" in
+  Sys.remove tmp;
+  Sys.mkdir tmp 0o755;
+  let run env =
+    Sys.command
+      (Printf.sprintf
+         "cd %s && %s %s chaos -n 12 -c 6 -k 2 --fault-kind jam --dynamic \
+          reshuffle --rates 0,0.5 --trials 3 --protocols cogcast --check \
+          >/dev/null 2>&1"
+         (Filename.quote tmp) env (Filename.quote (Cli.exe ())))
   in
-  match exe with
-  | None -> Alcotest.fail "crn_sim.exe not found next to the test run"
-  | Some exe -> begin
-    let tmp = Filename.temp_file "crn_chaos" "" in
-    Sys.remove tmp;
-    Sys.mkdir tmp 0o755;
-    let run env =
-      Sys.command
-        (Printf.sprintf
-           "cd %s && %s %s chaos -n 12 -c 6 -k 2 --fault-kind jam --dynamic \
-            reshuffle --rates 0,0.5 --trials 3 --protocols cogcast --check \
-            >/dev/null 2>&1"
-           (Filename.quote tmp) env (Filename.quote exe))
-    in
-    let clean = run "" in
-    let injected = run "CRN_CHAOS_INJECT_VIOLATION=1" in
-    let dumped = Sys.readdir tmp in
-    Array.iter (fun f -> Sys.remove (Filename.concat tmp f)) dumped;
-    Sys.rmdir tmp;
-    Alcotest.(check int) "clean chaos --check exits 0" 0 clean;
-    if injected = 0 then
-      Alcotest.fail "chaos --check exited 0 despite per-trial violations";
-    if
-      not
-        (Array.exists
-           (fun f -> String.length f >= 13 && String.sub f 0 13 = "trace_failure")
-           dumped)
-    then Alcotest.fail "violating trials did not dump trace_failure_*.jsonl"
-  end
+  let clean = run "" in
+  let injected = run "CRN_CHAOS_INJECT_VIOLATION=1" in
+  let dumped = Sys.readdir tmp in
+  Array.iter (fun f -> Sys.remove (Filename.concat tmp f)) dumped;
+  Sys.rmdir tmp;
+  Alcotest.(check int) "clean chaos --check exits 0" 0 clean;
+  if injected = 0 then
+    Alcotest.fail "chaos --check exited 0 despite per-trial violations";
+  if
+    not
+      (Array.exists
+         (fun f -> String.length f >= 13 && String.sub f 0 13 = "trace_failure")
+         dumped)
+  then Alcotest.fail "violating trials did not dump trace_failure_*.jsonl"
 
 (* ---- registry resolution of the jam_resist: prefix ---- *)
 
