@@ -14,6 +14,7 @@ module Topology = Crn_channel.Topology
 module Assignment = Crn_channel.Assignment
 module Dynamic = Crn_channel.Dynamic
 module Faults = Crn_radio.Faults
+module Runner = Crn_radio.Runner
 module Cogcast = Crn_core.Cogcast
 module Complexity = Crn_core.Complexity
 module Deterministic = Crn_rendezvous.Deterministic
@@ -91,12 +92,14 @@ let e16 () =
   let js =
     median_of ~trials ~base_seed:19_000 (fun rng ->
         let a = Topology.shared_core ~global_labels:true rng spec in
-        match
-          Deterministic.broadcast ~make_schedule:Deterministic.jump_stay ~source:0
-            ~assignment:a ~rng ~max_slots:1_000_000 ()
-        with
-        | Some s -> s
-        | None -> 1_000_000)
+        let m =
+          Deterministic.machine ~make_schedule:Deterministic.jump_stay ~source:0
+            ~assignment:a
+        in
+        let runner = Runner.make ~availability:(Dynamic.static a) ~rng () in
+        match fst (Runner.drive runner m ~max_slots:1_000_000) with
+        | { Deterministic.completed_at = Some s; _ } -> s
+        | { Deterministic.completed_at = None; _ } -> 1_000_000)
   in
   note "broadcast n=32 c=8 k=3: COGCAST median %.0f vs jump-stay-epidemic median %.0f"
     epidemic js

@@ -372,7 +372,13 @@ let bench_baseline =
     (Staged.stage (fun () ->
          let rng = Rng.create 7 in
          let assignment = Topology.shared_core rng spec in
-         Crn_rendezvous.Broadcast_baseline.run_static ~source:0 ~assignment ~k:4 ~rng ()))
+         let availability = Dynamic.static assignment in
+         let { Topology.n; c; k } = spec in
+         let budget = Crn_core.Complexity.rendezvous_broadcast ~n ~c ~k in
+         Runner.drive
+           (Runner.make ~availability ~rng ())
+           (Crn_rendezvous.Broadcast_baseline.machine ~source:0 ~availability ~rng)
+           ~max_slots:(int_of_float (Float.ceil (8.0 *. budget)))))
 
 (* E10 kernel: the hop-together scan. *)
 let bench_scan =
@@ -382,8 +388,10 @@ let bench_scan =
            Topology.shared_core ~global_labels:true (Rng.create 8)
              { Topology.n = 16; c = 32; k = 31 }
          in
-         Crn_rendezvous.Seq_scan.run ~source:0 ~assignment:a ~rng:(Rng.create 9)
-           ~max_slots:10_000 ()))
+         Runner.drive
+           (Runner.make ~availability:(Dynamic.static a) ~rng:(Rng.create 9) ())
+           (Crn_rendezvous.Seq_scan.machine ~source:0 ~assignment:a)
+           ~max_slots:10_000))
 
 (* E12 kernel: one slot's worth of jamming-reduction availability. *)
 let bench_jamming_reduction =

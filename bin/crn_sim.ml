@@ -504,7 +504,9 @@ let protocols_cmd =
       "\nEvery entry runs on every backend (engine, soa with --shards, \
        reference,\nemulation, emulation-csma). Every entry also resolves as \
        jam_resist:<name>:\nthe Theorem 18 transform running the protocol \
-       unmodified on the jammer's\nsensed spectrum.\n"
+       unmodified on the jammer's\nsensed spectrum. Under a jam budget > 0 \
+       that spectrum changes every slot, so\nthe transform needs an entry \
+       with dynamic = yes; at budget 0 it is the\nplain entry.\n"
   in
   Cmd.v
     (Cmd.info "protocols"
@@ -1004,7 +1006,9 @@ let chaos_cmd =
         List.length t.Adversary_lab.violations,
         t.Adversary_lab.trace_jsonl )
     in
-    Pool.with_pool ~jobs (fun pool ->
+    (* A run the library rejects (e.g. the Theorem 18 wrap of a
+       static-only entry under a jammer) is a user error, not a crash. *)
+    try Pool.with_pool ~jobs (fun pool ->
         let failures = ref [] in
         let proto_objs =
           List.map
@@ -1130,6 +1134,7 @@ let chaos_cmd =
         | fs ->
             List.iter (Format.eprintf "  warning: %s@.") fs;
             `Ok ())
+    with Invalid_argument msg -> `Error (false, msg)
   in
   let kind_arg =
     Arg.(

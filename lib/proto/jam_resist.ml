@@ -33,6 +33,15 @@ let wrap proto =
           (Printf.sprintf
              "%s: jammer budget %d must be below C/2 = %d/2 (Theorem 18)" name
              budget num_channels);
+      (* The reduction hands the inner protocol a per-slot availability, so
+         Theorem 18 covers only protocols that solve broadcast on a dynamic
+         spectrum. *)
+      if not (Protocol.capabilities proto).Protocol.dynamic then
+        invalid_arg
+          (Printf.sprintf
+             "%s: %s does not support a dynamic spectrum, which the Theorem \
+              18 transform needs under a jammer budget %d > 0"
+             name inner budget);
       (match env.Protocol.trace with
       | Some tr ->
           Trace.record tr

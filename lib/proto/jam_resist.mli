@@ -1,6 +1,6 @@
-(** The Theorem 18 protocol transformer: any local-broadcast protocol,
-    unmodified, becomes an n-uniform jamming-resistant multi-channel
-    broadcast.
+(** The Theorem 18 protocol transformer: any local-broadcast protocol that
+    works on a dynamic spectrum, unmodified, becomes an n-uniform
+    jamming-resistant multi-channel broadcast.
 
     The reduction (§7): [n] nodes all own the same [C] channels; an
     adversary jams at most [t < C/2] channels per node per slot. A node
@@ -34,8 +34,12 @@ val wrap : Protocol.t -> Protocol.t
 (** [wrap p] is the jamming-resistant transform of [p], named
     [wrapped_name (Protocol.name p)], with [p]'s capabilities except
     [dynamic], which is [false]: the wrap supplies its own per-slot
-    availability. Raises [Invalid_argument] at run
-    time when the environment's jammer budget [t] violates [2t < C]
-    (Theorem 18's precondition). Note the transform sets the inner run's
-    overlap to [C - 2t]; protocols that snapshot the slot-0 assignment
-    (e.g. [cogcomp]) see the slot-0 sensed spectrum. *)
+    availability. Raises [Invalid_argument] at run time when the
+    environment's jammer budget [t > 0] violates [2t < C] (Theorem 18's
+    precondition), or when [p] does not support a dynamic spectrum
+    ({!Protocol.type-capabilities}): Theorem 18 needs an inner protocol
+    that solves broadcast on a dynamic availability, and a protocol that
+    reads the slot-0 assignment (the COGCOMPs, [seq_scan],
+    [deterministic]) would run on the slot-0 sensed spectrum only. At
+    budget 0 every entry passes through unchanged. The transform sets
+    the inner run's overlap to [C - 2t]. *)

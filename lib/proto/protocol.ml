@@ -1,6 +1,5 @@
 module Dynamic = Crn_channel.Dynamic
 module Assignment = Crn_channel.Assignment
-module Engine = Crn_radio.Engine
 module Runner = Crn_radio.Runner
 module Trace = Crn_radio.Trace
 module Json = Crn_stats.Json
@@ -94,24 +93,6 @@ let summary_json s =
 
 type capabilities = { dynamic : bool; max_slots : bool; metrics : bool; load : bool }
 
-module type S = sig
-  val name : string
-  val synopsis : string
-  val shardable : bool
-
-  type msg
-  type state
-  type result
-
-  val budget : env -> int
-  val init : env -> state
-  val decide : state -> node:int -> slot:int -> msg Crn_radio.Action.decision
-  val feedback : state -> node:int -> slot:int -> msg Crn_radio.Action.feedback -> unit
-  val finished : state -> bool
-  val project : state -> outcome:Runner.outcome -> result
-  val summarize : env -> result -> report
-end
-
 (* Reconcile the two places a shard count can enter a run: [env.shards]
    (the CLI's [--shards]) and
    the shard count carried inside a [Runner.Soa] backend payload. Only the
@@ -167,45 +148,37 @@ let run t (env : env) =
 let of_run ~name ~synopsis ~capabilities exec =
   { p_name = name; p_synopsis = synopsis; p_capabilities = capabilities; p_exec = exec }
 
-(* The generic driver: machine -> engine nodes -> Runner -> projection. The
-   trace preamble (Meta header, then a phase marker named after the
-   protocol) matches what Cogcast.run emits, so registry traces are
-   uniform regardless of how the protocol entered the layer. *)
-let exec_machine (module P : S) env =
-  let n = Dynamic.num_nodes env.availability in
-  let c = Dynamic.channels_per_node env.availability in
+(* The generic driver: the machine runs on the environment's backend
+   through [Runner.drive]. The trace preamble (Meta header, then a phase
+   marker named after the protocol) matches what Cogcast.run emits, so
+   registry traces are uniform regardless of how the protocol entered the
+   layer. *)
+let exec_machine ~name ~shardable ~budget ~init ~summarize env =
   (match env.trace with
   | Some tr ->
+      let n = Dynamic.num_nodes env.availability in
+      let c = Dynamic.channels_per_node env.availability in
       let channels = Assignment.num_channels (Dynamic.at env.availability 0) in
       Trace.record tr (Trace.Meta { n; channels; c; source = env.source });
-      Trace.record tr (Trace.Phase { name = P.name })
+      Trace.record tr (Trace.Phase { name })
   | None -> ());
-  let st = P.init env in
-  let nodes =
-    Array.init n (fun v ->
-        Engine.node ~id:v
-          ~decide:(fun ~slot -> P.decide st ~node:v ~slot)
-          ~feedback:(fun ~slot fb -> P.feedback st ~node:v ~slot fb))
-  in
+  let machine = init env in
   let max_slots =
-    match env.max_slots with Some m -> m | None -> P.budget env
+    match env.max_slots with Some m -> m | None -> budget env
   in
-  (* A machine that is complete before the first slot runs zero slots. *)
-  let max_slots = if P.finished st then 0 else max_slots in
-  let stop ~slot:_ = P.finished st in
-  let backend = resolve_backend ~protocol:P.name env.backend ~shards:env.shards in
+  let backend = resolve_backend ~protocol:name env.backend ~shards:env.shards in
   let runner =
-    Runner.make ~machine_parallel:P.shardable ?jammer:env.jammer
+    Runner.make ~machine_parallel:shardable ?jammer:env.jammer
       ?faults:env.faults ?metrics:env.metrics ?trace:env.trace ~backend
       ~availability:env.availability ~rng:env.rng ()
   in
-  let outcome = runner.Runner.run ~stop ~nodes ~max_slots () in
-  let r = P.summarize env (P.project st ~outcome) in
+  let result, outcome = Runner.drive runner machine ~max_slots in
+  let r : report = summarize env result in
   (* The machine reports what only it knows; the channel accounting and
      the emulation's raw-round/failed-session cost come from the run that
      actually happened. *)
   {
-    protocol = P.name;
+    protocol = name;
     slots_run = outcome.Runner.slots_run;
     completed = r.completed_at <> None;
     completed_at = r.completed_at;
@@ -216,5 +189,7 @@ let exec_machine (module P : S) env =
     detail = r.detail;
   }
 
-let of_machine ~capabilities (module P : S) =
-  of_run ~name:P.name ~synopsis:P.synopsis ~capabilities (exec_machine (module P))
+let of_machine ~name ~synopsis ~capabilities ~shardable ~budget ~init
+    ~summarize =
+  of_run ~name ~synopsis ~capabilities
+    (exec_machine ~name ~shardable ~budget ~init ~summarize)

@@ -1,16 +1,16 @@
 (** The uniform protocol layer: one environment record describing a run, one
-    summary record every protocol reports in, one module interface for
-    protocols expressed as per-node state machines, and one existential
-    wrapper the {!Registry} stores.
+    summary record every protocol reports in, and one existential wrapper
+    the {!Registry} stores.
 
     Two ways into the layer:
     {ul
-    {- {!of_machine} packs a {!module-type-S} — a per-node
-       [init]/[decide]/[feedback]/[finished] state machine over
-       ['msg Crn_radio.Engine.node] semantics — and drives it through
-       {!Crn_radio.Runner} (so any backend, jammer, fault schedule, metrics
-       sink or trace applies uniformly). The five rendezvous modules enter
-       this way, through the machine builders they export.}
+    {- {!of_machine} packs a {!Crn_radio.Machine.t} — a per-node
+       [decide]/[feedback]/[finished] state machine over
+       ['msg Crn_radio.Engine.node] semantics — built per run by [init],
+       and drives it with {!Crn_radio.Runner.drive} (so any backend,
+       jammer, fault schedule, metrics sink or trace applies uniformly).
+       The rendezvous baselines and the workloads enter this way, through
+       the machine builders their modules export.}
     {- {!of_run} packs an opaque [env -> summary] function for protocols
        whose structure does not fit a single engine run — COGCOMP's four
        phases, for example — delegating to their direct APIs so that a
@@ -135,52 +135,15 @@ val summary_json : summary -> Crn_stats.Json.t
 (** The uniform JSON view: every {!summary} field, with [counters]
     flattened into an object. *)
 
-(** A protocol as a per-node state machine. [init] builds the whole-network
-    state from the environment (splitting whatever randomness it needs off
-    [env.rng] before the runner consumes it); the driver then polls
-    [decide]/[feedback] per node and slot exactly as {!Crn_radio.Engine}
-    specifies, stops as soon as [finished] holds (a machine finished before
-    the first slot runs zero slots), and projects the typed [result] which
-    [summarize] renders into its {!report}. *)
-module type S = sig
-  val name : string
-  val synopsis : string
-
-  val shardable : bool
-  (** [true] iff the machine's state honors the SoA sharding contract —
-      per-node RNG streams, writes confined to the node's own indices,
-      commutative aggregates behind [Atomic] — so that on a
-      {!Crn_radio.Runner.Soa} backend its decide/feedback callbacks may run
-      domain-parallel per shard. Machines drawing decide-time randomness
-      from a shared stream or mutating shared non-atomic state must say
-      [false]; they still run on the SoA backend (and still benefit from
-      its sharded channel phases), just with sequential callbacks. Either
-      way results are byte-identical to the {!Crn_radio.Runner.Engine}
-      backend at any shard count. *)
-
-  type msg
-  type state
-  type result
-
-  val budget : env -> int
-  (** Default [max_slots] for the environment's dimensions, honoring
-      [env.budget_factor]. *)
-
-  val init : env -> state
-  val decide : state -> node:int -> slot:int -> msg Crn_radio.Action.decision
-  val feedback : state -> node:int -> slot:int -> msg Crn_radio.Action.feedback -> unit
-  val finished : state -> bool
-  val project : state -> outcome:Crn_radio.Runner.outcome -> result
-  val summarize : env -> result -> report
-end
-
 type capabilities = {
   dynamic : bool;
       (** Honors an availability that reassigns channels from slot to slot;
-          [false] for entries that run on the slot-0 snapshot (the
-          COGCOMPs) or replace the availability themselves ([jam_resist:]).
-          The library cannot tell a reassigning availability from a static
-          one, so front ends check this before arming a dynamic mode. *)
+          [false] for entries that build their channel tables from the
+          slot-0 assignment (the COGCOMPs, [seq_scan]'s global-channel
+          labels, [deterministic]'s schedules) or replace the availability
+          themselves ([jam_resist:]). The library cannot tell a reassigning
+          availability from a static one, so front ends check this before
+          arming a dynamic mode. *)
   max_slots : bool;
       (** Honors [env.max_slots]; [false] for multi-phase entries, whose
           budget is not one number. *)
@@ -197,11 +160,38 @@ type t
 (** A packed protocol: what the {!Registry} stores and the CLI/bench
     dispatch on. *)
 
-val of_machine : capabilities:capabilities -> (module S) -> t
-(** Packs a state machine behind the engine-backed driver. With [env.trace]
-    supplied the driver records a {!Crn_radio.Trace.Meta} header and a
-    [Phase name] marker before the run, mirroring what COGCAST's direct API
-    does, so every registry trace starts with the same preamble. *)
+val of_machine :
+  name:string ->
+  synopsis:string ->
+  capabilities:capabilities ->
+  shardable:bool ->
+  budget:(env -> int) ->
+  init:(env -> ('msg, 'r) Crn_radio.Machine.t) ->
+  summarize:(env -> 'r -> report) ->
+  t
+(** Packs a state machine behind the one machine driver. Per run, [init]
+    builds the machine from the environment (splitting whatever randomness
+    it needs off [env.rng] before the runner consumes it), and
+    {!Crn_radio.Runner.drive} runs it for [env.max_slots] slots, or
+    [budget env] when unset (the default budget honors
+    [env.budget_factor] and must not consume randomness). [summarize]
+    renders the machine's snapshot into its {!report}; the driver adds the
+    rest of the {!summary}.
+
+    [shardable] is [true] iff the machine honors the SoA sharding
+    contract — per-node RNG streams, writes confined to the node's own
+    indices, commutative aggregates behind [Atomic] — so that on a
+    {!Crn_radio.Runner.Soa} backend its decide/feedback callbacks may run
+    domain-parallel per shard. Machines drawing decide-time randomness
+    from a shared stream or mutating shared non-atomic state say [false];
+    they still run on the SoA backend with sequential callbacks. Either
+    way results are byte-identical to the {!Crn_radio.Runner.Engine}
+    backend at any shard count.
+
+    With [env.trace] supplied the driver records a
+    {!Crn_radio.Trace.Meta} header and a [Phase name] marker before the
+    run, mirroring what COGCAST's direct API does, so every registry trace
+    starts with the same preamble. *)
 
 val of_run :
   name:string ->

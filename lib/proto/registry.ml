@@ -1,6 +1,5 @@
 module Dynamic = Crn_channel.Dynamic
 module Assignment = Crn_channel.Assignment
-module Runner = Crn_radio.Runner
 module Json = Crn_stats.Json
 module Cogcast = Crn_core.Cogcast
 module Cogcomp = Crn_core.Cogcomp
@@ -11,8 +10,8 @@ module Complexity = Crn_core.Complexity
 let dims (env : Protocol.env) =
   (Dynamic.num_nodes env.availability, Dynamic.channels_per_node env.availability)
 
-(* Identical to the rendezvous modules' [run_static] sizing, so a registry
-   run and a direct [run_static] call agree on the budget. *)
+(* The rendezvous baselines' default budget: [budget_factor] (default 8)
+   times the closed-form bound, at least one slot. *)
 let scaled_budget (env : Protocol.env) base =
   let factor = Option.value env.budget_factor ~default:8.0 in
   max 1 (int_of_float (Float.ceil (factor *. base)))
@@ -25,12 +24,15 @@ let frac num den = float_of_int num /. float_of_int den
 let id_values n = Array.init n (fun v -> v)
 
 (* What each entry supports, declared where it is packed. A single engine
-   run honors every per-run feature; the COGCOMPs run four phases on the
-   slot-0 assignment, with no single slot budget and no per-node metrics;
-   only the workloads read an offered load. *)
+   run honors every per-run feature, except that the global-label schedules
+   (seq_scan, deterministic) build their channel tables from the slot-0
+   assignment and so need a static spectrum; the COGCOMPs run four phases
+   on the slot-0 assignment, with no single slot budget and no per-node
+   metrics; only the workloads read an offered load. *)
 let single_run =
   { Protocol.dynamic = true; max_slots = true; metrics = true; load = false }
 
+let static_schedule = { single_run with Protocol.dynamic = false }
 let with_load = { single_run with Protocol.load = true }
 
 let multi_phase =
@@ -154,222 +156,114 @@ let cogcomp_robust =
             ];
       })
 
-(* ---- the rendezvous baselines: state machines behind the generic
+(* ---- the rendezvous baselines: state machines behind the one machine
    driver ---- *)
 
-module Broadcast_baseline_p = struct
-  module B = Crn_rendezvous.Broadcast_baseline
+let count_report env ~completed_at ~key count : Protocol.report =
+  let n, _ = dims env in
+  {
+    Protocol.completed_at;
+    coverage = frac count n;
+    detail = Json.Obj [ (key, Json.Int count) ];
+  }
 
-  let name = "broadcast_baseline"
-  let synopsis = "Straw-man broadcast: rendezvous against a transmitting source (S1)"
+let broadcast_budget env =
+  let n, c = dims env in
+  scaled_budget env (Complexity.rendezvous_broadcast ~n ~c ~k:env.Protocol.k)
 
-  (* Per-node RNG streams, own-index writes, atomic informed counter. *)
-  let shardable = true
+let broadcast_baseline =
+  let module B = Crn_rendezvous.Broadcast_baseline in
+  Protocol.of_machine ~name:"broadcast_baseline" ~capabilities:single_run
+    ~synopsis:"Straw-man broadcast: rendezvous against a transmitting source (S1)"
+    (* Per-node RNG streams, own-index writes, atomic informed counter. *)
+    ~shardable:true ~budget:broadcast_budget
+    ~init:(fun env ->
+      B.machine ~source:env.Protocol.source ~availability:env.availability
+        ~rng:env.rng)
+    ~summarize:(fun env (r : B.result) ->
+      count_report env ~completed_at:r.B.completed_at ~key:"informed_count"
+        r.B.informed_count)
 
-  type msg = B.msg
-  type state = B.machine
-  type result = B.result
+let aggregation_baseline ~name ~synopsis ~ack =
+  let module A = Crn_rendezvous.Aggregation_baseline in
+  Protocol.of_machine ~name ~synopsis ~capabilities:single_run
+    (* Only the source's feedback mutates the shared accumulator, and each
+       non-source node writes its own indices: single-writer, shard-safe. *)
+    ~shardable:true
+    ~budget:(fun env ->
+      let n, c = dims env in
+      scaled_budget env
+        (Complexity.rendezvous_aggregation ~n ~c ~k:env.Protocol.k))
+    ~init:(fun env ->
+      let n, _ = dims env in
+      A.machine ~ack ~monoid:Aggregate.sum ~values:(id_values n)
+        ~source:env.Protocol.source ~availability:env.availability ~rng:env.rng
+        ())
+    ~summarize:(fun env (r : int A.result) ->
+      let n, _ = dims env in
+      {
+        Protocol.completed_at = r.A.completed_at;
+        coverage = frac r.A.received_count n;
+        detail =
+          Json.Obj
+            [
+              ("received_count", Json.Int r.A.received_count);
+              ( "root_value",
+                match r.A.root_value with Some v -> Json.Int v | None -> Json.Null );
+            ];
+      })
 
-  let budget env =
-    let n, c = dims env in
-    scaled_budget env (Complexity.rendezvous_broadcast ~n ~c ~k:env.Protocol.k)
+let random_hop =
+  let module R = Crn_rendezvous.Random_hop in
+  Protocol.of_machine ~name:"random_hop" ~capabilities:single_run
+    ~synopsis:"Uniform random hopping: the source beacons until it has met every node (S1)"
+    (* Decide-time draws come from one shared stream whose consumption
+       order is node order — not shardable without changing the law. *)
+    ~shardable:false ~budget:broadcast_budget
+    ~init:(fun env ->
+      R.machine ~source:env.Protocol.source ~availability:env.availability
+        ~rng:env.rng)
+    ~summarize:(fun env (r : R.result) ->
+      count_report env ~completed_at:r.R.completed_at ~key:"met_count"
+        r.R.met_count)
 
-  let init (env : Protocol.env) =
-    B.machine ~source:env.source ~availability:env.availability ~rng:env.rng
+let spectrum_size (env : Protocol.env) =
+  Assignment.num_channels (Dynamic.at env.availability 0)
 
-  let decide (st : state) = st.B.decide
-  let feedback (st : state) = st.B.feedback
-  let finished (st : state) = st.B.finished ()
+let seq_scan =
+  let module S = Crn_rendezvous.Seq_scan in
+  Protocol.of_machine ~name:"seq_scan" ~capabilities:static_schedule
+    ~synopsis:"Hop-together sequential scan over the global spectrum, O(C/k) (S6)"
+    (* Deterministic schedule; own-index writes, atomic informed counter. *)
+    ~shardable:true
+    (* E10's budget: 8 x C (the spectrum size), i.e. budget_factor x C. *)
+    ~budget:(fun env -> scaled_budget env (float_of_int (spectrum_size env)))
+    ~init:(fun env ->
+      S.machine ~source:env.Protocol.source
+        ~assignment:(Dynamic.at env.availability 0))
+    ~summarize:(fun env (r : S.result) ->
+      count_report env ~completed_at:r.S.completed_at ~key:"informed_count"
+        r.S.informed_count)
 
-  let project (st : state) ~(outcome : Runner.outcome) =
-    st.B.snapshot ~slots_run:outcome.Runner.slots_run
-
-  let summarize env (r : result) : Protocol.report =
-    let n, _ = dims env in
-    {
-      Protocol.completed_at = r.B.completed_at;
-      coverage = frac r.B.informed_count n;
-      detail = Json.Obj [ ("informed_count", Json.Int r.B.informed_count) ];
-    }
-end
-
-module Aggregation_baseline_p (Variant : sig
-  val name : string
-  val synopsis : string
-  val ack : bool
-end) =
-struct
-  module A = Crn_rendezvous.Aggregation_baseline
-
-  let name = Variant.name
-  let synopsis = Variant.synopsis
-
-  (* Only the source's feedback mutates the shared accumulator, and each
-     non-source node writes its own indices: single-writer, shard-safe. *)
-  let shardable = true
-
-  type msg = int A.msg
-  type state = int A.machine
-  type result = int A.result
-
-  let budget env =
-    let n, c = dims env in
-    scaled_budget env (Complexity.rendezvous_aggregation ~n ~c ~k:env.Protocol.k)
-
-  let init (env : Protocol.env) =
-    let n, _ = dims env in
-    A.machine ~ack:Variant.ack ~monoid:Aggregate.sum ~values:(id_values n)
-      ~source:env.source ~availability:env.availability ~rng:env.rng ()
-
-  let decide (st : state) = st.A.decide
-  let feedback (st : state) = st.A.feedback
-  let finished (st : state) = st.A.finished ()
-
-  let project (st : state) ~(outcome : Runner.outcome) =
-    st.A.snapshot ~slots_run:outcome.Runner.slots_run
-
-  let summarize env (r : result) : Protocol.report =
-    let n, _ = dims env in
-    {
-      Protocol.completed_at = r.A.completed_at;
-      coverage = frac r.A.received_count n;
-      detail =
-        Json.Obj
-          [
-            ("received_count", Json.Int r.A.received_count);
-            ( "root_value",
-              match r.A.root_value with Some v -> Json.Int v | None -> Json.Null );
-          ];
-    }
-end
-
-module Aggregation_ack_p = Aggregation_baseline_p (struct
-  let name = "aggregation_baseline"
-  let synopsis = "Straw-man aggregation with free ACKs: fair-contention lower bound (S1)"
-  let ack = true
-end)
-
-module Aggregation_honest_p = Aggregation_baseline_p (struct
-  let name = "aggregation_baseline_honest"
-  let synopsis = "Straw-man aggregation, no ACKs: source coupon-collects all values (S1)"
-  let ack = false
-end)
-
-module Random_hop_p = struct
-  module R = Crn_rendezvous.Random_hop
-
-  let name = "random_hop"
-  let synopsis = "Uniform random hopping: the source beacons until it has met every node (S1)"
-
-  (* Decide-time draws come from one shared stream whose consumption
-     order is node order — not shardable without changing the law. *)
-  let shardable = false
-
-  type msg = R.msg
-  type state = R.machine
-  type result = R.result
-
-  let budget env =
-    let n, c = dims env in
-    scaled_budget env (Complexity.rendezvous_broadcast ~n ~c ~k:env.Protocol.k)
-
-  let init (env : Protocol.env) =
-    R.machine ~source:env.source ~availability:env.availability ~rng:env.rng
-
-  let decide (st : state) = st.R.decide
-  let feedback (st : state) = st.R.feedback
-  let finished (st : state) = st.R.finished ()
-
-  let project (st : state) ~(outcome : Runner.outcome) =
-    st.R.snapshot ~slots_run:outcome.Runner.slots_run
-
-  let summarize env (r : result) : Protocol.report =
-    let n, _ = dims env in
-    {
-      Protocol.completed_at = r.R.completed_at;
-      coverage = frac r.R.met_count n;
-      detail = Json.Obj [ ("met_count", Json.Int r.R.met_count) ];
-    }
-end
-
-module Seq_scan_p = struct
-  module S = Crn_rendezvous.Seq_scan
-
-  let name = "seq_scan"
-  let synopsis = "Hop-together sequential scan over the global spectrum, O(C/k) (S6)"
-
-  (* Deterministic schedule; own-index writes, atomic informed counter. *)
-  let shardable = true
-
-  type msg = S.msg
-  type state = S.machine
-  type result = S.result
-
-  (* E10's budget: 8 x C (the spectrum size), i.e. budget_factor x C. *)
-  let budget (env : Protocol.env) =
-    let big_c = Assignment.num_channels (Dynamic.at env.availability 0) in
-    scaled_budget env (float_of_int big_c)
-
-  let init (env : Protocol.env) =
-    S.machine ~source:env.source ~assignment:(Dynamic.at env.availability 0)
-
-  let decide (st : state) = st.S.decide
-  let feedback (st : state) = st.S.feedback
-  let finished (st : state) = st.S.finished ()
-
-  let project (st : state) ~(outcome : Runner.outcome) =
-    st.S.snapshot ~slots_run:outcome.Runner.slots_run
-
-  let summarize env (r : result) : Protocol.report =
-    let n, _ = dims env in
-    {
-      Protocol.completed_at = r.S.completed_at;
-      coverage = frac r.S.informed_count n;
-      detail = Json.Obj [ ("informed_count", Json.Int r.S.informed_count) ];
-    }
-end
-
-module Deterministic_p = struct
-  module D = Crn_rendezvous.Deterministic
-
-  let name = "deterministic"
-  let synopsis = "Jump-stay deterministic hopping schedule driving an epidemic broadcast (S3)"
-
-  (* Deterministic schedule; own-index writes, atomic informed counter. *)
-  let shardable = true
-
-  type msg = D.msg
-  type state = D.machine
-  type result = D.broadcast_result
-
-  (* Pair rendezvous under jump-stay needs O(P) slots within a round of 3P
-     (P the smallest prime >= C); the epidemic chain multiplies by the
-     spread depth, bounded by lg n in expectation. *)
-  let budget (env : Protocol.env) =
-    let n, _ = dims env in
-    let big_c = Assignment.num_channels (Dynamic.at env.availability 0) in
-    let p = D.smallest_prime_geq big_c in
-    scaled_budget env (float_of_int (3 * p) *. Complexity.lg (float_of_int n))
-
-  let init (env : Protocol.env) =
-    D.machine ~make_schedule:D.jump_stay ~source:env.source
-      ~assignment:(Dynamic.at env.availability 0)
-
-  let decide (st : state) = st.D.decide
-  let feedback (st : state) = st.D.feedback
-  let finished (st : state) = st.D.finished ()
-
-  let project (st : state) ~(outcome : Runner.outcome) =
-    st.D.snapshot ~slots_run:outcome.Runner.slots_run
-
-  let summarize env (r : result) : Protocol.report =
-    let n, _ = dims env in
-    {
-      Protocol.completed_at = r.D.completed_at;
-      coverage = frac r.D.informed_count n;
-      detail = Json.Obj [ ("informed_count", Json.Int r.D.informed_count) ];
-    }
-end
+let deterministic =
+  let module D = Crn_rendezvous.Deterministic in
+  Protocol.of_machine ~name:"deterministic" ~capabilities:static_schedule
+    ~synopsis:"Jump-stay deterministic hopping schedule driving an epidemic broadcast (S3)"
+    (* Deterministic schedule; own-index writes, atomic informed counter. *)
+    ~shardable:true
+    (* Pair rendezvous under jump-stay needs O(P) slots within a round of 3P
+       (P the smallest prime >= C); the epidemic chain multiplies by the
+       spread depth, bounded by lg n in expectation. *)
+    ~budget:(fun env ->
+      let n, _ = dims env in
+      let p = D.smallest_prime_geq (spectrum_size env) in
+      scaled_budget env (float_of_int (3 * p) *. Complexity.lg (float_of_int n)))
+    ~init:(fun env ->
+      D.machine ~make_schedule:D.jump_stay ~source:env.Protocol.source
+        ~assignment:(Dynamic.at env.availability 0))
+    ~summarize:(fun env (r : D.broadcast_result) ->
+      count_report env ~completed_at:r.D.completed_at ~key:"informed_count"
+        r.D.informed_count)
 
 (* ---- the sustained-traffic workloads: open-loop arrivals feeding
    machines from lib/workload ---- *)
@@ -414,128 +308,97 @@ module Workload = struct
     ]
 end
 
-module Gossip_p = struct
-  module G = Crn_workload.Gossip
+let gossip =
+  let module G = Crn_workload.Gossip in
+  let default_load = { Protocol.rate = 0.2; arrivals = Protocol.Poisson; rumors = 4 } in
+  Protocol.of_machine ~name:"gossip" ~capabilities:with_load
+    ~synopsis:"Multi-rumor epidemic broadcast under open-loop rumor arrivals"
+    (* Shared non-atomic rumor ledgers mutated from feedback. *)
+    ~shardable:false
+    ~budget:(fun env ->
+      let n, c = dims env in
+      let load = Workload.resolve env ~default:default_load in
+      let per =
+        Complexity.cogcast_slots ?factor:env.Protocol.budget_factor ~n ~c
+          ~k:env.k ()
+      in
+      Workload.span_bound load + (load.Protocol.rumors * per))
+    ~init:(fun env ->
+      let arrivals = Workload.arrivals env ~default:default_load in
+      G.machine ?trace:env.Protocol.trace ~arrivals
+        ~availability:env.availability ~rng:env.rng ())
+    ~summarize:(fun _env (r : G.result) ->
+      let throughput =
+        if r.G.slots_run > 0 then frac r.G.completed r.G.slots_run else 0.0
+      in
+      {
+        Protocol.completed_at = r.G.completed_at;
+        coverage =
+          (if r.G.total_rumors = 0 then 1.0
+           else frac r.G.completed r.G.total_rumors);
+        detail =
+          Json.Obj
+            ([
+               ("total_rumors", Json.Int r.G.total_rumors);
+               ("injected", Json.Int r.G.injected);
+               ("completed_rumors", Json.Int r.G.completed);
+               ("deliveries", Json.Int r.G.deliveries);
+               ("retired", Json.Int r.G.retired);
+               ("throughput", Json.Float throughput);
+             ]
+            @ Workload.latency_fields r.G.latencies);
+      })
 
-  let name = "gossip"
-  let synopsis = "Multi-rumor epidemic broadcast under open-loop rumor arrivals"
-
-  (* Shared non-atomic rumor ledgers mutated from feedback. *)
-  let shardable = false
-
-  type msg = G.msg
-  type state = G.machine
-  type result = G.result
-
-  let default_load = { Protocol.rate = 0.2; arrivals = Protocol.Poisson; rumors = 4 }
-
-  let budget (env : Protocol.env) =
-    let n, c = dims env in
-    let load = Workload.resolve env ~default:default_load in
-    let per =
-      Complexity.cogcast_slots ?factor:env.budget_factor ~n ~c ~k:env.k ()
-    in
-    Workload.span_bound load + (load.Protocol.rumors * per)
-
-  let init (env : Protocol.env) =
-    let arrivals = Workload.arrivals env ~default:default_load in
-    G.machine ?trace:env.trace ~arrivals ~availability:env.availability
-      ~rng:env.rng ()
-
-  let decide (st : state) = st.G.decide
-  let feedback (st : state) = st.G.feedback
-  let finished (st : state) = st.G.finished ()
-
-  let project (st : state) ~(outcome : Runner.outcome) =
-    st.G.snapshot ~slots_run:outcome.Runner.slots_run
-
-  let summarize _env (r : result) : Protocol.report =
-    let throughput =
-      if r.G.slots_run > 0 then frac r.G.completed r.G.slots_run else 0.0
-    in
-    {
-      Protocol.completed_at = r.G.completed_at;
-      coverage = (if r.G.total_rumors = 0 then 1.0 else frac r.G.completed r.G.total_rumors);
-      detail =
-        Json.Obj
-          ([
-             ("total_rumors", Json.Int r.G.total_rumors);
-             ("injected", Json.Int r.G.injected);
-             ("completed_rumors", Json.Int r.G.completed);
-             ("deliveries", Json.Int r.G.deliveries);
-             ("retired", Json.Int r.G.retired);
-             ("throughput", Json.Float throughput);
-           ]
-          @ Workload.latency_fields r.G.latencies);
-    }
-end
-
-module Push_sum_p = struct
-  module P = Crn_workload.Push_sum
-
-  let name = "push_sum"
-  let synopsis = "Streaming push-sum aggregation with exact mass accounting under load"
-
-  (* Shared non-atomic mass/convergence accounting mutated from feedback. *)
-  let shardable = false
-
-  type msg = P.msg
-  type state = P.machine
-  type result = P.result
-
-  let default_load = { Protocol.rate = 0.1; arrivals = Protocol.Poisson; rumors = 2 }
-
-  let budget (env : Protocol.env) =
-    let n, _ = dims env in
-    let load = Workload.resolve env ~default:default_load in
-    Workload.span_bound load + scaled_budget env (float_of_int (n * 40))
-
-  let init (env : Protocol.env) =
-    let arrivals = Workload.arrivals env ~default:default_load in
-    P.machine ?trace:env.trace ~arrivals ~availability:env.availability
-      ~rng:env.rng ()
-
-  let decide (st : state) = st.P.decide
-  let feedback (st : state) = st.P.feedback
-  let finished (st : state) = st.P.finished ()
-
-  let project (st : state) ~(outcome : Runner.outcome) =
-    st.P.snapshot ~slots_run:outcome.Runner.slots_run
-
-  let summarize env (r : result) : Protocol.report =
-    let n, _ = dims env in
-    let throughput =
-      if r.P.slots_run > 0 then frac r.P.transfers r.P.slots_run else 0.0
-    in
-    {
-      Protocol.completed_at = r.P.completed_at;
-      coverage = frac r.P.converged n;
-      detail =
-        Json.Obj
-          ([
-             ("arrivals", Json.Int r.P.total_arrivals);
-             ("injected", Json.Int r.P.injected);
-             ("transfers", Json.Int r.P.transfers);
-             ("transfer_rate", Json.Float throughput);
-             ("lost_mass", Json.Float r.P.lost_mass);
-             ("max_drift", Json.Float r.P.max_drift);
-             ("estimate_error", Json.Float r.P.estimate_error);
-             ("converged", Json.Int r.P.converged);
-           ]
-          @ Workload.latency_fields r.P.latencies);
-    }
-end
+let push_sum =
+  let module P = Crn_workload.Push_sum in
+  let default_load = { Protocol.rate = 0.1; arrivals = Protocol.Poisson; rumors = 2 } in
+  Protocol.of_machine ~name:"push_sum" ~capabilities:with_load
+    ~synopsis:"Streaming push-sum aggregation with exact mass accounting under load"
+    (* Shared non-atomic mass/convergence accounting mutated from feedback. *)
+    ~shardable:false
+    ~budget:(fun env ->
+      let n, _ = dims env in
+      let load = Workload.resolve env ~default:default_load in
+      Workload.span_bound load + scaled_budget env (float_of_int (n * 40)))
+    ~init:(fun env ->
+      let arrivals = Workload.arrivals env ~default:default_load in
+      P.machine ?trace:env.Protocol.trace ~arrivals
+        ~availability:env.availability ~rng:env.rng ())
+    ~summarize:(fun env (r : P.result) ->
+      let n, _ = dims env in
+      let throughput =
+        if r.P.slots_run > 0 then frac r.P.transfers r.P.slots_run else 0.0
+      in
+      {
+        Protocol.completed_at = r.P.completed_at;
+        coverage = frac r.P.converged n;
+        detail =
+          Json.Obj
+            ([
+               ("arrivals", Json.Int r.P.total_arrivals);
+               ("injected", Json.Int r.P.injected);
+               ("transfers", Json.Int r.P.transfers);
+               ("transfer_rate", Json.Float throughput);
+               ("lost_mass", Json.Float r.P.lost_mass);
+               ("max_drift", Json.Float r.P.max_drift);
+               ("estimate_error", Json.Float r.P.estimate_error);
+               ("converged", Json.Int r.P.converged);
+             ]
+            @ Workload.latency_fields r.P.latencies);
+      })
 
 let machines =
   [
-    Protocol.of_machine ~capabilities:single_run (module Broadcast_baseline_p);
-    Protocol.of_machine ~capabilities:single_run (module Aggregation_ack_p);
-    Protocol.of_machine ~capabilities:single_run (module Aggregation_honest_p);
-    Protocol.of_machine ~capabilities:single_run (module Random_hop_p);
-    Protocol.of_machine ~capabilities:single_run (module Seq_scan_p);
-    Protocol.of_machine ~capabilities:single_run (module Deterministic_p);
-    Protocol.of_machine ~capabilities:with_load (module Gossip_p);
-    Protocol.of_machine ~capabilities:with_load (module Push_sum_p);
+    broadcast_baseline;
+    aggregation_baseline ~name:"aggregation_baseline" ~ack:true
+      ~synopsis:"Straw-man aggregation with free ACKs: fair-contention lower bound (S1)";
+    aggregation_baseline ~name:"aggregation_baseline_honest" ~ack:false
+      ~synopsis:"Straw-man aggregation, no ACKs: source coupon-collects all values (S1)";
+    random_hop;
+    seq_scan;
+    deterministic;
+    gossip;
+    push_sum;
   ]
 
 let all = [ cogcast; cogcomp; cogcomp_robust ] @ machines

@@ -20,6 +20,7 @@ type outcome = {
 }
 
 type t = {
+  num_nodes : int;
   run :
     'msg.
     ?stop:(slot:int -> bool) ->
@@ -61,6 +62,7 @@ let add a b =
 
 let accumulating total runner =
   {
+    runner with
     run =
       (fun ?stop ~nodes ~max_slots () ->
         let outcome = runner.run ?stop ~nodes ~max_slots () in
@@ -70,6 +72,7 @@ let accumulating total runner =
 
 let make ?pool ?machine_parallel:(parallel = false) ?jammer ?faults ?metrics
     ?trace ?(backend = Engine) ~availability ~rng () =
+  let num_nodes = Crn_channel.Dynamic.num_nodes availability in
   match backend with
   | Engine | Soa _ ->
       let shards, dense_channel_limit =
@@ -78,10 +81,10 @@ let make ?pool ?machine_parallel:(parallel = false) ?jammer ?faults ?metrics
         | _ -> (1, None)
       in
       {
+        num_nodes;
         run =
           (fun ?stop ~nodes ~max_slots () ->
-            if Array.length nodes <> Crn_channel.Dynamic.num_nodes availability
-            then
+            if Array.length nodes <> num_nodes then
               invalid_arg
                 "Runner: node array disagrees with availability node count";
             let protocol = Soa_adapter.protocol ~parallel nodes in
@@ -92,6 +95,7 @@ let make ?pool ?machine_parallel:(parallel = false) ?jammer ?faults ?metrics
       }
   | Reference ->
       {
+        num_nodes;
         run =
           (fun ?stop ~nodes ~max_slots () ->
             of_engine
@@ -100,9 +104,24 @@ let make ?pool ?machine_parallel:(parallel = false) ?jammer ?faults ?metrics
       }
   | Emulation { strategy; session_cap } ->
       {
+        num_nodes;
         run =
           (fun ?stop ~nodes ~max_slots () ->
             of_emulation
               (Emulation.run ~strategy ?session_cap ?jammer ?faults ?metrics
                  ?trace ?stop ~availability ~rng ~nodes ~max_slots ()));
       }
+
+let drive runner (m : (_, _) Machine.t) ~max_slots =
+  let nodes =
+    Array.init runner.num_nodes (fun v ->
+        Engine.node ~id:v
+          ~decide:(fun ~slot -> m.decide ~node:v ~slot)
+          ~feedback:(fun ~slot fb -> m.feedback ~node:v ~slot fb))
+  in
+  (* A machine that is complete before the first slot runs zero slots. *)
+  let max_slots = if m.finished () then 0 else max_slots in
+  let outcome =
+    runner.run ~stop:(fun ~slot:_ -> m.finished ()) ~nodes ~max_slots ()
+  in
+  (m.snapshot ~slots_run:outcome.slots_run, outcome)

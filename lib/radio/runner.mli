@@ -61,6 +61,7 @@ type outcome = {
 }
 
 type t = {
+  num_nodes : int;  (** The availability's node count. *)
   run :
     'msg.
     ?stop:(slot:int -> bool) ->
@@ -71,7 +72,7 @@ type t = {
 }
 (** The polymorphic slot loop: one runner serves every message type a
     multi-phase protocol uses, which is why this is a record field rather
-    than a plain function. *)
+    than a plain function. [nodes] must have [num_nodes] entries. *)
 
 val make :
   ?pool:Crn_exec.Pool.t ->
@@ -107,3 +108,11 @@ val accumulating : outcome ref -> t -> t
     a multi-phase protocol reports one summary over all of its engine
     runs. *)
 
+
+val drive : t -> ('msg, 'r) Machine.t -> max_slots:int -> 'r * outcome
+(** [drive runner m ~max_slots] runs the state machine [m] on [runner]:
+    zero slots if [m] is already finished, otherwise until [finished]
+    holds or [max_slots] slots have run, and returns [m]'s snapshot at the
+    slot count reached together with the run's outcome. This is the one
+    driver for single-run protocols: the registry runs its machine
+    entries through it. *)

@@ -1,7 +1,6 @@
 module Rng = Crn_prng.Rng
 module Dynamic = Crn_channel.Dynamic
 module Action = Crn_radio.Action
-module Engine = Crn_radio.Engine
 
 type 'a msg = { from : int; value : 'a }
 
@@ -12,12 +11,9 @@ type 'a result = {
   root_value : 'a option;
 }
 
-type 'a machine = {
-  decide : node:int -> slot:int -> 'a msg Action.decision;
-  feedback : node:int -> slot:int -> 'a msg Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> 'a result;
-}
+include Crn_radio.Machine
+
+type 'a machine = ('a msg, 'a result) t
 
 let machine (type a) ?(ack = true) ~(monoid : a Crn_core.Aggregate.monoid)
     ~(values : a array) ~source ~availability ~rng () =
@@ -62,26 +58,3 @@ let machine (type a) ?(ack = true) ~(monoid : a Crn_core.Aggregate.monoid)
     }
   in
   { decide; feedback; finished; snapshot }
-
-let run ?(stop_when_complete = true) ?ack ~monoid ~values ~source ~availability
-    ~rng ~max_slots () =
-  let m = machine ?ack ~monoid ~values ~source ~availability ~rng () in
-  let n = Dynamic.num_nodes availability in
-  let nodes =
-    Array.init n (fun v ->
-        Engine.node ~id:v
-          ~decide:(fun ~slot -> m.decide ~node:v ~slot)
-          ~feedback:(fun ~slot fb -> m.feedback ~node:v ~slot fb))
-  in
-  let stop = if stop_when_complete then Some (fun ~slot:_ -> m.finished ()) else None in
-  let outcome = Engine.run ?stop ~availability ~rng ~nodes ~max_slots () in
-  m.snapshot ~slots_run:outcome.Engine.slots_run
-
-let run_static ?stop_when_complete ?ack ?(budget_factor = 8.0) ~monoid ~values
-    ~source ~assignment ~k ~rng () =
-  let n = Crn_channel.Assignment.num_nodes assignment in
-  let c = Crn_channel.Assignment.channels_per_node assignment in
-  let budget = Crn_core.Complexity.rendezvous_aggregation ~n ~c ~k in
-  let max_slots = max 1 (int_of_float (Float.ceil (budget_factor *. budget))) in
-  run ?stop_when_complete ?ack ~monoid ~values ~source
-    ~availability:(Dynamic.static assignment) ~rng ~max_slots ()

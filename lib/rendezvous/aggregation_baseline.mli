@@ -25,15 +25,11 @@ type 'a result = {
   root_value : 'a option;
 }
 
-type 'a machine = {
-  decide : node:int -> slot:int -> 'a msg Crn_radio.Action.decision;
-  feedback : node:int -> slot:int -> 'a msg Crn_radio.Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> 'a result;
-}
-(** The per-node state machine behind {!run}, exposed so the
-    {!Crn_proto.Protocol} layer can drive the identical logic through its
-    own runner. *)
+include module type of struct
+  include Crn_radio.Machine
+end
+
+type 'a machine = ('a msg, 'a result) t
 
 val machine :
   ?ack:bool ->
@@ -45,32 +41,4 @@ val machine :
   unit ->
   'a machine
 (** Builds the state machine: splits one label stream per node off [rng]
-    (the same split {!run} performs) and seeds the accumulator with the
-    source's own value. *)
-
-val run :
-  ?stop_when_complete:bool ->
-  ?ack:bool ->
-  monoid:'a Crn_core.Aggregate.monoid ->
-  values:'a array ->
-  source:int ->
-  availability:Crn_channel.Dynamic.t ->
-  rng:Crn_prng.Rng.t ->
-  max_slots:int ->
-  unit ->
-  'a result
-
-val run_static :
-  ?stop_when_complete:bool ->
-  ?ack:bool ->
-  ?budget_factor:float ->
-  monoid:'a Crn_core.Aggregate.monoid ->
-  values:'a array ->
-  source:int ->
-  assignment:Crn_channel.Assignment.t ->
-  k:int ->
-  rng:Crn_prng.Rng.t ->
-  unit ->
-  'a result
-(** Budget derived from {!Crn_core.Complexity.rendezvous_aggregation} scaled
-    by [budget_factor] (default 8.0). *)
+    and seeds the accumulator with the source's own value. *)

@@ -1,7 +1,6 @@
 module Rng = Crn_prng.Rng
 module Dynamic = Crn_channel.Dynamic
 module Action = Crn_radio.Action
-module Engine = Crn_radio.Engine
 
 type msg = Payload
 
@@ -12,12 +11,9 @@ type result = {
   informed : bool array;
 }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Action.decision;
-  feedback : node:int -> slot:int -> msg Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> result;
-}
+include Crn_radio.Machine
+
+type machine = (msg, result) t
 
 let machine ~source ~availability ~rng =
   let n = Dynamic.num_nodes availability in
@@ -61,25 +57,3 @@ let machine ~source ~availability ~rng =
     }
   in
   { decide; feedback; finished; snapshot }
-
-let run ?metrics ?(stop_when_complete = true) ~source ~availability ~rng ~max_slots () =
-  let m = machine ~source ~availability ~rng in
-  let n = Dynamic.num_nodes availability in
-  let nodes =
-    Array.init n (fun v ->
-        Engine.node ~id:v
-          ~decide:(fun ~slot -> m.decide ~node:v ~slot)
-          ~feedback:(fun ~slot fb -> m.feedback ~node:v ~slot fb))
-  in
-  let stop = if stop_when_complete then Some (fun ~slot:_ -> m.finished ()) else None in
-  let outcome = Engine.run ?metrics ?stop ~availability ~rng ~nodes ~max_slots () in
-  m.snapshot ~slots_run:outcome.Engine.slots_run
-
-let run_static ?metrics ?stop_when_complete ?(budget_factor = 8.0) ~source ~assignment ~k
-    ~rng () =
-  let n = Crn_channel.Assignment.num_nodes assignment in
-  let c = Crn_channel.Assignment.channels_per_node assignment in
-  let budget = Crn_core.Complexity.rendezvous_broadcast ~n ~c ~k in
-  let max_slots = max 1 (int_of_float (Float.ceil (budget_factor *. budget))) in
-  run ?metrics ?stop_when_complete ~source
-    ~availability:(Dynamic.static assignment) ~rng ~max_slots ()

@@ -7,8 +7,9 @@
     Expected completion is [O((c²/k)·lg n)]: each uninformed node meets the
     source with probability at least [k/c²] per slot.
 
-    Runs on the same {!Crn_radio.Engine} as COGCAST so that contention and
-    label semantics are identical. *)
+    {!machine} runs on the same {!Crn_radio.Runner} backends as COGCAST
+    ({!Crn_radio.Runner.drive}), so contention and label semantics are
+    identical. *)
 
 type msg = Payload
 
@@ -19,17 +20,11 @@ type result = {
   informed : bool array;
 }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Crn_radio.Action.decision;
-  feedback : node:int -> slot:int -> msg Crn_radio.Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> result;
-}
-(** The per-node state machine behind {!run}, exposed so the
-    {!Crn_proto.Protocol} layer can drive the identical logic through its
-    own runner: [decide]/[feedback] are queried by the engine per node and
-    slot, [finished] is the completion predicate, and [snapshot] projects
-    the final {!result}. *)
+include module type of struct
+  include Crn_radio.Machine
+end
+
+type machine = (msg, result) t
 
 val machine :
   source:int ->
@@ -37,28 +32,4 @@ val machine :
   rng:Crn_prng.Rng.t ->
   machine
 (** Builds the state machine: splits one label stream per node off [rng]
-    (the same split {!run} performs) and starts with only [source]
-    informed. *)
-
-val run :
-  ?metrics:Crn_radio.Metrics.t ->
-  ?stop_when_complete:bool ->
-  source:int ->
-  availability:Crn_channel.Dynamic.t ->
-  rng:Crn_prng.Rng.t ->
-  max_slots:int ->
-  unit ->
-  result
-
-val run_static :
-  ?metrics:Crn_radio.Metrics.t ->
-  ?stop_when_complete:bool ->
-  ?budget_factor:float ->
-  source:int ->
-  assignment:Crn_channel.Assignment.t ->
-  k:int ->
-  rng:Crn_prng.Rng.t ->
-  unit ->
-  result
-(** Budget derived from {!Crn_core.Complexity.rendezvous_broadcast} scaled by
-    [budget_factor] (default 8.0). *)
+    and starts with only [source] informed. *)

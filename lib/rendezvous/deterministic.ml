@@ -1,7 +1,5 @@
 module Assignment = Crn_channel.Assignment
-module Dynamic = Crn_channel.Dynamic
 module Action = Crn_radio.Action
-module Engine = Crn_radio.Engine
 
 type schedule = { schedule_name : string; channel_at : slot:int -> int }
 
@@ -108,12 +106,9 @@ type broadcast_result = {
   informed_count : int;
 }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Action.decision;
-  feedback : node:int -> slot:int -> msg Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> broadcast_result;
-}
+include Crn_radio.Machine
+
+type machine = (msg, broadcast_result) t
 
 let machine ~make_schedule ~source ~assignment =
   let n = Assignment.num_nodes assignment in
@@ -133,7 +128,7 @@ let machine ~make_schedule ~source ~assignment =
       | Some label -> label
       | None ->
           invalid_arg
-            (Printf.sprintf "Deterministic.broadcast: schedule %s left node %d's set"
+            (Printf.sprintf "Deterministic.machine: schedule %s left node %d's set"
                schedules.(v).schedule_name v)
     in
     if informed.(v) then Action.broadcast ~label Payload else Action.listen ~label
@@ -157,18 +152,3 @@ let machine ~make_schedule ~source ~assignment =
     }
   in
   { decide; feedback; finished; snapshot }
-
-let broadcast ~make_schedule ~source ~assignment ~rng ~max_slots () =
-  let m = machine ~make_schedule ~source ~assignment in
-  let n = Assignment.num_nodes assignment in
-  let nodes =
-    Array.init n (fun v ->
-        Engine.node ~id:v
-          ~decide:(fun ~slot -> m.decide ~node:v ~slot)
-          ~feedback:(fun ~slot fb -> m.feedback ~node:v ~slot fb))
-  in
-  let stop ~slot:_ = m.finished () in
-  let outcome =
-    Engine.run ~stop ~availability:(Dynamic.static assignment) ~rng ~nodes ~max_slots ()
-  in
-  (m.snapshot ~slots_run:outcome.Engine.slots_run).completed_at

@@ -75,32 +75,21 @@ type broadcast_result = {
   informed_count : int;
 }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Crn_radio.Action.decision;
-  feedback : node:int -> slot:int -> msg Crn_radio.Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> broadcast_result;
-}
-(** The per-node state machine behind {!broadcast}, exposed so the
-    {!Crn_proto.Protocol} layer can drive the identical logic through its
-    own runner. *)
+include module type of struct
+  include Crn_radio.Machine
+end
+
+type machine = (msg, broadcast_result) t
 
 val machine :
   make_schedule:(Crn_channel.Assignment.t -> node:int -> schedule) ->
   source:int ->
   assignment:Crn_channel.Assignment.t ->
   machine
-
-val broadcast :
-  make_schedule:(Crn_channel.Assignment.t -> node:int -> schedule) ->
-  source:int ->
-  assignment:Crn_channel.Assignment.t ->
-  rng:Crn_prng.Rng.t ->
-  max_slots:int ->
-  unit ->
-  int option
 (** Local broadcast driven by a deterministic schedule: every node follows
     its schedule; the source (and, epidemic-style, every informed node)
-    broadcasts, the rest listen. Returns the completion slot. The [rng] only
-    feeds the engine's contention winner choice — the schedules themselves
-    are deterministic. *)
+    broadcasts, the rest listen. The schedules are deterministic, so an
+    engine [rng] only feeds the contention winner choice. Schedules and
+    labels are computed from [assignment] once, so the machine must run on
+    that assignment unchanged; a reassigning availability would turn the
+    schedule into random hopping. *)

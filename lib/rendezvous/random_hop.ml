@@ -44,12 +44,9 @@ type msg = Beacon
 
 type result = { completed_at : int option; slots_run : int; met_count : int }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Action.decision;
-  feedback : node:int -> slot:int -> msg Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> result;
-}
+include Crn_radio.Machine
+
+type machine = (msg, result) t
 
 let machine ~source ~availability ~rng =
   let n = Dynamic.num_nodes availability in

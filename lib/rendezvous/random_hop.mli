@@ -37,12 +37,11 @@ type msg = Beacon
 
 type result = { completed_at : int option; slots_run : int; met_count : int }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Crn_radio.Action.decision;
-  feedback : node:int -> slot:int -> msg Crn_radio.Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> result;
-}
+include module type of struct
+  include Crn_radio.Machine
+end
+
+type machine = (msg, result) t
 
 val machine :
   source:int ->

@@ -1,18 +1,13 @@
-module Dynamic = Crn_channel.Dynamic
 module Assignment = Crn_channel.Assignment
 module Action = Crn_radio.Action
-module Engine = Crn_radio.Engine
 
 type msg = Payload
 
 type result = { completed_at : int option; slots_run : int; informed_count : int }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Action.decision;
-  feedback : node:int -> slot:int -> msg Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> result;
-}
+include Crn_radio.Machine
+
+type machine = (msg, result) t
 
 let machine ~source ~assignment =
   let n = Assignment.num_nodes assignment in
@@ -67,17 +62,3 @@ let machine ~source ~assignment =
     }
   in
   { decide; feedback; finished; snapshot }
-
-let run ?(stop_when_complete = true) ~source ~assignment ~rng ~max_slots () =
-  let m = machine ~source ~assignment in
-  let n = Assignment.num_nodes assignment in
-  let nodes =
-    Array.init n (fun v ->
-        Engine.node ~id:v
-          ~decide:(fun ~slot -> m.decide ~node:v ~slot)
-          ~feedback:(fun ~slot fb -> m.feedback ~node:v ~slot fb))
-  in
-  let stop = if stop_when_complete then Some (fun ~slot:_ -> m.finished ()) else None in
-  let availability = Dynamic.static assignment in
-  let outcome = Engine.run ?stop ~availability ~rng ~nodes ~max_slots () in
-  m.snapshot ~slots_run:outcome.Engine.slots_run

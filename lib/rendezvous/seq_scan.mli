@@ -22,28 +22,21 @@ type result = {
   informed_count : int;
 }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Crn_radio.Action.decision;
-  feedback : node:int -> slot:int -> msg Crn_radio.Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> result;
-}
-(** The per-node state machine behind {!run}, exposed so the
-    {!Crn_proto.Protocol} layer can drive the identical logic through its
-    own runner. The scan is deterministic — no randomness is consumed by
-    [decide]; an engine [rng] is only ever touched when informed relays
-    contend. *)
+include module type of struct
+  include Crn_radio.Machine
+end
+
+type machine = (msg, result) t
 
 val machine : source:int -> assignment:Crn_channel.Assignment.t -> machine
+(** The scan as a state machine over the static [assignment]. The scan is
+    deterministic — no randomness is consumed by [decide]; an engine [rng]
+    is only ever touched when informed relays contend. Informed non-source
+    nodes also broadcast on the scan channel (relay), matching the
+    discussion's "all nodes will hop to one of the k overlapping channels
+    and hence complete the broadcast".
 
-val run :
-  ?stop_when_complete:bool ->
-  source:int ->
-  assignment:Crn_channel.Assignment.t ->
-  rng:Crn_prng.Rng.t ->
-  max_slots:int ->
-  unit ->
-  result
-(** Informed non-source nodes also broadcast on the scan channel (relay),
-    matching the discussion's "all nodes will hop to one of the k
-    overlapping channels and hence complete the broadcast". *)
+    The global-channel-to-label tables are built once from [assignment],
+    so the machine must run on that assignment unchanged: under a
+    reassigning availability its labels would tune to the wrong channels
+    (and parking on label 0 could then hear the scan). *)

@@ -16,12 +16,9 @@ type result = {
   latencies : float array;
 }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Action.decision;
-  feedback : node:int -> slot:int -> msg Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> result;
-}
+include Crn_radio.Machine
+
+type machine = (msg, result) t
 
 let default_hear_limit ~n =
   let rec lg2 acc v = if v <= 1 then acc else lg2 (acc + 1) ((v + 1) / 2) in

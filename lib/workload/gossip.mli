@@ -35,12 +35,11 @@ type result = {
       (** Per completed rumor: [done_slot - injected_slot + 1]. *)
 }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Crn_radio.Action.decision;
-  feedback : node:int -> slot:int -> msg Crn_radio.Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> result;
-}
+include module type of struct
+  include Crn_radio.Machine
+end
+
+type machine = (msg, result) t
 
 val default_hear_limit : n:int -> int
 (** The retirement threshold used when [hear_limit] is omitted:

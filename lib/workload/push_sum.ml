@@ -21,12 +21,9 @@ type result = {
   latencies : float array;
 }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Action.decision;
-  feedback : node:int -> slot:int -> msg Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> result;
-}
+include Crn_radio.Machine
+
+type machine = (msg, result) t
 
 let machine ?(tolerance = 0.02) ?values ?trace ~arrivals ~availability ~rng () =
   let n = Dynamic.num_nodes availability in

@@ -56,12 +56,11 @@ type result = {
           its estimate (re-)entered the tolerance band, >= 1. *)
 }
 
-type machine = {
-  decide : node:int -> slot:int -> msg Crn_radio.Action.decision;
-  feedback : node:int -> slot:int -> msg Crn_radio.Action.feedback -> unit;
-  finished : unit -> bool;
-  snapshot : slots_run:int -> result;
-}
+include module type of struct
+  include Crn_radio.Machine
+end
+
+type machine = (msg, result) t
 
 val machine :
   ?tolerance:float ->

@@ -348,14 +348,15 @@ let test_repeat_runs_byte_equal () =
 (* ------------------------------------------------------------------ *)
 (* Sustained-traffic workloads obey the same two claims: registry runs of
    the gossip and push-sum machines are byte-identical at any --jobs, and
-   driving the machines over {!Reference.engine_run} instead of
-   {!Engine.run} yields the same trace bytes and the same result struct. *)
+   driving the machines on the Reference backend instead of the Engine one
+   yields the same trace bytes and the same result struct. *)
 
 module Arrivals = Crn_workload.Arrivals
 module Gossip = Crn_workload.Gossip
 module Push_sum = Crn_workload.Push_sum
 module Protocol = Crn_proto.Protocol
 module Registry = Crn_proto.Registry
+module Runner = Crn_radio.Runner
 
 let traced_workload name rng =
   let spec = { Topology.n = 16; c = 6; k = 2 } in
@@ -402,45 +403,23 @@ let workload_setup ~seed =
   in
   (rng, availability, arrivals, Trace.create ())
 
-let run_gossip_backend ~seed which =
+let run_workload_backend ~seed which build =
   let rng, availability, arrivals, tr = workload_setup ~seed in
-  let m = Gossip.machine ~trace:tr ~arrivals ~availability ~rng () in
-  let nodes =
-    Array.init 16 (fun v ->
-        Engine.node ~id:v
-          ~decide:(fun ~slot -> m.Gossip.decide ~node:v ~slot)
-          ~feedback:(fun ~slot fb -> m.Gossip.feedback ~node:v ~slot fb))
+  let m = build ~trace:tr ~arrivals ~availability ~rng in
+  let backend =
+    match which with `Fast -> Runner.Engine | `Spec -> Runner.Reference
   in
-  let stop ~slot:_ = m.Gossip.finished () in
-  let outcome =
-    match which with
-    | `Fast ->
-        Engine.run ~stop ~trace:tr ~availability ~rng ~nodes ~max_slots:2_000 ()
-    | `Spec ->
-        Reference.engine_run ~stop ~trace:tr ~availability ~rng ~nodes
-          ~max_slots:2_000 ()
-  in
-  (Trace.to_jsonl tr, m.Gossip.snapshot ~slots_run:outcome.Engine.slots_run)
+  let runner = Runner.make ~trace:tr ~backend ~availability ~rng () in
+  let result, _ = Runner.drive runner m ~max_slots:2_000 in
+  (Trace.to_jsonl tr, result)
+
+let run_gossip_backend ~seed which =
+  run_workload_backend ~seed which (fun ~trace ~arrivals ~availability ~rng ->
+      Gossip.machine ~trace ~arrivals ~availability ~rng ())
 
 let run_push_sum_backend ~seed which =
-  let rng, availability, arrivals, tr = workload_setup ~seed in
-  let m = Push_sum.machine ~trace:tr ~arrivals ~availability ~rng () in
-  let nodes =
-    Array.init 16 (fun v ->
-        Engine.node ~id:v
-          ~decide:(fun ~slot -> m.Push_sum.decide ~node:v ~slot)
-          ~feedback:(fun ~slot fb -> m.Push_sum.feedback ~node:v ~slot fb))
-  in
-  let stop ~slot:_ = m.Push_sum.finished () in
-  let outcome =
-    match which with
-    | `Fast ->
-        Engine.run ~stop ~trace:tr ~availability ~rng ~nodes ~max_slots:2_000 ()
-    | `Spec ->
-        Reference.engine_run ~stop ~trace:tr ~availability ~rng ~nodes
-          ~max_slots:2_000 ()
-  in
-  (Trace.to_jsonl tr, m.Push_sum.snapshot ~slots_run:outcome.Engine.slots_run)
+  run_workload_backend ~seed which (fun ~trace ~arrivals ~availability ~rng ->
+      Push_sum.machine ~trace ~arrivals ~availability ~rng ())
 
 let test_workload_engine_matches_reference () =
   for seed = 1 to 6 do

@@ -14,6 +14,8 @@ module Cogcomp = Crn_core.Cogcomp
 module Aggregate = Crn_core.Aggregate
 module Complexity = Crn_core.Complexity
 module Disttree = Crn_core.Disttree
+module Runner = Crn_radio.Runner
+module Aggregation_baseline = Crn_rendezvous.Aggregation_baseline
 
 let check = Alcotest.(check bool)
 
@@ -72,12 +74,18 @@ let test_aggregation_agrees_with_baseline () =
     Cogcomp.run ~monoid:Aggregate.sum ~values ~source:0 ~assignment ~k:3
       ~rng:(Rng.create 4) ()
   in
-  let b =
-    Crn_rendezvous.Aggregation_baseline.run_static ~monoid:Aggregate.sum ~values
-      ~source:0 ~assignment ~k:3 ~rng:(Rng.create 5) ()
+  let b, _ =
+    let availability = Dynamic.static assignment and rng = Rng.create 5 in
+    Runner.drive
+      (Runner.make ~availability ~rng ())
+      (Aggregation_baseline.machine ~monoid:Aggregate.sum ~values ~source:0
+         ~availability ~rng ())
+      ~max_slots:
+        (int_of_float
+           (Float.ceil (8.0 *. Complexity.rendezvous_aggregation ~n:18 ~c:6 ~k:3)))
   in
   Alcotest.(check (option int)) "same aggregate" a.Cogcomp.root_value
-    b.Crn_rendezvous.Aggregation_baseline.root_value
+    b.Aggregation_baseline.root_value
 
 let test_whitespace_scenario () =
   (* A TV-whitespace-flavoured scenario: heterogeneous availability from a
@@ -206,22 +214,28 @@ let test_adversary_stalls_fixed_label_algorithm () =
      everyone else listens on label 0. *)
   let informed = Array.make n false in
   informed.(0) <- true;
-  let decide v ~slot:_ =
-    if v = 0 then Crn_radio.Action.broadcast ~label:0 ()
-    else Crn_radio.Action.listen ~label:0
+  let machine =
+    {
+      Crn_radio.Machine.decide =
+        (fun ~node:v ~slot:_ ->
+          if v = 0 then Crn_radio.Action.broadcast ~label:0 ()
+          else Crn_radio.Action.listen ~label:0);
+      feedback =
+        (fun ~node:v ~slot:_ -> function
+          | Crn_radio.Action.Heard _ -> informed.(v) <- true
+          | _ -> ());
+      finished = (fun () -> false);
+      snapshot =
+        (fun ~slots_run:_ ->
+          Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 informed);
+    }
   in
-  let feedback v ~slot:_ = function
-    | Crn_radio.Action.Heard _ -> informed.(v) <- true
-    | _ -> ()
+  let count, _ =
+    Runner.drive
+      (Runner.make ~availability:d ~rng:(Rng.create 3) ())
+      machine ~max_slots:2000
   in
-  let nodes =
-    Array.init n (fun v ->
-        Crn_radio.Engine.node ~id:v ~decide:(decide v) ~feedback:(feedback v))
-  in
-  ignore
-    (Crn_radio.Engine.run ~availability:d ~rng:(Rng.create 3) ~nodes ~max_slots:2000 ());
-  Alcotest.(check int) "nobody informed" 1
-    (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 informed)
+  Alcotest.(check int) "nobody informed" 1 count
 
 let test_secret_seed_defeats_adversary () =
   (* The oracle replays seed 77; running COGCAST with a different (secret)

@@ -1,7 +1,7 @@
 (* Differential tests for the protocol layer (lib/proto): a registry-
    dispatched run must be byte-identical — traces, counters, results — to
-   the direct API it wraps, and the machine-ported baselines must reproduce
-   the slot counts of the private loops they replaced. *)
+   the direct API it wraps, and the random-hop machine must reproduce the
+   slot counts of its pure loop. *)
 
 module Rng = Crn_prng.Rng
 module Topology = Crn_channel.Topology
@@ -14,11 +14,7 @@ module Cogcomp = Crn_core.Cogcomp
 module Cogcomp_robust = Crn_core.Cogcomp_robust
 module Aggregate = Crn_core.Aggregate
 module Complexity = Crn_core.Complexity
-module Broadcast_baseline = Crn_rendezvous.Broadcast_baseline
-module Aggregation_baseline = Crn_rendezvous.Aggregation_baseline
 module Random_hop = Crn_rendezvous.Random_hop
-module Seq_scan = Crn_rendezvous.Seq_scan
-module Deterministic = Crn_rendezvous.Deterministic
 module Protocol = Crn_proto.Protocol
 module Registry = Crn_proto.Registry
 module Trials = Crn_exec.Trials
@@ -196,83 +192,7 @@ let test_cogcomp_robust_differential () =
       Alcotest.(check int) "total_slots" ds rs)
     seeds
 
-(* ---- machine ports vs the legacy entry points ---- *)
-
-let topologies = [ Topology.Shared_core; Topology.Shared_plus_random ]
-
-let test_broadcast_baseline_parity () =
-  List.iter
-    (fun topology ->
-      List.iter
-        (fun seed ->
-          let n = 20 and c = 6 and k = 2 in
-          let spec = { Topology.n; c; k } in
-          let legacy =
-            let rng = Rng.create seed in
-            let assignment = Topology.generate topology rng spec in
-            let r = Broadcast_baseline.run_static ~source:0 ~assignment ~k ~rng () in
-            (r.Broadcast_baseline.completed_at, r.Broadcast_baseline.slots_run,
-             r.Broadcast_baseline.informed_count)
-          in
-          let registry =
-            let rng = Rng.create seed in
-            let assignment = Topology.generate topology rng spec in
-            let s = run_registry ~name:"broadcast_baseline" ~k ~assignment ~rng () in
-            (s.Protocol.completed_at, s.Protocol.slots_run,
-             detail_int s "informed_count")
-          in
-          let lc, ls, li = legacy and rc, rs, ri = registry in
-          Alcotest.(check (option int)) "completed_at" lc rc;
-          Alcotest.(check int) "slots_run" ls rs;
-          Alcotest.(check int) "informed_count" li ri)
-        seeds)
-    topologies
-
-let test_aggregation_baseline_parity () =
-  List.iter
-    (fun ack ->
-      List.iter
-        (fun seed ->
-          let n = 14 and c = 5 and k = 2 in
-          let spec = { Topology.n; c; k } in
-          let name =
-            if ack then "aggregation_baseline" else "aggregation_baseline_honest"
-          in
-          let legacy =
-            let rng = Rng.create seed in
-            let assignment = Topology.generate Topology.Shared_core rng spec in
-            let values = Array.init n (fun v -> v) in
-            let r =
-              Aggregation_baseline.run_static ~ack ~monoid:Aggregate.sum ~values
-                ~source:0 ~assignment ~k ~rng ()
-            in
-            (r.Aggregation_baseline.completed_at,
-             r.Aggregation_baseline.slots_run,
-             r.Aggregation_baseline.received_count,
-             r.Aggregation_baseline.root_value)
-          in
-          let registry =
-            let rng = Rng.create seed in
-            let assignment = Topology.generate Topology.Shared_core rng spec in
-            let s = run_registry ~name ~k ~assignment ~rng () in
-            let root =
-              match s.Protocol.detail with
-              | Crn_stats.Json.Obj fields -> (
-                  match List.assoc_opt "root_value" fields with
-                  | Some (Crn_stats.Json.Int v) -> Some v
-                  | _ -> None)
-              | _ -> None
-            in
-            (s.Protocol.completed_at, s.Protocol.slots_run,
-             detail_int s "received_count", root)
-          in
-          let lc, ls, lr, lv = legacy and rc, rs, rr, rv = registry in
-          Alcotest.(check (option int)) "completed_at" lc rc;
-          Alcotest.(check int) "slots_run" ls rs;
-          Alcotest.(check int) "received_count" lr rr;
-          Alcotest.(check (option int)) "root_value" lv rv)
-        seeds)
-    [ true; false ]
+(* ---- the random-hop machine vs its pure loop ---- *)
 
 let test_random_hop_matches_pure_loop () =
   List.iter
@@ -297,58 +217,6 @@ let test_random_hop_matches_pure_loop () =
       Alcotest.(check (option int))
         (Printf.sprintf "slot count seed %d" seed)
         pure registry)
-    seeds
-
-let test_seq_scan_parity () =
-  List.iter
-    (fun seed ->
-      let n = 6 and k = 3 in
-      let c = 4 in
-      let spec = { Topology.n; c; k } in
-      let legacy =
-        let rng = Rng.create seed in
-        let assignment = Topology.generate Topology.Shared_core ~global_labels:true rng spec in
-        let big_c = Assignment.num_channels assignment in
-        let r = Seq_scan.run ~source:0 ~assignment ~rng ~max_slots:(8 * big_c) () in
-        (r.Seq_scan.completed_at, r.Seq_scan.slots_run, r.Seq_scan.informed_count)
-      in
-      let registry =
-        let rng = Rng.create seed in
-        let assignment = Topology.generate Topology.Shared_core ~global_labels:true rng spec in
-        let s = run_registry ~name:"seq_scan" ~k ~assignment ~rng () in
-        (s.Protocol.completed_at, s.Protocol.slots_run, detail_int s "informed_count")
-      in
-      let lc, ls, li = legacy and rc, rs, ri = registry in
-      Alcotest.(check (option int)) "completed_at" lc rc;
-      Alcotest.(check int) "slots_run" ls rs;
-      Alcotest.(check int) "informed_count" li ri)
-    seeds
-
-let test_deterministic_parity () =
-  List.iter
-    (fun seed ->
-      let n = 8 and c = 4 and k = 2 in
-      let spec = { Topology.n; c; k } in
-      let budget ~assignment =
-        let big_c = Assignment.num_channels assignment in
-        let p = Deterministic.smallest_prime_geq big_c in
-        max 1
-          (int_of_float
-             (Float.ceil (8.0 *. float_of_int (3 * p) *. Complexity.lg (float_of_int n))))
-      in
-      let legacy =
-        let rng = Rng.create seed in
-        let assignment = Topology.generate Topology.Shared_core rng spec in
-        Deterministic.broadcast ~make_schedule:Deterministic.jump_stay ~source:0
-          ~assignment ~rng ~max_slots:(budget ~assignment) ()
-      in
-      let registry =
-        let rng = Rng.create seed in
-        let assignment = Topology.generate Topology.Shared_core rng spec in
-        let s = run_registry ~name:"deterministic" ~k ~assignment ~rng () in
-        s.Protocol.completed_at
-      in
-      Alcotest.(check (option int)) (Printf.sprintf "seed %d" seed) legacy registry)
     seeds
 
 (* ---- every registry entry: faults + trace + check, and byte-identical
@@ -614,6 +482,84 @@ let test_capability_matrix_cli () =
         (Printf.sprintf "load -p %s %s --rate 0.5 --rumors 2" name dims))
     (matrix_entries ())
 
+(* The declared matrix itself, cell by cell, so a change to what an entry
+   supports is a visible edit here. seq_scan and deterministic build their
+   channel tables from the slot-0 assignment, so they are static-only like
+   the COGCOMPs. *)
+let test_capability_matrix_pinned () =
+  let expected =
+    [
+      (* name, dynamic, max_slots, metrics, load *)
+      ("cogcast", true, true, true, false);
+      ("cogcomp", false, false, false, false);
+      ("cogcomp_robust", false, false, false, false);
+      ("broadcast_baseline", true, true, true, false);
+      ("aggregation_baseline", true, true, true, false);
+      ("aggregation_baseline_honest", true, true, true, false);
+      ("random_hop", true, true, true, false);
+      ("seq_scan", false, true, true, false);
+      ("deterministic", false, true, true, false);
+      ("gossip", true, true, true, true);
+      ("push_sum", true, true, true, true);
+    ]
+  in
+  let row p =
+    let c = Protocol.capabilities p in
+    ( Protocol.name p,
+      c.Protocol.dynamic,
+      c.Protocol.max_slots,
+      c.Protocol.metrics,
+      c.Protocol.load )
+  in
+  let show (name, d, m, me, l) =
+    Printf.sprintf "%s dynamic=%b max_slots=%b metrics=%b load=%b" name d m me l
+  in
+  Alcotest.(check (list string))
+    "capability matrix" (List.map show expected)
+    (List.map (fun p -> show (row p)) Registry.all)
+
+(* Theorem 18 covers inner protocols that solve broadcast on a dynamic
+   spectrum: under a live jammer the wrap of a static-only entry is
+   rejected, naming both entries, while a dynamic entry still runs. *)
+let test_jam_resist_needs_dynamic () =
+  let n = 16 and c = 8 and k = 2 in
+  let rng = Rng.create 3 in
+  let assignment =
+    Topology.generate Topology.Shared_plus_random rng { Topology.n; c; k }
+  in
+  let jammer =
+    Crn_radio.Jammer.random_per_node ~seed:1L ~budget:3
+      ~num_channels:(Assignment.num_channels assignment)
+  in
+  let run name =
+    Protocol.run (Registry.find_exn name)
+      (Protocol.env ~jammer ~k ~availability:(Dynamic.static assignment)
+         ~rng:(Rng.copy rng) ())
+  in
+  List.iter
+    (fun inner ->
+      Alcotest.check_raises ("jam_resist:" ^ inner)
+        (Invalid_argument
+           (Printf.sprintf
+              "jam_resist:%s: %s does not support a dynamic spectrum, which \
+               the Theorem 18 transform needs under a jammer budget 3 > 0"
+              inner inner))
+        (fun () -> ignore (run ("jam_resist:" ^ inner))))
+    [ "cogcomp"; "cogcomp_robust"; "seq_scan"; "deterministic" ];
+  Alcotest.(check bool)
+    "jam_resist:cogcast runs under budget 3" true
+    ((run "jam_resist:cogcast").Protocol.slots_run > 0);
+  let dims = "-n 16 -c 8 -k 2 --trials 2 --jobs 1 --jam-budget 3" in
+  let code, out = Cli.run ("run -p jam_resist:cogcomp " ^ dims) in
+  Alcotest.(check int) "CLI jam_resist:cogcomp" Cli.cli_error code;
+  Alcotest.(check string) "CLI jam_resist:cogcomp: nothing printed" "" out;
+  let code, _ = Cli.run ("run -p jam_resist:cogcast " ^ dims) in
+  Alcotest.(check int) "CLI jam_resist:cogcast" 0 code;
+  let chaos = "chaos -n 16 -c 8 -k 2 --trials 1 --jobs 1 --fault-kind jam --rates 0.5" in
+  let code, out = Cli.run (chaos ^ " --protocols jam_resist:cogcomp") in
+  Alcotest.(check int) "CLI chaos jam_resist:cogcomp" Cli.cli_error code;
+  Alcotest.(check string) "CLI chaos jam_resist:cogcomp: nothing printed" "" out
+
 (* Counts must be positive and sweep input well-formed; each bad value
    exits 124 before any trial runs, instead of crashing, printing NaN or
    reporting zeros. *)
@@ -685,14 +631,8 @@ let () =
         ] );
       ( "baseline ports",
         [
-          Alcotest.test_case "broadcast_baseline parity" `Quick
-            test_broadcast_baseline_parity;
-          Alcotest.test_case "aggregation_baseline parity" `Quick
-            test_aggregation_baseline_parity;
           Alcotest.test_case "random_hop = pure loop" `Quick
             test_random_hop_matches_pure_loop;
-          Alcotest.test_case "seq_scan parity" `Quick test_seq_scan_parity;
-          Alcotest.test_case "deterministic parity" `Quick test_deterministic_parity;
         ] );
       ( "uniform harness",
         [
@@ -713,6 +653,10 @@ let () =
             test_capability_matrix_library;
           Alcotest.test_case "matrix through the CLI" `Quick
             test_capability_matrix_cli;
+          Alcotest.test_case "declared matrix pinned" `Quick
+            test_capability_matrix_pinned;
+          Alcotest.test_case "jam_resist needs a dynamic inner entry" `Quick
+            test_jam_resist_needs_dynamic;
           Alcotest.test_case "CLI rejects bad counts and sweep input" `Quick
             test_cli_rejects_bad_counts;
         ] );

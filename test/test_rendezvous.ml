@@ -10,8 +10,40 @@ module Seq_scan = Crn_rendezvous.Seq_scan
 module Aggregation_baseline = Crn_rendezvous.Aggregation_baseline
 module Cogcast = Crn_core.Cogcast
 module Aggregate = Crn_core.Aggregate
+module Complexity = Crn_core.Complexity
+module Dynamic = Crn_channel.Dynamic
+module Runner = Crn_radio.Runner
 
 let check = Alcotest.(check bool)
+
+(* Every machine below runs through the one driver, on the engine backend
+   of a static spectrum, and reports its snapshot. *)
+let drive ~assignment ~rng machine ~max_slots =
+  let runner = Runner.make ~availability:(Dynamic.static assignment) ~rng () in
+  fst (Runner.drive runner machine ~max_slots)
+
+(* The baselines' default budget: 8x the closed-form bound. *)
+let budget ~assignment ~k bound =
+  let n = Assignment.num_nodes assignment in
+  let c = Assignment.channels_per_node assignment in
+  int_of_float (Float.ceil (8.0 *. bound ~n ~c ~k))
+
+let broadcast_baseline ~assignment ~k ~rng =
+  drive ~assignment ~rng
+    (Broadcast_baseline.machine ~source:0
+       ~availability:(Dynamic.static assignment) ~rng)
+    ~max_slots:(budget ~assignment ~k Complexity.rendezvous_broadcast)
+
+let aggregation_baseline ?max_slots ~values ~assignment ~k ~rng () =
+  let max_slots =
+    match max_slots with
+    | Some m -> m
+    | None -> budget ~assignment ~k Complexity.rendezvous_aggregation
+  in
+  drive ~assignment ~rng
+    (Aggregation_baseline.machine ~monoid:Aggregate.sum ~values ~source:0
+       ~availability:(Dynamic.static assignment) ~rng ())
+    ~max_slots
 
 (* --- pairwise rendezvous --------------------------------------------------- *)
 
@@ -69,7 +101,7 @@ let test_baseline_broadcast_completes () =
   let spec = { Topology.n = 20; c = 8; k = 2 } in
   let assignment = Topology.shared_core (Rng.create 9) spec in
   let r =
-    Broadcast_baseline.run_static ~source:0 ~assignment ~k:2 ~rng:(Rng.create 10) ()
+    broadcast_baseline ~assignment ~k:2 ~rng:(Rng.create 10)
   in
   check "completes" true (r.Broadcast_baseline.completed_at <> None);
   check "everyone informed" true
@@ -87,8 +119,7 @@ let test_cogcast_beats_baseline () =
       Cogcast.run_static ~source:0 ~assignment ~k:2 ~rng:(Rng.create (40 + i)) ()
     in
     let r2 =
-      Broadcast_baseline.run_static ~source:0 ~assignment ~k:2
-        ~rng:(Rng.create (60 + i)) ()
+      broadcast_baseline ~assignment ~k:2 ~rng:(Rng.create (60 + i))
     in
     (match (r1.Cogcast.completed_at, r2.Broadcast_baseline.completed_at) with
     | Some a, Some b ->
@@ -112,7 +143,9 @@ let test_seq_scan_completes_shared_core () =
   in
   let big_c = Assignment.num_channels assignment in
   let r =
-    Seq_scan.run ~source:0 ~assignment ~rng:(Rng.create 13) ~max_slots:(4 * big_c) ()
+    drive ~assignment ~rng:(Rng.create 13)
+      (Seq_scan.machine ~source:0 ~assignment)
+      ~max_slots:(4 * big_c)
   in
   check "scan completes" true (r.Seq_scan.completed_at <> None)
 
@@ -132,8 +165,9 @@ let test_seq_scan_fast_when_k_dense () =
     in
     let big_c = Assignment.num_channels assignment in
     let r =
-      Seq_scan.run ~source:0 ~assignment ~rng:(Rng.create (70 + i))
-        ~max_slots:(8 * big_c) ()
+      drive ~assignment ~rng:(Rng.create (70 + i))
+        (Seq_scan.machine ~source:0 ~assignment)
+        ~max_slots:(8 * big_c)
     in
     match r.Seq_scan.completed_at with
     | Some s -> totals := !totals + s
@@ -154,8 +188,7 @@ let test_baseline_aggregation_correct () =
   let assignment = Topology.shared_core (Rng.create 14) spec in
   let values = Array.init 16 (fun i -> i * 3) in
   let r =
-    Aggregation_baseline.run_static ~monoid:Aggregate.sum ~values ~source:0
-      ~assignment ~k:2 ~rng:(Rng.create 15) ()
+    aggregation_baseline ~values ~assignment ~k:2 ~rng:(Rng.create 15) ()
   in
   check "completes" true (r.Aggregation_baseline.completed_at <> None);
   Alcotest.(check (option int)) "exact sum" (Some (Array.fold_left ( + ) 0 values))
@@ -166,9 +199,8 @@ let test_baseline_aggregation_incomplete_reports_none () =
   let assignment = Topology.shared_core (Rng.create 16) spec in
   let values = Array.make 32 1 in
   let r =
-    Aggregation_baseline.run ~monoid:Aggregate.sum ~values ~source:0
-      ~availability:(Crn_channel.Dynamic.static assignment) ~rng:(Rng.create 17)
-      ~max_slots:3 ()
+    aggregation_baseline ~max_slots:3 ~values ~assignment ~k:1
+      ~rng:(Rng.create 17) ()
   in
   check "not complete in 3 slots" true (r.Aggregation_baseline.completed_at = None);
   Alcotest.(check (option int)) "no value claimed" None r.Aggregation_baseline.root_value
@@ -293,12 +325,14 @@ let test_deterministic_broadcast_completes () =
     Topology.shared_core ~global_labels:true (Rng.create 7)
       { Topology.n = 16; c = 8; k = 3 }
   in
-  match
-    Deterministic.broadcast ~make_schedule:Deterministic.jump_stay ~source:0
-      ~assignment:a ~rng:(Rng.create 8) ~max_slots:100_000 ()
-  with
-  | Some _ -> ()
-  | None -> Alcotest.fail "jump-stay broadcast failed"
+  let r =
+    drive ~assignment:a ~rng:(Rng.create 8)
+      (Deterministic.machine ~make_schedule:Deterministic.jump_stay ~source:0
+         ~assignment:a)
+      ~max_slots:100_000
+  in
+  if r.Deterministic.completed_at = None then
+    Alcotest.fail "jump-stay broadcast failed"
 
 let prop_jump_stay_always_meets =
   QCheck.Test.make ~name:"jump-stay always meets on shared-core pairs" ~count:40
@@ -323,13 +357,9 @@ let prop_baselines_complete =
       let k = max 1 (c / 2) in
       let spec = { Topology.n; c; k } in
       let assignment = Topology.shared_plus_random (Rng.create (seed + 300)) spec in
-      let b =
-        Broadcast_baseline.run_static ~source:0 ~assignment ~k
-          ~rng:(Rng.create (seed + 301)) ()
-      in
+      let b = broadcast_baseline ~assignment ~k ~rng:(Rng.create (seed + 301)) in
       let a =
-        Aggregation_baseline.run_static ~monoid:Aggregate.sum
-          ~values:(Array.make n 2) ~source:0 ~assignment ~k
+        aggregation_baseline ~values:(Array.make n 2) ~assignment ~k
           ~rng:(Rng.create (seed + 302)) ()
       in
       b.Broadcast_baseline.completed_at <> None

@@ -81,18 +81,10 @@ let run_gossip_machine ~hear_limit ~trial =
       ~rumors:3
   in
   let m = Gossip.machine ~hear_limit ~arrivals ~availability ~rng () in
-  let nodes =
-    Array.init n (fun v ->
-        Crn_radio.Engine.node ~id:v
-          ~decide:(fun ~slot -> m.Gossip.decide ~node:v ~slot)
-          ~feedback:(fun ~slot fb -> m.Gossip.feedback ~node:v ~slot fb))
-  in
-  let outcome =
-    Crn_radio.Engine.run
-      ~stop:(fun ~slot:_ -> m.Gossip.finished ())
-      ~availability ~rng ~nodes ~max_slots:4_000 ()
-  in
-  m.Gossip.snapshot ~slots_run:outcome.Crn_radio.Engine.slots_run
+  fst
+    (Crn_radio.Runner.drive
+       (Crn_radio.Runner.make ~availability ~rng ())
+       m ~max_slots:4_000)
 
 let test_hear_limit_retires () =
   (* At the tightest counter every node retires each rumor after one
