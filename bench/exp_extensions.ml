@@ -583,8 +583,8 @@ let e26 () =
         let assignment = Topology.shared_plus_random rng { Topology.n; c; k } in
         let env =
           Protocol.env
-            ~backend:(Runner.Soa { shards = 1; dense_channel_limit = None })
-            ~shards ~k ~max_slots
+            ~backend:(Runner.Soa { shards; dense_channel_limit = None })
+            ~k ~max_slots
             ~availability:(Dynamic.static assignment)
             ~rng:(Rng.create (33_500 + (1_000 * pi) + n))
             ()

@@ -4,19 +4,20 @@
      protocols  — list every protocol in the registry and what it supports
      run        — run any registered protocol by name, uniformly (COGCAST is
                   `run -p cogcast`, COGCOMP `run -p cogcomp`, fault-tolerant
-                  COGCOMP `run -p cogcomp_robust`)
+                  COGCOMP `run -p cogcomp_robust`; the sustained-traffic
+                  workloads take an offered load with --rate, --arrivals
+                  and --rumors and report pooled latency percentiles)
      game       — play the §6 hitting games against the closed-form bounds
      backoff    — measure the decay-backoff realization of the slot model
      jam        — broadcast under an n-uniform jammer (Theorem 18 reduction)
      sweep      — sweep n, c or k and report completion scaling
      chaos      — sweep registry protocols across fault rates
-     load       — sustained-traffic workloads (gossip/push-sum) under an
-                  open-loop load generator: throughput + latency percentiles
 
-   `run`, `chaos` and `load` dispatch through Crn_proto.Registry, so any
-   newly registered protocol is immediately drivable with --faults, --trace,
-   --metrics, --check and --jobs without touching this file; what an entry
-   supports comes from its declared Protocol.capabilities.
+   `run` and `chaos` dispatch through Crn_proto.Registry, so any newly
+   registered protocol is immediately drivable with --faults, --trace,
+   --metrics, --check, --backend and --jobs without touching this file;
+   what an entry supports comes from its declared Protocol.capabilities.
+   A shard count lives only in the backend (--backend soa --shards N).
 
    Every run is reproducible from --seed: trials execute on a domain pool
    sized by --jobs, with one RNG stream split off per trial up front, so
@@ -27,7 +28,6 @@ module Rng = Crn_prng.Rng
 module Pool = Crn_exec.Pool
 module Trials = Crn_exec.Trials
 module Topology = Crn_channel.Topology
-module Dynamic = Crn_channel.Dynamic
 module Summary = Crn_stats.Summary
 module Json = Crn_stats.Json
 module Faults = Crn_radio.Faults
@@ -392,39 +392,39 @@ let session_cap_arg =
            exhausts the cap fails: its broadcasters see No_winner and the \
            slot delivers nothing.")
 
-(* The soa backend is built with [shards = 1]: the shard count always
-   enters through --shards / [env.shards] and is folded into the payload
-   by {!Protocol.resolve_backend}, so every command reconciles the two the
-   same way. *)
-let build_backend ?dense_channel_limit choice session_cap =
-  match (choice, session_cap, dense_channel_limit) with
-  | _, Some v, _ when v < 1 -> Error "--session-cap must be at least 1"
-  | _, _, Some v when v < 0 ->
-      Error "--dense-channel-limit must be >= 0 (0 forces the sparse scan)"
-  | (`Engine | `Emulation _ | `Reference), _, Some _ ->
+(* The backend is the one place a shard count lives: only the soa backend
+   can split a trial, so --shards > 1 with any other fails here, before
+   any trial starts. *)
+let build_backend ?dense_channel_limit ~shards choice session_cap =
+  let backend =
+    match (choice, session_cap, dense_channel_limit) with
+    | _, Some v, _ when v < 1 -> Error "--session-cap must be at least 1"
+    | _, _, Some v when v < 0 ->
+        Error "--dense-channel-limit must be >= 0 (0 forces the sparse scan)"
+    | (`Engine | `Emulation _ | `Reference), _, Some _ ->
+        Error
+          "--dense-channel-limit only applies to the struct-of-arrays backend \
+           (--backend soa)"
+    | `Emulation strategy, _, _ -> Ok (Runner.Emulation { strategy; session_cap })
+    | (`Engine | `Reference | `Soa), Some _, _ ->
+        Error
+          "--session-cap only applies to the emulation backends (--backend \
+           emulation | emulation-csma)"
+    | `Engine, None, _ -> Ok Runner.Engine
+    | `Reference, None, _ -> Ok Runner.Reference
+    | `Soa, None, _ -> Ok (Runner.Soa { shards; dense_channel_limit })
+  in
+  match backend with
+  | Ok ((Runner.Engine | Runner.Emulation _ | Runner.Reference) as b)
+    when shards > 1 ->
       Error
-        "--dense-channel-limit only applies to the struct-of-arrays backend \
-         (--backend soa)"
-  | `Emulation strategy, _, _ -> Ok (Runner.Emulation { strategy; session_cap })
-  | (`Engine | `Reference | `Soa), Some _, _ ->
-      Error
-        "--session-cap only applies to the emulation backends (--backend \
-         emulation | emulation-csma)"
-  | `Engine, None, _ -> Ok Runner.Engine
-  | `Reference, None, _ -> Ok Runner.Reference
-  | `Soa, None, _ -> Ok (Runner.Soa { shards = 1; dense_channel_limit })
-
-let backend_name = Runner.backend_name
+        (Printf.sprintf
+           "--shards: shards %d requested but the %s backend cannot shard a \
+            trial; use the soa backend"
+           shards (Runner.backend_name b))
+  | _ -> backend
 
 let is_emulation = function Runner.Emulation _ -> true | _ -> false
-
-(* Commands validate the --shards/--backend combination eagerly, so a bad
-   pairing fails before any trial starts. Every entry runs on every
-   backend, so one check covers any protocol selection. *)
-let check_shards ~backend ~shards =
-  match Protocol.resolve_backend ~protocol:"--shards" backend ~shards with
-  | _ -> Ok ()
-  | exception Invalid_argument m -> Error m
 
 let find_protocol name =
   match Registry.find_exn name with
@@ -545,19 +545,58 @@ let detail_means (summaries : Protocol.summary array) =
              else Printf.sprintf "%s=%s (%d/%d)" key v (List.length xs) trials))
     keys
 
+(* The trials' [latencies] pooled into one sample, or [None] when no trial
+   reports latencies (only the workloads do). *)
+let pooled_latencies (summaries : Protocol.summary array) =
+  let reported =
+    Array.to_list summaries
+    |> List.filter_map (fun (s : Protocol.summary) ->
+           match Json.member "latencies" s.Protocol.detail with
+           | Some (Json.List l) ->
+               Some (List.filter_map (function Json.Float f -> Some f | _ -> None) l)
+           | _ -> None)
+  in
+  if reported = [] then None else Some (Array.of_list (List.concat reported))
+
+let arrivals_laws = [ ("poisson", Protocol.Poisson); ("uniform", Protocol.Uniform) ]
+
+let arrivals_name law = fst (List.find (fun (_, l) -> l = law) arrivals_laws)
+
+(* An offered load is set only when a load flag is given; the flags left
+   unset take their defaults. *)
+let build_load rate arrivals rumors =
+  match (rate, arrivals, rumors) with
+  | None, None, None -> Ok None
+  | Some r, _, _ when not (r > 0.0) -> Error "--rate must be > 0"
+  | _ ->
+      Ok
+        (Some
+           {
+             Protocol.rate = Option.value rate ~default:0.2;
+             arrivals = Option.value arrivals ~default:Protocol.Poisson;
+             rumors = Option.value rumors ~default:16;
+           })
+
 let run_cmd =
   let run name n c k topology dynamic jam_budget seed trials jobs shards
       backend_choice session_cap dense_channel_limit faults_spec fault_seed
-      trace_path metrics_path check =
+      rate arrivals rumors trace_path metrics_path check json_path =
     let spec = { Topology.n; c; k } in
     let* () = check_params c k in
     let* proto = find_protocol name in
     let* () =
       if jam_budget < 0 then Error "jam budget must be non-negative" else Ok ()
     in
+    let* load = build_load rate arrivals rumors in
+    let* () =
+      if load <> None && not (Protocol.capabilities proto).Protocol.load then
+        Error (Protocol.unsupported proto "load")
+      else Ok ()
+    in
     let* () = check_dynamic ~mode:dynamic ~spec [ proto ] in
-    let* backend = build_backend ?dense_channel_limit backend_choice session_cap in
-    let* () = check_shards ~backend ~shards in
+    let* backend =
+      build_backend ?dense_channel_limit ~shards backend_choice session_cap
+    in
     try
       let faults = build_faults faults_spec fault_seed in
       (* The spectrum size is determined by the topology spec, so one
@@ -583,8 +622,8 @@ let run_cmd =
         let availability, rng =
           armed_availability ~mode:dynamic ~topology ~spec ?trace ~rng ()
         in
-        Protocol.env ?faults ?jammer ?trace ~backend ~k ~shards ~availability
-          ~rng ()
+        Protocol.env ?faults ?jammer ?trace ?load ~backend ~k ~availability ~rng
+          ()
       in
       let summaries =
         Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
@@ -595,10 +634,13 @@ let run_cmd =
         (Topology.kind_name topology) trials;
       Printf.printf "  %s\n" (Protocol.synopsis proto);
       (if backend <> Runner.Engine then
-         Printf.printf "  backend: %s%s\n" (backend_name backend)
-           (match session_cap with
-           | Some cap -> Printf.sprintf " (session cap %d)" cap
-           | None -> ""));
+         Printf.printf "  backend: %s%s\n" (Runner.backend_name backend)
+           (match backend with
+           | Runner.Emulation { session_cap = Some cap; _ } ->
+               Printf.sprintf " (session cap %d)" cap
+           | Runner.Soa { shards; _ } ->
+               Printf.sprintf " (%d shard%s)" shards (if shards = 1 then "" else "s")
+           | _ -> ""));
       (if dynamic <> Adversary_lab.Static then
          Printf.printf "  dynamic: %s reassignment per slot\n"
            (Adversary_lab.mode_name dynamic));
@@ -610,6 +652,11 @@ let run_cmd =
       (match faults with
       | Some f ->
           Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f) fault_seed
+      | None -> ());
+      (match load with
+      | Some l ->
+          Printf.printf "  offered: rate=%g rumors/slot (%s), batch=%d rumors\n"
+            l.Protocol.rate (arrivals_name l.Protocol.arrivals) l.Protocol.rumors
       | None -> ());
       let floats f = Array.map f summaries in
       Printf.printf "  completion slots: %s\n"
@@ -635,6 +682,15 @@ let run_cmd =
       | fields ->
           Printf.printf "  detail (mean over trials): %s\n"
             (String.concat " " fields));
+      let latencies = pooled_latencies summaries in
+      (match latencies with
+      | Some [||] -> Printf.printf "  pooled latency slots: no samples\n"
+      | Some l ->
+          let pct = Summary.percentile l in
+          Printf.printf
+            "  pooled latency slots: p50=%.0f p95=%.0f p99=%.0f (%d samples)\n"
+            (pct 50.0) (pct 95.0) (pct 99.0) (Array.length l)
+      | None -> ());
       (if is_emulation backend then
          let raw = floats (fun s -> float_of_int s.Protocol.raw_rounds) in
          let failed =
@@ -642,6 +698,62 @@ let run_cmd =
          in
          Printf.printf "  raw rounds: %s; failed sessions: %d\n"
            (Summary.to_string (Summary.of_floats raw)) failed);
+      (match json_path with
+      | Some path ->
+          let opt f = function Some v -> f v | None -> Json.Null in
+          let latency_fields =
+            match latencies with
+            | None -> []
+            | Some l ->
+                ("latency_samples", Json.Int (Array.length l))
+                :: List.map
+                     (fun p ->
+                       ( Printf.sprintf "latency_p%.0f" p,
+                         if l = [||] then Json.Null
+                         else Json.Float (Summary.percentile l p) ))
+                     [ 50.0; 95.0; 99.0 ]
+          in
+          Json.write ~path
+            (Json.Obj
+               ([
+                  ("schema", Json.String "crn-run/1");
+                  ("protocol", Json.String (Protocol.name proto));
+                  ("n", Json.Int n);
+                  ("c", Json.Int c);
+                  ("k", Json.Int k);
+                  ("topology", Json.String (Topology.kind_name topology));
+                  ("dynamic", Json.String (Adversary_lab.mode_name dynamic));
+                  ("backend", Json.String (Runner.backend_name backend));
+                  ("shards", Json.Int shards);
+                  ("jam_budget", Json.Int jam_budget);
+                  ("faults", opt (fun f -> Json.String (Faults.to_string f)) faults);
+                  ("fault_seed", Json.Int fault_seed);
+                  ("trials", Json.Int trials);
+                  ("seed", Json.Int seed);
+                  ( "load",
+                    opt
+                      (fun l ->
+                        Json.Obj
+                          [
+                            ("rate", Json.Float l.Protocol.rate);
+                            ( "arrivals",
+                              Json.String (arrivals_name l.Protocol.arrivals) );
+                            ("rumors", Json.Int l.Protocol.rumors);
+                          ])
+                      load );
+                  ( "completion_rate",
+                    Json.Float (float_of_int completions /. float_of_int trials) );
+                  ("mean_coverage", Json.Float mean_coverage);
+                ]
+               @ latency_fields
+               @ [
+                   ( "per_trial",
+                     Json.List
+                       (Array.to_list (Array.map Protocol.summary_json summaries))
+                   );
+                 ]));
+          Printf.printf "  wrote %s\n" path
+      | None -> ());
       observe ~trace_path ~metrics_path ~check (fun ~trace ->
           let rng = Rng.create seed in
           ignore (Protocol.run proto (env ~trace ~rng ())))
@@ -669,19 +781,63 @@ let run_cmd =
              Theorem 18 transform, which requires 2T strictly below the \
              spectrum size. 0 disables.")
   in
+  let load_doc =
+    " Any of $(b,--rate), $(b,--arrivals) and $(b,--rumors) sets an \
+     offered load (the others take their defaults); only the entries \
+     $(b,crn_sim protocols) lists as reading a load accept one."
+  in
+  let rate_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "rate" ] ~docv:"R"
+          ~doc:
+            ("Offered load: rumor arrivals per slot, network-wide (default \
+              0.2)." ^ load_doc))
+  in
+  let arrivals_arg =
+    Arg.(
+      value
+      & opt (some (enum arrivals_laws)) None
+      & info [ "arrivals" ] ~docv:"LAW"
+          ~doc:
+            ("Inter-arrival law of the offered load: $(b,poisson) (default) \
+              or $(b,uniform)." ^ load_doc))
+  in
+  let rumors_arg =
+    Arg.(
+      value
+      & opt (some pos_int) None
+      & info [ "rumors" ] ~docv:"K"
+          ~doc:
+            ("Rumors in the offered load's batch (default 16); the run drains \
+              until all complete or the budget runs out." ^ load_doc))
+  in
+  let json_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Write the run as JSON (schema crn-run/1): its parameters, the \
+             offered load (or null), completion rate, mean coverage, pooled \
+             latency percentiles when the trials report latencies, and every \
+             trial's full summary.")
+  in
   let term =
     Term.(
       ret
         (const run $ protocol_arg $ n_arg $ c_arg $ k_arg $ topology_arg
        $ dynamic_arg $ jam_budget_arg $ seed_arg $ trials_arg $ jobs_arg
        $ shards_arg $ backend_arg $ session_cap_arg $ dense_channel_limit_arg
-       $ faults_arg $ fault_seed_arg $ trace_arg $ metrics_arg $ check_arg))
+       $ faults_arg $ fault_seed_arg $ rate_arg $ arrivals_arg $ rumors_arg
+       $ trace_arg $ metrics_arg $ check_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Run any registered protocol by name with the uniform trial, fault \
-          and observability machinery.")
+         "Run any registered protocol by name with the uniform trial, fault, \
+          load and observability machinery.")
     term
 
 (* ---- game ---- *)
@@ -953,11 +1109,12 @@ let chaos_cmd =
     in
     let* () = check_params c k in
     let* kind = Adversary_lab.fault_kind_of_string kind in
-    let* backend = build_backend ?dense_channel_limit backend_choice session_cap in
+    let* backend =
+      build_backend ?dense_channel_limit ~shards backend_choice session_cap
+    in
     let spec = { Topology.n; c; k } in
     let kind_name = Adversary_lab.fault_kind_name kind in
     let* () = check_dynamic ~mode:dynamic ~spec protos in
-    let* () = check_shards ~backend ~shards in
     (* Selftest hook: with CRN_CHAOS_INJECT_VIOLATION set, every trial
        reports one fake violation, so the --check exit-code path can be
        tested end to end (healthy runs have nothing to fail on). *)
@@ -996,8 +1153,8 @@ let chaos_cmd =
               armed_availability ~mode:dynamic ~topology ~spec ~trace ~rng
                 ()
             in
-            Protocol.env ?faults ?jammer ~trace ~backend ~k ~shards
-              ~availability ~rng ())
+            Protocol.env ?faults ?jammer ~trace ~backend ~k ~availability
+              ~rng ())
       in
       let s = t.Adversary_lab.summary in
       ( s.Protocol.completed,
@@ -1100,7 +1257,7 @@ let chaos_cmd =
            backend=%s trials=%d/point\n"
           n c k
           (Topology.kind_name topology) kind_name
-          (Adversary_lab.mode_name dynamic) (backend_name backend) trials;
+          (Adversary_lab.mode_name dynamic) (Runner.backend_name backend) trials;
         let doc =
           Json.Obj
             [
@@ -1111,7 +1268,7 @@ let chaos_cmd =
               ("topology", Json.String (Topology.kind_name topology));
               ("fault_kind", Json.String kind_name);
               ("dynamic", Json.String (Adversary_lab.mode_name dynamic));
-              ("backend", Json.String (backend_name backend));
+              ("backend", Json.String (Runner.backend_name backend));
               ("trials", Json.Int trials);
               ("seed", Json.Int seed);
               ("fault_seed", Json.Int fault_seed);
@@ -1200,195 +1357,6 @@ let chaos_cmd =
           invariants, and emit degradation curves.")
     term
 
-(* ---- load: sustained-traffic workloads ---- *)
-
-let load_cmd =
-  let arrivals_conv =
-    let parse = function
-      | "poisson" -> Ok Protocol.Poisson
-      | "uniform" -> Ok Protocol.Uniform
-      | s -> Error (`Msg (Printf.sprintf "unknown arrival law %S (poisson|uniform)" s))
-    in
-    Arg.conv
-      ( parse,
-        fun fmt law ->
-          Format.pp_print_string fmt
-            (match law with Protocol.Poisson -> "poisson" | Protocol.Uniform -> "uniform")
-      )
-  in
-  let run name rate arrivals rumors n c k topology seed trials jobs shards
-      backend_choice dense_channel_limit faults_spec fault_seed trace_path
-      metrics_path check json_path =
-    let* () = check_params c k in
-    let* proto = find_protocol name in
-    let* () =
-      if (Protocol.capabilities proto).Protocol.load then Ok ()
-      else Error (Protocol.unsupported proto "load")
-    in
-    let* () = if rate > 0.0 then Ok () else Error "rate must be > 0" in
-    let* backend = build_backend ?dense_channel_limit backend_choice None in
-    let* () = check_shards ~backend ~shards in
-    let spec = { Topology.n; c; k } in
-    let load = { Protocol.rate; arrivals; rumors } in
-    let faults = build_faults faults_spec fault_seed in
-    let env ?trace ~rng () =
-      let assignment = Topology.generate topology rng spec in
-      Protocol.env ?faults ?trace ~backend ~k ~shards ~load
-        ~availability:(Dynamic.static assignment) ~rng ()
-    in
-    let summaries =
-      Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
-          Protocol.run proto (env ~rng ()))
-    in
-    let detail_float key (s : Protocol.summary) =
-      match Json.member key s.Protocol.detail with
-      | Some (Json.Float f) -> f
-      | Some (Json.Int i) -> float_of_int i
-      | _ -> 0.0
-    in
-    let latencies =
-      Array.to_list summaries
-      |> List.concat_map (fun (s : Protocol.summary) ->
-             match Json.member "latencies" s.Protocol.detail with
-             | Some (Json.List l) ->
-                 List.filter_map
-                   (function Json.Float f -> Some f | _ -> None)
-                   l
-             | _ -> [])
-      |> Array.of_list
-    in
-    let mean f =
-      Array.fold_left (fun acc s -> acc +. f s) 0.0 summaries
-      /. float_of_int trials
-    in
-    (* Gossip reports delivered rumors per slot, push-sum mass transfers. *)
-    let throughput_key, throughput_unit =
-      match Json.member "throughput" summaries.(0).Protocol.detail with
-      | Some _ -> ("throughput", "rumors/slot")
-      | None -> ("transfer_rate", "transfers/slot")
-    in
-    let throughput = mean (detail_float throughput_key) in
-    let completion =
-      mean (fun s -> if s.Protocol.completed then 1.0 else 0.0)
-    in
-    let coverage = mean (fun s -> s.Protocol.coverage) in
-    let slots = mean (fun s -> float_of_int s.Protocol.slots_run) in
-    let pct p =
-      if Array.length latencies = 0 then Float.nan
-      else Summary.percentile latencies p
-    in
-    Printf.printf "load  %s  n=%d c=%d k=%d topology=%s trials=%d\n"
-      (Protocol.name proto) n c k (Topology.kind_name topology) trials;
-    Printf.printf "  offered: rate=%g rumors/slot (%s), batch=%d rumors\n" rate
-      (match arrivals with Protocol.Poisson -> "poisson" | Protocol.Uniform -> "uniform")
-      rumors;
-    (match faults with
-    | Some f ->
-        Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f) fault_seed
-    | None -> ());
-    Printf.printf "  completion: %.2f; mean coverage: %.3f; mean slots: %.0f\n"
-      completion coverage slots;
-    Printf.printf "  goodput: %.4f %s\n" throughput throughput_unit;
-    if Array.length latencies > 0 then
-      Printf.printf "  latency slots: p50=%.0f p95=%.0f p99=%.0f (%d samples)\n"
-        (pct 50.0) (pct 95.0) (pct 99.0) (Array.length latencies)
-    else Printf.printf "  latency slots: no samples\n";
-    (match json_path with
-    | Some path ->
-        let doc =
-          Json.Obj
-            [
-              ("schema", Json.String "crn-load/1");
-              ("protocol", Json.String (Protocol.name proto));
-              ("n", Json.Int n);
-              ("c", Json.Int c);
-              ("k", Json.Int k);
-              ("topology", Json.String (Topology.kind_name topology));
-              ("rate", Json.Float rate);
-              ( "arrivals",
-                Json.String
-                  (match arrivals with
-                  | Protocol.Poisson -> "poisson"
-                  | Protocol.Uniform -> "uniform") );
-              ("rumors", Json.Int rumors);
-              ("trials", Json.Int trials);
-              ("seed", Json.Int seed);
-              ("completion_rate", Json.Float completion);
-              ("mean_coverage", Json.Float coverage);
-              ("mean_slots", Json.Float slots);
-              ("throughput", Json.Float throughput);
-              ("latency_p50", Json.Float (pct 50.0));
-              ("latency_p95", Json.Float (pct 95.0));
-              ("latency_p99", Json.Float (pct 99.0));
-              ( "per_trial",
-                Json.List
-                  (Array.to_list
-                     (Array.map Protocol.summary_json summaries)) );
-            ]
-        in
-        Json.write ~path doc;
-        Printf.printf "  wrote %s\n" path
-    | None -> ());
-    observe ~trace_path ~metrics_path ~check (fun ~trace ->
-        let rng = Rng.create seed in
-        ignore (Protocol.run proto (env ~trace ~rng ())))
-  in
-  let protocol_arg =
-    Arg.(
-      value
-      & opt string "gossip"
-      & info [ "p"; "protocol" ] ~docv:"NAME"
-          ~doc:
-            "Workload protocol: $(b,gossip), $(b,push_sum), or any entry \
-             that $(b,crn_sim protocols) lists as reading a load; others \
-             are rejected.")
-  in
-  let rate_arg =
-    Arg.(
-      value & opt float 0.2
-      & info [ "rate" ] ~docv:"R"
-          ~doc:"Offered load: rumor arrivals per slot, network-wide.")
-  in
-  let arrivals_arg =
-    Arg.(
-      value
-      & opt arrivals_conv Protocol.Poisson
-      & info [ "arrivals" ] ~docv:"LAW"
-          ~doc:"Inter-arrival law: $(b,poisson) or $(b,uniform).")
-  in
-  let rumors_arg =
-    Arg.(
-      value & opt pos_int 16
-      & info [ "rumors" ] ~docv:"K"
-          ~doc:
-            "Rumors in the workload batch; the run drains until all \
-             complete or the budget runs out.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write throughput/latency results as JSON (schema crn-load/1), \
-             including every trial's full summary.")
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ protocol_arg $ rate_arg $ arrivals_arg $ rumors_arg $ n_arg
-       $ c_arg $ k_arg $ topology_arg $ seed_arg $ trials_arg $ jobs_arg
-       $ shards_arg $ backend_arg $ dense_channel_limit_arg $ faults_arg
-       $ fault_seed_arg $ trace_arg $ metrics_arg $ check_arg $ json_arg))
-  in
-  Cmd.v
-    (Cmd.info "load"
-       ~doc:
-         "Drive a sustained-traffic workload (multi-rumor gossip or push-sum) \
-          under an open-loop load generator and report throughput and \
-          latency percentiles.")
-    term
-
 let () =
   let info =
     Cmd.info "crn_sim" ~version:"1.0.0"
@@ -1404,7 +1372,6 @@ let () =
         jam_cmd;
         sweep_cmd;
         chaos_cmd;
-        load_cmd;
       ]
   in
   exit (Cmd.eval group)

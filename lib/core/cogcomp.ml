@@ -80,18 +80,18 @@ let phase1 ?jammer ?faults ?trace ?backend ?budget_factor ~source ~assignment ~k
 
 type phase2_msg = { p2_id : int; p2_r : int }
 
-type phase2_info = {
-  cluster_size : int;  (* size of the node's own (r,c)-cluster *)
-  roster : (int * int) list;  (* (id, r) of every node on this channel *)
-  is_mediator : bool;
-  (* For the mediator: every cluster on its channel as (r, member ids),
-     sorted by descending r. Empty for non-mediators. *)
-  med_clusters : (int * int list) list;
+type roster = {
+  participant : (int * int) option array;
+  rosters : (int * int) list array;
+  sent_ok : bool array;
+  slots_run : int;
 }
 
-let run_phase2 ~(cast : Cogcast.result) ~runner =
+(* Fault-free every participant wins within the first n slots (one winner
+   per channel per slot), so the stop fires at the end of slot n-1 and the
+   phase is plain COGCOMP's fixed n slots at any [rounds]. *)
+let collect_rosters ~(cast : Cogcast.result) ~rounds ~runner =
   let n = cast.Cogcast.n in
-  (* participant.(v) = Some (r, label) for informed non-source nodes. *)
   let participant =
     Array.init n (fun v ->
         if v = cast.Cogcast.source then None
@@ -102,8 +102,14 @@ let run_phase2 ~(cast : Cogcast.result) ~runner =
   in
   let sent_ok = Array.make n false in
   let rosters = Array.make n [] in
+  let pending = ref 0 in
   Array.iteri
-    (fun v p -> match p with Some (r, _) -> rosters.(v) <- [ (v, r) ] | None -> ())
+    (fun v p ->
+      match p with
+      | Some (r, _) ->
+          rosters.(v) <- [ (v, r) ];
+          incr pending
+      | None -> ())
     participant;
   let decide v ~slot:_ =
     match participant.(v) with
@@ -114,7 +120,9 @@ let run_phase2 ~(cast : Cogcast.result) ~runner =
   in
   let note v msg = rosters.(v) <- (msg.p2_id, msg.p2_r) :: rosters.(v) in
   let feedback v ~slot:_ = function
-    | Action.Won -> sent_ok.(v) <- true
+    | Action.Won ->
+        sent_ok.(v) <- true;
+        decr pending
     | Action.Lost { msg; _ } -> note v msg
     | Action.Heard { msg; _ } -> if participant.(v) <> None then note v msg
     | Action.Silence | Action.Jammed | Action.No_winner -> ()
@@ -122,23 +130,40 @@ let run_phase2 ~(cast : Cogcast.result) ~runner =
   let nodes =
     Array.init n (fun v -> Engine.node ~id:v ~decide:(decide v) ~feedback:(feedback v))
   in
-  let slots_run = run_slots runner ~nodes ~max_slots:n () in
+  let stop ~slot = slot >= n - 1 && !pending = 0 in
+  let slots_run = run_slots runner ~stop ~nodes ~max_slots:(n * rounds) () in
+  { participant; rosters; sent_ok; slots_run }
+
+let elect ~r roster =
+  let cluster_size = List.length (List.filter (fun (_, r') -> r' = r) roster) in
+  let r_max = List.fold_left (fun acc (_, r') -> max acc r') (-1) roster in
+  let mediator =
+    List.fold_left
+      (fun acc (id, r') -> if r' = r_max then min acc id else acc)
+      max_int roster
+  in
+  (cluster_size, mediator)
+
+type phase2_info = {
+  cluster_size : int;  (* size of the node's own (r,c)-cluster *)
+  roster : (int * int) list;  (* (id, r) of every node on this channel *)
+  is_mediator : bool;
+  (* For the mediator: every cluster on its channel as (r, member ids),
+     sorted by descending r. Empty for non-mediators. *)
+  med_clusters : (int * int list) list;
+}
+
+let run_phase2 ~(cast : Cogcast.result) ~runner =
+  let c = collect_rosters ~cast ~rounds:1 ~runner in
   let info =
-    Array.init n (fun v ->
-        match participant.(v) with
+    Array.init cast.Cogcast.n (fun v ->
+        match c.participant.(v) with
         | None ->
             { cluster_size = 0; roster = []; is_mediator = false; med_clusters = [] }
         | Some (r, _) ->
-            let roster = rosters.(v) in
-            let cluster_size =
-              List.length (List.filter (fun (_, r') -> r' = r) roster)
-            in
-            let r_max = List.fold_left (fun acc (_, r') -> max acc r') (-1) roster in
-            let latest_ids =
-              List.filter_map (fun (id, r') -> if r' = r_max then Some id else None) roster
-            in
-            let mediator_id = List.fold_left min max_int latest_ids in
-            let is_mediator = mediator_id = v in
+            let roster = c.rosters.(v) in
+            let cluster_size, mediator = elect ~r roster in
+            let is_mediator = mediator = v in
             let med_clusters =
               if not is_mediator then []
               else begin
@@ -154,7 +179,7 @@ let run_phase2 ~(cast : Cogcast.result) ~runner =
             in
             { cluster_size; roster; is_mediator; med_clusters })
   in
-  (info, slots_run)
+  (info, c.slots_run)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 3: the rewind — informers learn their clusters' sizes. Robust

@@ -126,8 +126,9 @@ val run :
 
 (** {2 Building blocks shared with robust COGCOMP}
 
-    The robust variant reuses phase 1, the phase runners and the phase-3
-    rewind unchanged; only phases 2 and 4 differ. *)
+    The robust variant reuses phase 1, the phase runners, phase 2's roster
+    collection and the phase-3 rewind unchanged; only what phase 2 derives
+    from the rosters, and phase 4, differ. *)
 
 val validate :
   who:string ->
@@ -168,6 +169,33 @@ val phase1 :
     same adversaries and trace, on the next stream split from [rng]; every
     run of such a runner is added into the total, which starts at phase
     1's cost. *)
+
+type roster = {
+  participant : (int * int) option array;
+      (** [Some (r, label)] for every node phase 1 informed, the source
+          excepted: the slot and the channel label it was informed on. *)
+  rosters : (int * int) list array;
+      (** Per participant, the [(id, r)] of every roster broadcast it heard
+          on its channel, its own included; [[]] for the others. *)
+  sent_ok : bool array;  (** The participant won its roster slot. *)
+  slots_run : int;
+}
+(** What phase 2's roster exchange leaves each node. *)
+
+val collect_rosters :
+  cast:Cogcast.result -> rounds:int -> runner:Crn_radio.Runner.t -> roster
+(** Phase 2's exchange: every participant camps on the channel it was
+    informed on and broadcasts [⟨id, r⟩] until it wins, then listens.
+    Fault-free it takes exactly [n] slots at any [rounds >= 1], since each
+    participant wins within the first [n]. Otherwise the run goes on past
+    [n] slots until every participant has won, for at most [rounds · n]
+    slots: plain COGCOMP passes [rounds = 1], robust COGCOMP adds its
+    watchdog rounds. *)
+
+val elect : r:int -> (int * int) list -> int * int
+(** [elect ~r roster] is the size of the cluster [r] in [roster] and the
+    channel's mediator, the smallest id in its latest cluster
+    (Lemma 7). *)
 
 val run_phase3 :
   cast:Cogcast.result ->

@@ -53,8 +53,6 @@ let grace_slots = 96
    off — absent from every roster, it is excluded from phase 4.         *)
 (* ------------------------------------------------------------------ *)
 
-type phase2_msg = { p2_id : int; p2_r : int }
-
 type phase2_info = {
   p2_r : int;  (* own cluster slot; -1 for non-participants *)
   cluster_size : int;
@@ -72,56 +70,12 @@ type phase2_info = {
 }
 
 let run_phase2 ~(cast : Cogcast.result) ~watchdog_retries ~runner =
-  let n = cast.Cogcast.n in
-  let participant =
-    Array.init n (fun v ->
-        if v = cast.Cogcast.source then None
-        else
-          match (cast.Cogcast.informed_at.(v), cast.Cogcast.informed_label.(v)) with
-          | Some r, Some label -> Some (r, label)
-          | _ -> None)
+  let c =
+    Cogcomp.collect_rosters ~cast ~rounds:(1 + watchdog_retries) ~runner
   in
-  let sent_ok = Array.make n false in
-  let rosters = Array.make n [] in
-  let pending = ref 0 in
-  Array.iteri
-    (fun v p ->
-      match p with
-      | Some (r, _) ->
-          rosters.(v) <- [ (v, r) ];
-          incr pending
-      | None -> ())
-    participant;
-  let decide v ~slot:_ =
-    match participant.(v) with
-    | None -> Action.listen ~label:0
-    | Some (r, label) ->
-        if sent_ok.(v) then Action.listen ~label
-        else Action.broadcast ~label { p2_id = v; p2_r = r }
-  in
-  let note v msg = rosters.(v) <- (msg.p2_id, msg.p2_r) :: rosters.(v) in
-  let feedback v ~slot:_ = function
-    | Action.Won ->
-        sent_ok.(v) <- true;
-        decr pending
-    | Action.Lost { msg; _ } -> note v msg
-    | Action.Heard { msg; _ } -> if participant.(v) <> None then note v msg
-    | Action.Silence | Action.Jammed | Action.No_winner -> ()
-  in
-  let nodes =
-    Array.init n (fun v -> Engine.node ~id:v ~decide:(decide v) ~feedback:(feedback v))
-  in
-  (* Fault-free every participant wins within the first n slots (one winner
-     per channel per slot), so the stop fires at exactly slot n-1 and the
-     phase is plain COGCOMP's fixed n slots. Under faults the phase extends,
-     one retry round of n slots at a time, until everyone won or the budget
-     is gone. *)
-  let stop ~slot = slot >= n - 1 && !pending = 0 in
-  let max_slots = n * (1 + max 0 watchdog_retries) in
-  let slots_run = Cogcomp.run_slots runner ~stop ~nodes ~max_slots () in
   let info =
-    Array.init n (fun v ->
-        match participant.(v) with
+    Array.init cast.Cogcast.n (fun v ->
+        match c.Cogcomp.participant.(v) with
         | None ->
             {
               p2_r = -1;
@@ -132,17 +86,8 @@ let run_phase2 ~(cast : Cogcast.result) ~watchdog_retries ~runner =
               clusters_all = [];
             }
         | Some (r, _) ->
-            let roster = rosters.(v) in
-            let cluster_size =
-              List.length (List.filter (fun (_, r') -> r' = r) roster)
-            in
-            let r_max = List.fold_left (fun acc (_, r') -> max acc r') (-1) roster in
-            let latest_ids =
-              List.filter_map
-                (fun (id, r') -> if r' = r_max then Some id else None)
-                roster
-            in
-            let mediator_id = List.fold_left min max_int latest_ids in
+            let roster = c.Cogcomp.rosters.(v) in
+            let cluster_size, mediator_id = Cogcomp.elect ~r roster in
             let rest =
               List.sort compare
                 (List.filter_map
@@ -168,13 +113,13 @@ let run_phase2 ~(cast : Cogcast.result) ~watchdog_retries ~runner =
             {
               p2_r = r;
               cluster_size;
-              wrote_off = not sent_ok.(v);
+              wrote_off = not c.Cogcomp.sent_ok.(v);
               candidates;
               my_rank;
               clusters_all;
             })
   in
-  (info, slots_run)
+  (info, c.Cogcomp.slots_run)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 4: mediated drain with acks, bounded retries, re-election.     *)

@@ -20,13 +20,11 @@ type env = {
   metrics : Crn_radio.Metrics.t option;
   trace : Trace.t option;
   backend : Runner.backend;
-  shards : int;
   load : load option;
 }
 
 let env ?(source = 0) ?(k = 1) ?budget_factor ?max_slots ?jammer ?faults ?metrics
-    ?trace ?(backend = Runner.Engine) ?(shards = 1) ?load ~availability ~rng () =
-  if shards < 1 then invalid_arg "Protocol.env: shards must be >= 1";
+    ?trace ?(backend = Runner.Engine) ?load ~availability ~rng () =
   Option.iter (Crn_core.Complexity.check_factor ~who:"Protocol.env") budget_factor;
   (match load with
   | Some { rate; _ } when not (rate > 0.0) ->
@@ -46,7 +44,6 @@ let env ?(source = 0) ?(k = 1) ?budget_factor ?max_slots ?jammer ?faults ?metric
     metrics;
     trace;
     backend;
-    shards;
     load;
   }
 
@@ -92,31 +89,6 @@ let summary_json s =
     ]
 
 type capabilities = { dynamic : bool; max_slots : bool; metrics : bool; load : bool }
-
-(* Reconcile the two places a shard count can enter a run: [env.shards]
-   (the CLI's [--shards]) and
-   the shard count carried inside a [Runner.Soa] backend payload. Only the
-   SoA backend can honor intra-trial sharding, so any other backend with
-   [shards > 1] is a user error we must surface, not silently ignore. *)
-let resolve_backend ~protocol (backend : Runner.backend) ~shards =
-  if shards < 1 then invalid_arg (protocol ^ ": shards must be >= 1");
-  if shards = 1 then backend
-  else
-    match backend with
-    | Runner.Soa { shards = 1; dense_channel_limit } ->
-        Runner.Soa { shards; dense_channel_limit }
-    | Runner.Soa { shards = s; _ } when s = shards -> backend
-    | Runner.Soa { shards = s; _ } ->
-        invalid_arg
-          (Printf.sprintf
-             "%s: shards %d conflicts with the soa backend's shard count %d"
-             protocol shards s)
-    | (Runner.Engine | Runner.Emulation _ | Runner.Reference) as b ->
-        invalid_arg
-          (Printf.sprintf
-             "%s: shards %d requested but the %s backend cannot shard a \
-              trial; use the soa backend"
-             protocol shards (Runner.backend_name b))
 
 type t = {
   p_name : string;
@@ -166,10 +138,10 @@ let exec_machine ~name ~shardable ~budget ~init ~summarize env =
   let max_slots =
     match env.max_slots with Some m -> m | None -> budget env
   in
-  let backend = resolve_backend ~protocol:name env.backend ~shards:env.shards in
   let runner =
     Runner.make ~machine_parallel:shardable ?jammer:env.jammer
-      ?faults:env.faults ?metrics:env.metrics ?trace:env.trace ~backend
+      ?faults:env.faults ?metrics:env.metrics ?trace:env.trace
+      ~backend:env.backend
       ~availability:env.availability ~rng:env.rng ()
   in
   let result, outcome = Runner.drive runner machine ~max_slots in

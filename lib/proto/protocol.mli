@@ -45,14 +45,9 @@ type env = {
   metrics : Crn_radio.Metrics.t option;
   trace : Crn_radio.Trace.t option;
   backend : Crn_radio.Runner.backend;
-  shards : int;
-      (** Intra-trial shard count. Only the {!Crn_radio.Runner.Soa} backend
-          can honor it: with that backend a value [> 1] is folded into the
-          backend payload (see {!resolve_backend}), and results are
-          shard-count invariant by the SoA determinism contract, so this is
-          purely a performance knob. On any other backend a value [> 1]
-          raises [Invalid_argument] naming the backend — it is never
-          silently ignored. *)
+      (** The slot loop of every engine run the protocol makes. A
+          {!Crn_radio.Runner.Soa} payload carries the run's shard count;
+          results do not depend on it. *)
   load : load option;
       (** Offered load for the sustained-traffic workload protocols
           ([gossip], [push_sum]); [None] leaves each workload's default
@@ -70,36 +65,16 @@ val env :
   ?metrics:Crn_radio.Metrics.t ->
   ?trace:Crn_radio.Trace.t ->
   ?backend:Crn_radio.Runner.backend ->
-  ?shards:int ->
   ?load:load ->
   availability:Crn_channel.Dynamic.t ->
   rng:Crn_prng.Rng.t ->
   unit ->
   env
 (** Environment constructor; defaults: [source = 0], [k = 1], backend
-    {!Crn_radio.Runner.Engine}, [shards = 1], everything else off. Raises
-    [Invalid_argument] when [shards < 1], a supplied [budget_factor] is not
-    finite and positive ({!Crn_core.Complexity.check_factor}), or a
-    supplied load rate is not positive. [shards > 1] is validated against the backend at run time
-    ({!resolve_backend}), by the entry that runs, so the error names the
-    protocol. *)
-
-val resolve_backend :
-  protocol:string ->
-  Crn_radio.Runner.backend ->
-  shards:int ->
-  Crn_radio.Runner.backend
-(** [resolve_backend ~protocol backend ~shards] reconciles [env.shards]
-    with the backend: [shards = 1] leaves the backend untouched; with a
-    {!Crn_radio.Runner.Soa} backend whose own shard count is [1] the
-    requested count is folded into the payload, and an equal explicit
-    count passes through. Raises [Invalid_argument] (prefixed with
-    [protocol]) when [shards > 1] meets a backend that cannot shard a
-    trial — any non-SoA backend — or conflicts with an explicit SoA shard
-    count. The machine driver behind {!of_machine} applies this to every
-    run; [of_run] protocols apply it themselves. Front ends call it once
-    before fanning trials out: since every entry runs on every backend,
-    the answer does not depend on the protocol. *)
+    {!Crn_radio.Runner.Engine}, everything else off. Raises [Invalid_argument] when a supplied [budget_factor] is
+    not finite and positive ({!Crn_core.Complexity.check_factor}), or a
+    supplied load has a rate that is not positive or fewer than one
+    rumor. *)
 
 type report = {
   completed_at : int option;  (** Slot count at completion, when complete. *)

@@ -52,13 +52,9 @@ let cogcast =
         | None ->
             Complexity.cogcast_slots ?factor:env.budget_factor ~n ~c ~k:env.k ()
       in
-      let backend =
-        Protocol.resolve_backend ~protocol:"cogcast" env.backend
-          ~shards:env.shards
-      in
       let r =
         Cogcast.run ?jammer:env.jammer ?faults:env.faults ?metrics:env.metrics
-          ?trace:env.trace ~backend ~source:env.source
+          ?trace:env.trace ~backend:env.backend ~source:env.source
           ~availability:env.availability ~rng:env.rng ~max_slots ()
       in
       {
@@ -77,15 +73,11 @@ let cogcomp =
   Protocol.of_run ~name:"cogcomp" ~capabilities:multi_phase
     ~synopsis:"Four-phase data aggregation in O((c/k) max{1,c/n} lg n + n) slots (S5, Thm 10)"
     (fun env ->
-      let backend =
-        Protocol.resolve_backend ~protocol:"cogcomp" env.backend
-          ~shards:env.shards
-      in
       let n, _ = dims env in
       let assignment = Dynamic.at env.availability 0 in
       let r =
-        Cogcomp.run ?jammer:env.jammer ?faults:env.faults ~backend
-          ?budget_factor:env.budget_factor ?trace:env.trace
+        Cogcomp.run ?jammer:env.jammer ?faults:env.faults
+          ~backend:env.backend ?budget_factor:env.budget_factor ?trace:env.trace
           ~monoid:Aggregate.sum ~values:(id_values n) ~source:env.source
           ~assignment ~k:env.k ~rng:env.rng ()
       in
@@ -121,15 +113,11 @@ let cogcomp_robust =
   Protocol.of_run ~name:"cogcomp_robust" ~capabilities:multi_phase
     ~synopsis:"Fault-tolerant COGCOMP: watchdogs, mediator re-election, acked drain"
     (fun env ->
-      let backend =
-        Protocol.resolve_backend ~protocol:"cogcomp_robust" env.backend
-          ~shards:env.shards
-      in
       let n, _ = dims env in
       let assignment = Dynamic.at env.availability 0 in
       let r =
-        Cogcomp_robust.run ?jammer:env.jammer ?faults:env.faults ~backend
-          ?budget_factor:env.budget_factor ?trace:env.trace
+        Cogcomp_robust.run ?jammer:env.jammer ?faults:env.faults
+          ~backend:env.backend ?budget_factor:env.budget_factor ?trace:env.trace
           ~monoid:Aggregate.sum ~values:(id_values n) ~source:env.source
           ~assignment ~k:env.k ~rng:env.rng ()
       in

@@ -246,6 +246,39 @@ let test_jobs_determinism () =
       Alcotest.(check (array string)) (name ^ ": jobs 1 = jobs 8") j1 j8)
     (Registry.names ())
 
+(* The same determinism contract at the front end: a workload run's
+   per-trial summaries in its crn-run/1 JSON do not depend on --jobs or on
+   the soa backend's shard count. *)
+let test_cli_run_json_determinism () =
+  let module Json = Crn_stats.Json in
+  let per_trial flags =
+    let path = Filename.temp_file "crn_run" ".json" in
+    let cmd =
+      Printf.sprintf "run -p gossip --rate 0.5 --rumors 2 --trials 2 %s --json %s"
+        flags (Filename.quote path)
+    in
+    let code, _ = Cli.run cmd in
+    Alcotest.(check int) cmd 0 code;
+    let ic = open_in_bin path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    match Json.of_string text with
+    | Error m -> Alcotest.failf "%s: bad JSON: %s" cmd m
+    | Ok doc ->
+        Alcotest.(check (option string))
+          (cmd ^ ": schema") (Some "\"crn-run/1\"")
+          (Option.map Json.to_string (Json.member "schema" doc));
+        (match Json.member "per_trial" doc with
+        | Some (Json.List l) -> Alcotest.(check int) (cmd ^ ": trials") 2 (List.length l)
+        | _ -> Alcotest.failf "%s: no per_trial list" cmd);
+        Json.to_string (Option.get (Json.member "per_trial" doc))
+  in
+  let base = per_trial "--jobs 1" in
+  Alcotest.(check string) "jobs 1 = jobs 2" base (per_trial "--jobs 2");
+  Alcotest.(check string) "engine = soa at 2 shards" base
+    (per_trial "--jobs 1 --backend soa --shards 2")
+
 let test_traces_check_clean () =
   List.iter
     (fun name ->
@@ -283,7 +316,7 @@ let test_soa_backend_sweep () =
   let module Runner = Crn_radio.Runner in
   let module Json = Crn_stats.Json in
   let n = 24 and c = 6 and k = 2 in
-  let summary name backend shards =
+  let summary name backend =
     let rng = Rng.create 11 in
     let assignment =
       Topology.generate Topology.Shared_plus_random rng { Topology.n; c; k }
@@ -291,18 +324,18 @@ let test_soa_backend_sweep () =
     let faults = Faults.random_naps ~seed:17L ~rate:0.05 in
     let s =
       Protocol.run (Registry.find_exn name)
-        (Protocol.env ~faults ~backend ~shards ~k
+        (Protocol.env ~faults ~backend ~k
            ~availability:(Dynamic.static assignment)
            ~rng:(Rng.create 12) ())
     in
     Json.to_string (Protocol.summary_json s)
   in
-  let soa = Runner.Soa { shards = 1; dense_channel_limit = None } in
+  let soa = Runner.Soa { shards = 2; dense_channel_limit = None } in
   List.iter
     (fun name ->
-      let engine = summary name Runner.Engine 1 in
+      let engine = summary name Runner.Engine in
       Alcotest.(check string) (name ^ ": soa shards=2 = engine") engine
-        (summary name soa 2))
+        (summary name soa))
     (Registry.names ())
 
 (* ---- golden summaries ---- *)
@@ -479,7 +512,7 @@ let test_capability_matrix_cli () =
       expect ~supported:caps.Protocol.dynamic
         (Printf.sprintf "run -p %s %s --dynamic rotating" name dims);
       expect ~supported:caps.Protocol.load
-        (Printf.sprintf "load -p %s %s --rate 0.5 --rumors 2" name dims))
+        (Printf.sprintf "run -p %s %s --rate 0.5 --rumors 2" name dims))
     (matrix_entries ())
 
 (* The declared matrix itself, cell by cell, so a change to what an entry
@@ -577,7 +610,7 @@ let test_cli_rejects_bad_counts () =
       "backoff --trials 0";
       "jam -n 0";
       "chaos --trials 0";
-      "load --trials 0";
+      "run -p gossip --rumors 0";
       "sweep --values 8,abc,16";
       "sweep --values ,";
       "sweep --param x";
@@ -638,6 +671,8 @@ let () =
         [
           Alcotest.test_case "byte-identical traces at jobs 1/2/8" `Quick
             test_jobs_determinism;
+          Alcotest.test_case "run --json per_trial at jobs 1/2 and soa shards 2"
+            `Quick test_cli_run_json_determinism;
           Alcotest.test_case "fault-free traces pass Check.all" `Quick
             test_traces_check_clean;
           Alcotest.test_case "every protocol survives faults" `Quick

@@ -312,11 +312,11 @@ let prop_registry_machines seed =
       Some (Faults.random_naps ~seed:(Int64.of_int (seed * 131)) ~rate:0.1)
     else None
   in
-  let run name ~backend ~shards ~traced =
+  let run name ~backend ~traced =
     let proto = Option.get (Crn_proto.Registry.find name) in
     let tr = if traced then Some (Trace.create ()) else None in
     let env =
-      Crn_proto.Protocol.env ?faults ?trace:tr ~backend ~shards ~k
+      Crn_proto.Protocol.env ?faults ?trace:tr ~backend ~k
         ~availability:(Dynamic.static assignment)
         ~rng:(Rng.create (seed * 17))
         ()
@@ -325,14 +325,14 @@ let prop_registry_machines seed =
     ( Crn_stats.Json.to_string (Crn_proto.Protocol.summary_json s),
       match tr with Some tr -> Trace.to_jsonl tr | None -> "" )
   in
-  let soa dense_channel_limit = Runner.Soa { shards = 1; dense_channel_limit } in
+  let soa shards dense_channel_limit = Runner.Soa { shards; dense_channel_limit } in
   let variants =
     [
-      ("shards=1 dense", 1, soa None);
-      ("shards=2 dense", 2, soa None);
-      ("shards=8 dense", 8, soa None);
-      ("shards=2 sparse", 2, soa (Some 0));
-      ("shards=8 sparse", 8, soa (Some 0));
+      ("shards=1 dense", soa 1 None);
+      ("shards=2 dense", soa 2 None);
+      ("shards=8 dense", soa 8 None);
+      ("shards=2 sparse", soa 2 (Some 0));
+      ("shards=8 sparse", soa 8 (Some 0));
     ]
   in
   List.fold_left
@@ -341,15 +341,15 @@ let prop_registry_machines seed =
       | Some _ -> acc
       | None -> (
           let reference_summary, _ =
-            run name ~backend:Runner.Reference ~shards:1 ~traced:false
+            run name ~backend:Runner.Reference ~traced:false
           in
           let fast_mismatch =
             List.fold_left
-              (fun acc (label, shards, backend) ->
+              (fun acc (label, backend) ->
                 match acc with
                 | Some _ -> acc
                 | None ->
-                    let s, _ = run name ~backend ~shards ~traced:false in
+                    let s, _ = run name ~backend ~traced:false in
                     if s <> reference_summary then
                       Some (Printf.sprintf "%s: soa %s summary differs" name label)
                     else None)
@@ -359,49 +359,36 @@ let prop_registry_machines seed =
           | Some _ as m -> m
           | None ->
               let rs, rt =
-                run name ~backend:Runner.Reference ~shards:1 ~traced:true
+                run name ~backend:Runner.Reference ~traced:true
               in
-              let ss, st = run name ~backend:(soa None) ~shards:2 ~traced:true in
+              let ss, st = run name ~backend:(soa 2 None) ~traced:true in
               if rt <> st then Some (name ^ ": traced soa trace differs")
               else if rs <> ss then Some (name ^ ": traced soa summary differs")
               else None))
     None
     (Crn_proto.Registry.machine_names ())
 
-(* Rejection contract: shards > 1 on a backend that cannot shard must
-   raise, never be silently ignored. *)
+(* Rejection contract: the shard count lives in the soa backend, so
+   --shards > 1 with any other backend is a user error at the CLI, reported
+   before any trial runs, never silently ignored. *)
 let test_shards_rejected () =
-  let rng = Rng.create 7 in
-  let assignment = Topology.shared_core rng { Topology.n = 16; c = 4; k = 2 } in
-  let availability = Dynamic.static assignment in
-  let raises name backend =
-    let env =
-      Crn_proto.Protocol.env ~backend ~shards:2 ~availability
-        ~rng:(Rng.create 7) ()
-    in
-    match Crn_proto.Protocol.run (Crn_proto.Registry.find_exn name) env with
-    | exception Invalid_argument _ -> ()
-    | _ ->
-        Alcotest.failf "%s accepted shards=2 on the %s backend" name
-          (Runner.backend_name backend)
-  in
   List.iter
-    (fun name -> raises name Runner.Engine)
-    (Crn_proto.Registry.machine_names ());
-  raises "cogcast" Runner.Engine;
-  raises "cogcomp" Runner.Engine;
-  raises "cogcast" (Runner.Soa { shards = 3; dense_channel_limit = None });
-  (* ...while the soa backend honors the same request. *)
-  let env =
-    Crn_proto.Protocol.env
-      ~backend:(Runner.Soa { shards = 1; dense_channel_limit = None })
-      ~shards:2 ~availability ~rng:(Rng.create 7) ()
+    (fun backend ->
+      List.iter
+        (fun cmd ->
+          let cmd = Printf.sprintf "%s --backend %s --shards 2" cmd backend in
+          let code, out = Cli.run cmd in
+          Alcotest.(check int) cmd Cli.cli_error code;
+          Alcotest.(check string) (cmd ^ ": nothing printed") "" out)
+        [
+          "run -p cogcast -n 16 --trials 1 --jobs 1";
+          "chaos -n 16 --trials 1 --jobs 1 --protocols gossip --rates 0";
+        ])
+    [ "engine"; "reference"; "emulation" ];
+  let code, _ =
+    Cli.run "run -p seq_scan -n 16 --trials 1 --jobs 1 --backend soa --shards 2"
   in
-  let s =
-    Crn_proto.Protocol.run (Crn_proto.Registry.find_exn "seq_scan") env
-  in
-  Alcotest.(check bool) "seq_scan completes on soa shards=2" true
-    (s.Crn_proto.Protocol.completed)
+  Alcotest.(check int) "the soa backend honors --shards 2" 0 code
 
 (* Claim 4: tracing never changes results. Traced runs take the same loop
    at one shard with the same ascending-node feedback order, so COGCOMP —
@@ -552,24 +539,22 @@ let test_cogcomp_order () =
 let test_registry_entry () =
   let module Protocol = Crn_proto.Protocol in
   let module Registry = Crn_proto.Registry in
-  let summary backend shards =
+  let summary backend =
     let rng = Rng.create 99 in
     let assignment = Topology.shared_core rng { Topology.n = 64; c = 8; k = 2 } in
     let env =
-      Protocol.env ~backend ~shards ~availability:(Dynamic.static assignment)
-        ~rng ()
+      Protocol.env ~backend ~availability:(Dynamic.static assignment) ~rng ()
     in
     let s = Protocol.run (Registry.find_exn "cogcast") env in
     (s.Protocol.slots_run, s.Protocol.completed_at, s.Protocol.coverage)
   in
-  let engine = summary Runner.Engine 1 in
-  let soa = Runner.Soa { shards = 1; dense_channel_limit = None } in
+  let engine = summary Runner.Engine in
   List.iter
     (fun shards ->
       Alcotest.(check bool)
         (Printf.sprintf "registry cogcast soa shards=%d = engine" shards)
         true
-        (summary soa shards = engine))
+        (summary (Runner.Soa { shards; dense_channel_limit = None }) = engine))
     [ 1; 2; 8 ]
 
 let () =
@@ -592,7 +577,7 @@ let () =
       ( "cogcast",
         [
           Alcotest.test_case "soa backend shard-invariant" `Quick test_cogcast;
-          Alcotest.test_case "registry entry honors env.shards" `Quick
+          Alcotest.test_case "registry entry honors soa shards" `Quick
             test_registry_entry;
         ] );
       ( "feedback order",
