@@ -547,8 +547,8 @@ let e25 () =
   note "observed collisions, so heavy contention can push sessions past tight caps"
 
 (* E26: the registry on the struct-of-arrays backend — the
-   universal-backend seam, measured. Every of_machine entry, plus COGCAST
-   (whose [Cogcast.run] takes the same backend), runs under [--backend soa]
+   universal-backend seam, measured. Every of_machine entry, COGCAST
+   included, runs under [--backend soa]
    at two sizes and at shards 1 and 8; the shards-8 summary is compared
    byte-for-byte with the shards-1 summary of the same cell, so the table
    doubles as a shard-invariance audit. The engine backend is the soa
@@ -629,7 +629,7 @@ let e26 () =
                 ])
             [ 1; 8 ])
         ns)
-    ("cogcast" :: Registry.machine_names ());
+    (Registry.machine_names ());
   print_table t;
   (match !mismatches with
   | [] ->

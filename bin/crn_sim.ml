@@ -9,7 +9,6 @@
                   and --rumors and report pooled latency percentiles)
      game       — play the §6 hitting games against the closed-form bounds
      backoff    — measure the decay-backoff realization of the slot model
-     jam        — broadcast under an n-uniform jammer (Theorem 18 reduction)
      sweep      — sweep n, c or k and report completion scaling
      chaos      — sweep registry protocols across fault rates
 
@@ -921,60 +920,6 @@ let backoff_cmd =
     (Cmd.info "backoff" ~doc:"Measure the decay-backoff contention layer (footnote 4).")
     term
 
-(* ---- jam ---- *)
-
-let jam_cmd =
-  let run n c budget seed trials jobs trace_path metrics_path check =
-    if budget < 0 || 2 * budget >= c then
-      `Error (false, "need jamming budget < c/2 (Theorem 18)")
-    else begin
-      let jammer =
-        Crn_radio.Jammer.random_per_node ~seed:(Int64.of_int seed) ~budget
-          ~num_channels:c
-      in
-      let k = Crn_radio.Jamming_reduction.overlap_guarantee ~num_channels:c ~budget in
-      let samples =
-        Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
-            let availability =
-              Crn_radio.Jamming_reduction.availability_of_jammer
-                ~shuffle_labels:(Rng.split rng) ~num_nodes:n ~num_channels:c
-                ~jammer ()
-            in
-            let max_slots = 8 * Complexity.cogcast_slots ~n ~c:(c - budget) ~k () in
-            let r = Cogcast.run ~source:0 ~availability ~rng ~max_slots () in
-            match r.Cogcast.completed_at with
-            | Some s -> float_of_int s
-            | None -> float_of_int r.Cogcast.slots_run)
-      in
-      Printf.printf "jammed broadcast  n=%d C=%d budget=%d (worst overlap %d)\n" n c
-        budget k;
-      Printf.printf "  completion slots: %s\n"
-        (Summary.to_string (Summary.of_floats samples));
-      observe ~trace_path ~metrics_path ~check (fun ~trace ->
-          let rng = Rng.create seed in
-          let availability =
-            Crn_radio.Jamming_reduction.availability_of_jammer
-              ~shuffle_labels:(Rng.split rng) ~num_nodes:n ~num_channels:c ~jammer ()
-          in
-          let max_slots = 8 * Complexity.cogcast_slots ~n ~c:(c - budget) ~k () in
-          ignore (Cogcast.run ~trace ~source:0 ~availability ~rng ~max_slots ()))
-    end
-  in
-  let budget_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "budget" ] ~docv:"B" ~doc:"Channels jammed per node per slot.")
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ n_arg $ c_arg $ budget_arg $ seed_arg $ trials_arg $ jobs_arg
-       $ trace_arg $ metrics_arg $ check_arg))
-  in
-  Cmd.v
-    (Cmd.info "jam" ~doc:"Broadcast under an n-uniform jammer (Theorem 18 reduction).")
-    term
-
 (* ---- sweep ---- *)
 
 let sweep_cmd =
@@ -1369,7 +1314,6 @@ let () =
         run_cmd;
         game_cmd;
         backoff_cmd;
-        jam_cmd;
         sweep_cmd;
         chaos_cmd;
       ]

@@ -1,7 +1,6 @@
 module Rng = Crn_prng.Rng
 module Dynamic = Crn_channel.Dynamic
 module Action = Crn_radio.Action
-module Engine = Crn_radio.Engine
 module Runner = Crn_radio.Runner
 module Trace = Crn_radio.Trace
 
@@ -33,6 +32,10 @@ type result = {
   failed_sessions : int;
 }
 
+include Crn_radio.Machine
+
+type machine = (msg, result) t
+
 (* Shard safety (for the {!Crn_radio.Runner.Soa} backend): [informed],
    [parent], [informed_at], [informed_label] and [current_label] are
    node-indexed and only ever written at the node's own index from the
@@ -40,17 +43,11 @@ type result = {
    fetch-and-add, whose total is shard-count independent because a node
    is informed at most once; each node draws labels from its own
    pre-split stream. Hence [run] passes [machine_parallel:true]. *)
-let run ?pool ?jammer ?faults ?metrics ?trace ?backend ?(record = false)
-    ?(stop_when_complete = true) ~source ~availability ~rng ~max_slots () =
+let machine ?trace ?record_slots ?(stop_when_complete = true) ~source
+    ~availability ~rng () =
   let n = Dynamic.num_nodes availability in
   let c = Dynamic.channels_per_node availability in
   if source < 0 || source >= n then invalid_arg "Cogcast.run: source out of range";
-  (match trace with
-  | Some tr ->
-      let channels = Crn_channel.Assignment.num_channels (Dynamic.at availability 0) in
-      Trace.record tr (Trace.Meta { n; channels; c; source });
-      Trace.record tr (Trace.Phase { name = "cogcast" })
-  | None -> ());
   let informed = Array.make n false in
   informed.(source) <- true;
   let informed_count = Atomic.make 1 in
@@ -58,9 +55,10 @@ let run ?pool ?jammer ?faults ?metrics ?trace ?backend ?(record = false)
   let informed_at = Array.make n None in
   let informed_label = Array.make n None in
   let logs =
-    if record then
-      Some (Array.init n (fun _ -> Array.make max_slots { label = 0; event = Heard_silence }))
-    else None
+    Option.map
+      (fun slots ->
+        Array.init n (fun _ -> Array.make slots { label = 0; event = Heard_silence }))
+      record_slots
   in
   let node_rngs = Rng.split_n rng n in
   (* The label each node chose this slot, so feedback can be logged against
@@ -71,13 +69,13 @@ let run ?pool ?jammer ?faults ?metrics ?trace ?backend ?(record = false)
     | Some table -> table.(v).(slot) <- { label = current_label.(v); event }
     | None -> ()
   in
-  let decide v ~slot:_ =
+  let decide ~node:v ~slot:_ =
     let label = Rng.int node_rngs.(v) c in
     current_label.(v) <- label;
     if informed.(v) then Action.broadcast ~label Init
     else Action.listen ~label
   in
-  let feedback v ~slot fb =
+  let feedback ~node:v ~slot fb =
     match fb with
     | Action.Won -> log v ~slot Sent_won
     | Action.Lost _ -> log v ~slot Sent_lost
@@ -100,31 +98,43 @@ let run ?pool ?jammer ?faults ?metrics ?trace ?backend ?(record = false)
     | Action.Jammed -> log v ~slot Was_jammed
     | Action.No_winner -> log v ~slot Session_failed
   in
-  let nodes = Array.init n (fun v -> Engine.node ~id:v ~decide:(decide v) ~feedback:(feedback v)) in
-  let stop =
-    if stop_when_complete then Some (fun ~slot:_ -> Atomic.get informed_count = n)
-    else None
-  in
   (* A one-node network is complete before the first slot. *)
-  let max_slots = if stop_when_complete && n = 1 then 0 else max_slots in
+  let finished () = stop_when_complete && Atomic.get informed_count = n in
+  let snapshot ~slots_run =
+    let informed_count = Atomic.get informed_count in
+    {
+      n;
+      source;
+      completed_at = (if informed_count = n then Some slots_run else None);
+      slots_run;
+      informed;
+      informed_count;
+      parent;
+      informed_at;
+      informed_label;
+      logs;
+      counters = Trace.Counters.create ();
+      raw_rounds = 0;
+      failed_sessions = 0;
+    }
+  in
+  { decide; feedback; finished; snapshot }
+
+let run ?pool ?jammer ?faults ?metrics ?trace ?backend ?(record = false)
+    ?stop_when_complete ~source ~availability ~rng ~max_slots () =
+  let m =
+    machine ?trace
+      ?record_slots:(if record then Some max_slots else None)
+      ?stop_when_complete ~source ~availability ~rng ()
+  in
+  Option.iter (Trace.preamble ~availability ~source ~name:"cogcast") trace;
   let runner =
     Runner.make ?pool ~machine_parallel:true ?jammer ?faults ?metrics ?trace
       ?backend ~availability ~rng ()
   in
-  let outcome = runner.Runner.run ?stop ~nodes ~max_slots () in
-  let informed_count = Atomic.get informed_count in
+  let result, outcome = Runner.drive runner m ~max_slots in
   {
-    n;
-    source;
-    completed_at =
-      (if informed_count = n then Some outcome.Runner.slots_run else None);
-    slots_run = outcome.Runner.slots_run;
-    informed;
-    informed_count;
-    parent;
-    informed_at;
-    informed_label;
-    logs;
+    result with
     counters = outcome.Runner.counters;
     raw_rounds = outcome.Runner.raw_rounds;
     failed_sessions = outcome.Runner.failed_sessions;

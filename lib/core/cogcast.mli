@@ -5,7 +5,8 @@
     rest listen. Theorem 4: after [Θ((c/k)·max{1, c/n}·lg n)] slots all
     nodes are informed w.h.p.
 
-    The implementation runs on {!Crn_radio.Engine}, so it works unchanged
+    The protocol is a {!Crn_radio.Machine.t} ({!machine}), run by
+    {!Crn_radio.Runner.drive} on any backend, so it works unchanged
     under dynamic channel assignments (§7) and under jamming (through the
     Theorem 18 availability reduction or the engine's receiver-side jammer).
 
@@ -58,6 +59,32 @@ type result = {
       (** Emulation contention sessions that hit their round cap; [0] on
           the abstract backends. *)
 }
+
+include module type of struct
+  include Crn_radio.Machine
+end
+
+type machine = (msg, result) t
+
+val machine :
+  ?trace:Crn_radio.Trace.t ->
+  ?record_slots:int ->
+  ?stop_when_complete:bool ->
+  source:int ->
+  availability:Crn_channel.Dynamic.t ->
+  rng:Crn_prng.Rng.t ->
+  unit ->
+  machine
+(** COGCAST as a state machine, shard-safe: {!run} drives it, as does the
+    registry's [cogcast] entry, on a runner over the same [rng] (one label
+    stream per node is split from it first). [finished] holds once every
+    node is informed (never with [stop_when_complete:false]);
+    [record_slots] keeps per-node logs of that many slots; [trace] gets
+    the {!Crn_radio.Trace.Informed} edges, not the preamble. The
+    snapshot's engine accounting ([counters], [raw_rounds],
+    [failed_sessions]) is zero: {!run} fills it from the run's outcome.
+    Raises [Invalid_argument] naming [Cogcast.run] if [source] is out of
+    range. *)
 
 val run :
   ?pool:Crn_exec.Pool.t ->

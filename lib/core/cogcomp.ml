@@ -2,7 +2,7 @@ module Rng = Crn_prng.Rng
 module Assignment = Crn_channel.Assignment
 module Dynamic = Crn_channel.Dynamic
 module Action = Crn_radio.Action
-module Engine = Crn_radio.Engine
+module Machine = Crn_radio.Machine
 module Trace = Crn_radio.Trace
 
 type 'a result = {
@@ -39,12 +39,11 @@ let validate ~who ?budget_factor ?max_phase4_steps ~values ~source ~assignment (
   | Some s when s < 0 -> invalid_arg (who ^ ": max_phase4_steps must be >= 0")
   | _ -> ()
 
-let run_slots runner ?stop ~nodes ~max_slots () =
-  (runner.Runner.run ?stop ~nodes ~max_slots ()).Runner.slots_run
-
 (* Phase 1 is COGCAST with recording, of fixed length so that all nodes
-   agree on phase boundaries. Phases 2-4 run on [next_runner ()], one
-   runner per phase on the same backend, each {!Runner.accumulating} into
+   agree on phase boundaries. Phases 2-4 are machines driven on
+   [next_phase name], which marks the phase in the trace and makes its
+   runner: one per phase on the same backend (each on its own stream
+   split from [rng]), each {!Runner.accumulating} into
    [total] — seeded with phase 1's cost — so the counters, raw rounds and
    failed sessions of all four phases add up in one outcome. The phase
    runners keep {!Runner.make}'s [machine_parallel:false]: phase 4's nodes
@@ -67,12 +66,13 @@ let phase1 ?jammer ?faults ?trace ?backend ?budget_factor ~source ~assignment ~k
       }
   in
   let availability = Dynamic.static assignment in
-  let next_runner () =
+  let next_phase name =
+    Option.iter (fun tr -> Trace.record tr (Trace.Phase { name })) trace;
     Runner.accumulating total
       (Runner.make ?jammer ?faults ?trace ?backend ~availability
          ~rng:(Rng.split rng) ())
   in
-  (cast, next_runner, total)
+  (cast, next_phase, total)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: cluster sizes and mediator election.                       *)
@@ -89,7 +89,9 @@ type roster = {
 
 (* Fault-free every participant wins within the first n slots (one winner
    per channel per slot), so the stop fires at the end of slot n-1 and the
-   phase is plain COGCOMP's fixed n slots at any [rounds]. *)
+   phase is plain COGCOMP's fixed n slots at any [rounds]. The machine is
+   finished once every participant has won; the phase's stop also waits
+   out those n slots, so it is given by slot. *)
 let collect_rosters ~(cast : Cogcast.result) ~rounds ~runner =
   let n = cast.Cogcast.n in
   let participant =
@@ -111,7 +113,7 @@ let collect_rosters ~(cast : Cogcast.result) ~rounds ~runner =
           incr pending
       | None -> ())
     participant;
-  let decide v ~slot:_ =
+  let decide ~node:v ~slot:_ =
     match participant.(v) with
     | None -> Action.listen ~label:0
     | Some (r, label) ->
@@ -119,7 +121,7 @@ let collect_rosters ~(cast : Cogcast.result) ~rounds ~runner =
         else Action.broadcast ~label { p2_id = v; p2_r = r }
   in
   let note v msg = rosters.(v) <- (msg.p2_id, msg.p2_r) :: rosters.(v) in
-  let feedback v ~slot:_ = function
+  let feedback ~node:v ~slot:_ = function
     | Action.Won ->
         sent_ok.(v) <- true;
         decr pending
@@ -127,12 +129,13 @@ let collect_rosters ~(cast : Cogcast.result) ~rounds ~runner =
     | Action.Heard { msg; _ } -> if participant.(v) <> None then note v msg
     | Action.Silence | Action.Jammed | Action.No_winner -> ()
   in
-  let nodes =
-    Array.init n (fun v -> Engine.node ~id:v ~decide:(decide v) ~feedback:(feedback v))
-  in
-  let stop ~slot = slot >= n - 1 && !pending = 0 in
-  let slots_run = run_slots runner ~stop ~nodes ~max_slots:(n * rounds) () in
-  { participant; rosters; sent_ok; slots_run }
+  let finished () = !pending = 0 in
+  let snapshot ~slots_run = { participant; rosters; sent_ok; slots_run } in
+  let m = { Machine.decide; feedback; finished; snapshot } in
+  fst
+    (Runner.drive runner m
+       ~stop:(fun ~slot -> slot >= n - 1 && finished ())
+       ~max_slots:(n * rounds))
 
 let elect ~r roster =
   let cluster_size = List.length (List.filter (fun (_, r') -> r' = r) roster) in
@@ -200,7 +203,7 @@ let run_phase3 ~(cast : Cogcast.result) ~cluster_size ~runner =
   let clusters_collected = Array.make n [] in
   (* The phase-1 slot mirrored by the current phase-3 slot, per node, so the
      feedback handler knows which cluster a heard size belongs to. *)
-  let decide v ~slot =
+  let decide ~node:v ~slot =
     let mirrored = l - 1 - slot in
     let entry = logs.(v).(mirrored) in
     match entry.Cogcast.event with
@@ -210,7 +213,7 @@ let run_phase3 ~(cast : Cogcast.result) ~cluster_size ~runner =
     | Cogcast.Session_failed ->
         Action.listen ~label:entry.Cogcast.label
   in
-  let feedback v ~slot = function
+  let feedback ~node:v ~slot = function
     | Action.Heard { msg = size; _ } ->
         let mirrored = l - 1 - slot in
         let entry = logs.(v).(mirrored) in
@@ -227,16 +230,16 @@ let run_phase3 ~(cast : Cogcast.result) ~cluster_size ~runner =
     | Action.No_winner ->
         ()
   in
-  let nodes =
-    Array.init n (fun v -> Engine.node ~id:v ~decide:(decide v) ~feedback:(feedback v))
-  in
-  let slots_run = run_slots runner ~nodes ~max_slots:l () in
   (* Descending r, as phase 4 consumes them. *)
-  let clusters =
-    Array.map (fun cs -> List.sort (fun (a, _, _) (b, _, _) -> compare b a) cs)
-      clusters_collected
+  let snapshot ~slots_run =
+    ( Array.map
+        (fun cs -> List.sort (fun (a, _, _) (b, _, _) -> compare b a) cs)
+        clusters_collected,
+      slots_run )
   in
-  (clusters, slots_run)
+  (* A fixed-length phase: the slot budget ends it. *)
+  let finished () = false in
+  fst (Runner.drive runner { Machine.decide; feedback; finished; snapshot } ~max_slots:l)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 4: mediated leaf-to-root drain.                               *)
@@ -354,7 +357,7 @@ let run_phase4 (type a) ?measure ?trace ~mediated ~(monoid : a Aggregate.monoid)
         end
         else st.med_clusters <- (r, count) :: rest
   in
-  let decide v ~slot =
+  let decide ~node:v ~slot =
     let st = states.(v) in
     let pos = slot mod 3 in
     match pos with
@@ -405,7 +408,7 @@ let run_phase4 (type a) ?measure ?trace ~mediated ~(monoid : a Aggregate.monoid)
                 | [] -> Action.listen ~label:0)
             | Done -> Action.listen ~label:0))
   in
-  let feedback v ~slot fb =
+  let feedback ~node:v ~slot fb =
     let st = states.(v) in
     let pos = slot mod 3 in
     match (pos, fb) with
@@ -442,16 +445,22 @@ let run_phase4 (type a) ?measure ?trace ~mediated ~(monoid : a Aggregate.monoid)
         | Collecting | Done -> ())
     | _ -> ()
   in
-  let nodes =
-    Array.init n (fun v -> Engine.node ~id:v ~decide:(decide v) ~feedback:(feedback v))
+  (* Nodes retire only in a step's echo slot (every [retire] is reached
+     from slot-3 feedback), so [finished] can only turn true at the end of
+     a step: the drain stops on whole steps. Nothing to drain (e.g. a
+     one-node network) makes phase 4 empty. *)
+  let finished () = !done_count = n in
+  let snapshot ~slots_run =
+    ( states.(source).acc,
+      Array.map (fun st -> st.role = Done) states,
+      slots_run,
+      !max_payload,
+      !total_payload )
   in
-  let stop ~slot = slot mod 3 = 2 && !done_count = n in
-  (* Nothing to drain (e.g. a one-node network): phase 4 is empty. *)
-  let max_slots = if !done_count = n then 0 else 3 * max_steps in
-  let slots_run = run_slots runner ~stop ~nodes ~max_slots () in
-  let root_acc = states.(source).acc in
-  let terminated = Array.map (fun st -> st.role = Done) states in
-  (root_acc, terminated, slots_run, !max_payload, !total_payload)
+  fst
+    (Runner.drive runner
+       { Machine.decide; feedback; finished; snapshot }
+       ~max_slots:(3 * max_steps))
 
 (* ------------------------------------------------------------------ *)
 (* The full protocol.                                                  *)
@@ -463,50 +472,33 @@ let run ?jammer ?faults ?backend ?budget_factor ?max_phase4_steps
   validate ~who:"Cogcomp.run" ?budget_factor ?max_phase4_steps ~values ~source
     ~assignment ();
   let n = Assignment.num_nodes assignment in
-  let mark name =
-    match trace with
-    | Some tr -> Trace.record tr (Trace.Phase { name })
-    | None -> ()
-  in
-  let cast, next_runner, total =
+  let cast, next_phase, total =
     phase1 ?jammer ?faults ?trace ?backend ?budget_factor ~source ~assignment ~k
       ~rng ()
   in
   let tree = Disttree.of_result cast in
-  mark "cogcomp-phase2";
-  let info, phase2_slots = run_phase2 ~cast ~runner:(next_runner ()) in
-  (match trace with
-  | Some tr ->
-      Array.iteri
-        (fun v (inf : phase2_info) ->
-          if inf.is_mediator then Trace.record tr (Trace.Mediator { node = v }))
-        info
-  | None -> ());
-  mark "cogcomp-phase3";
+  let info, phase2_slots = run_phase2 ~cast ~runner:(next_phase "cogcomp-phase2") in
+  let mediators = List.filter (fun v -> info.(v).is_mediator) (List.init n Fun.id) in
+  Option.iter
+    (fun tr -> List.iter (fun v -> Trace.record tr (Trace.Mediator { node = v })) mediators)
+    trace;
   let clusters, phase3_slots =
     run_phase3 ~cast
       ~cluster_size:(fun v -> info.(v).cluster_size)
-      ~runner:(next_runner ())
+      ~runner:(next_phase "cogcomp-phase3")
   in
-  mark "cogcomp-phase4";
   let max_steps =
     match max_phase4_steps with Some s -> s | None -> (12 * n) + 64
   in
   let root_acc, terminated, phase4_slots, max_payload, total_payload =
     run_phase4 ?measure ?trace ~mediated ~monoid ~values ~cast ~info ~clusters
-      ~runner:(next_runner ()) ~max_steps ()
-  in
-  let mediators =
-    Array.to_list
-      (Array.of_seq
-         (Seq.filter_map
-            (fun v -> if info.(v).is_mediator then Some v else None)
-            (Seq.init n (fun v -> v))))
+      ~runner:(next_phase "cogcomp-phase4") ~max_steps ()
   in
   let complete =
     cast.Cogcast.informed_count = n && Array.for_all (fun b -> b) terminated
   in
-  if complete then mark "cogcomp-done";
+  if complete then
+    Option.iter (fun tr -> Trace.record tr (Trace.Phase { name = "cogcomp-done" })) trace;
   {
     complete;
     root_value = (if complete then Some root_acc else None);

@@ -126,9 +126,13 @@ val run :
 
 (** {2 Building blocks shared with robust COGCOMP}
 
-    The robust variant reuses phase 1, the phase runners, phase 2's roster
-    collection and the phase-3 rewind unchanged; only what phase 2 derives
-    from the rosters, and phase 4, differ. *)
+    Every phase is a {!Crn_radio.Machine.t} run by
+    {!Crn_radio.Runner.drive}: phase 1 is {!Cogcast.machine}, and phase 2's
+    roster exchange, the phase-3 rewind and the phase-4 drain are machines
+    whose snapshot is the phase's output. The robust variant reuses phase
+    1, the phase runners, phase 2's roster collection and the phase-3
+    rewind unchanged; only what phase 2 derives from the rosters, and
+    phase 4, differ. *)
 
 val validate :
   who:string ->
@@ -141,15 +145,6 @@ val validate :
   unit
 (** The argument checks of {!run}, with errors prefixed by [who]. *)
 
-val run_slots :
-  Crn_radio.Runner.t ->
-  ?stop:(slot:int -> bool) ->
-  nodes:'msg Crn_radio.Engine.node array ->
-  max_slots:int ->
-  unit ->
-  int
-(** Run one phase and return its slot count. *)
-
 val phase1 :
   ?jammer:Crn_radio.Jammer.t ->
   ?faults:Crn_radio.Faults.t ->
@@ -161,11 +156,12 @@ val phase1 :
   k:int ->
   rng:Crn_prng.Rng.t ->
   unit ->
-  Cogcast.result * (unit -> Crn_radio.Runner.t) * Crn_radio.Runner.outcome ref
+  Cogcast.result * (string -> Crn_radio.Runner.t) * Crn_radio.Runner.outcome ref
 (** [phase1 … ()] runs phase 1 — a recorded COGCAST of fixed length,
     {!Complexity.cogcast_slots} scaled by [budget_factor] — and returns its
     result, a factory for the later phases' runners and the running total.
-    Each call of the factory makes a runner on the same backend, with the
+    The factory, given a phase name, records a {!Crn_radio.Trace.Phase}
+    marker of that name and makes a runner on the same backend, with the
     same adversaries and trace, on the next stream split from [rng]; every
     run of such a runner is added into the total, which starts at phase
     1's cost. *)

@@ -1,6 +1,6 @@
 module Assignment = Crn_channel.Assignment
 module Action = Crn_radio.Action
-module Engine = Crn_radio.Engine
+module Machine = Crn_radio.Machine
 module Trace = Crn_radio.Trace
 module Backoff = Crn_radio.Backoff
 module Runner = Crn_radio.Runner
@@ -293,7 +293,7 @@ let run_phase4 (type a) ?trace ~faulty ~timeout ~max_retries ~patience
   (* Start-of-step bookkeeping, run at the announce-slot decide. All of it
      is gated on [faulty]: on a fault-free run none of these counters can
      change any decision. *)
-  let step_begin ~slot ~step v st =
+  let step_begin ~slot v st =
     if faulty then begin
       (* Crash/restart: a node that detects it missed slots rejoins with its
          transient per-step state reset (durable state — accumulator, dedup
@@ -356,15 +356,13 @@ let run_phase4 (type a) ?trace ~faulty ~timeout ~max_retries ~patience
         incr reelections;
         if traced then emit (Trace.Mediator { node = v })
       end
-    end;
-    ignore step
+    end
   in
-  let decide v ~slot =
+  let decide ~node:v ~slot =
     let st = states.(v) in
     last_awake.(v) <- slot;
     let pos = slot mod 3 in
-    let step = slot / 3 in
-    if pos = 0 then step_begin ~slot ~step v st;
+    if pos = 0 then step_begin ~slot v st;
     st.last_seen_slot <- slot;
     match pos with
     | 0 -> (
@@ -414,7 +412,7 @@ let run_phase4 (type a) ?trace ~faulty ~timeout ~max_retries ~patience
                 | [] -> Action.listen ~label:0)
             | Done -> Action.listen ~label:0))
   in
-  let feedback v ~slot fb =
+  let feedback ~node:v ~slot fb =
     let st = states.(v) in
     let pos = slot mod 3 in
     let step = slot / 3 in
@@ -507,39 +505,42 @@ let run_phase4 (type a) ?trace ~faulty ~timeout ~max_retries ~patience
           step + 1 + Backoff.retry_delay ~attempt:st.attempts ~cap:backoff_cap
     | _ -> ()
   in
-  let nodes =
-    Array.init n (fun v -> Engine.node ~id:v ~decide:(decide v) ~feedback:(feedback v))
-  in
-  (* Stop when everyone is done — or, on faulty runs, when every node that
-     is not done has been absent for [grace_slots] straight slots (it is
-     crashed or churned out; nothing further can drain). *)
-  let stop ~slot =
-    slot mod 3 = 2
-    && (!done_count = n
-       || faulty
-          && Array.for_all
-               (fun v ->
-                 states.(v).role = Done || slot - last_awake.(v) > grace_slots)
-               (Array.init n (fun v -> v)))
-  in
-  let max_slots = if !done_count = n then 0 else 3 * max_steps in
-  let slots_run = Cogcomp.run_slots runner ~stop ~nodes ~max_slots () in
   (* Coverage: v's value reached the source iff its chain of fresh
      deliveries does. Values folded into a node that was then lost are lost
      with it. *)
-  let covered = Array.make n false in
-  covered.(source) <- true;
-  for v = 0 to n - 1 do
-    let rec walk u steps =
-      if u = source then true
-      else if steps > n || u < 0 then false
-      else walk delivered_to.(u) (steps + 1)
-    in
-    if walk v 0 then covered.(v) <- true
-  done;
-  let root_acc = states.(source).acc in
-  let terminated = Array.map (fun st -> st.role = Done) states in
-  (root_acc, terminated, covered, slots_run, !reelections, !retries)
+  let snapshot ~slots_run =
+    let covered = Array.make n false in
+    covered.(source) <- true;
+    for v = 0 to n - 1 do
+      let rec walk u steps =
+        if u = source then true
+        else if steps > n || u < 0 then false
+        else walk delivered_to.(u) (steps + 1)
+      in
+      if walk v 0 then covered.(v) <- true
+    done;
+    let root_acc = states.(source).acc in
+    let terminated = Array.map (fun st -> st.role = Done) states in
+    (root_acc, terminated, covered, slots_run, !reelections, !retries)
+  in
+  let finished () = !done_count = n in
+  (* A node not done that has been absent for [grace_slots] straight slots
+     is crashed or churned out. *)
+  let rec quiet_from ~slot v =
+    v = n
+    || (states.(v).role = Done || slot - last_awake.(v) > grace_slots)
+       && quiet_from ~slot (v + 1)
+  in
+  (* Stop at the end of a step when everyone is done — or, on faulty runs,
+     when every node that is not done is gone quiet: nothing further can
+     drain. Retirements also happen at a step's start (the watchdogs), so
+     the stop reads the slot. *)
+  let stop ~slot = slot mod 3 = 2 && (finished () || (faulty && quiet_from ~slot 0)) in
+  let max_slots = if finished () then 0 else 3 * max_steps in
+  fst
+    (Runner.drive runner ~stop
+       { Machine.decide; feedback; finished; snapshot }
+       ~max_slots)
 
 (* ------------------------------------------------------------------ *)
 (* The full protocol.                                                  *)
@@ -556,36 +557,25 @@ let run ?jammer ?faults ?backend ?budget_factor ?max_phase4_steps
   if max_retries < 0 then invalid_arg (who ^ ": max_retries must be >= 0");
   let n = Assignment.num_nodes assignment in
   let faulty = jammer <> None || faults <> None in
-  let mark name =
-    match trace with
-    | Some tr -> Trace.record tr (Trace.Phase { name })
-    | None -> ()
-  in
-  let cast, next_runner, total =
+  let cast, next_phase, total =
     Cogcomp.phase1 ?jammer ?faults ?trace ?backend ?budget_factor ~source
       ~assignment ~k ~rng ()
   in
   let tree = Disttree.of_result cast in
-  mark "cogcomp-phase2";
   let info, phase2_slots =
     run_phase2 ~cast
       ~watchdog_retries:(if faulty then watchdog_retries else 0)
-      ~runner:(next_runner ())
+      ~runner:(next_phase "cogcomp-phase2")
   in
-  (match trace with
-  | Some tr ->
-      Array.iteri
-        (fun v (inf : phase2_info) ->
-          if inf.my_rank = 0 then Trace.record tr (Trace.Mediator { node = v }))
-        info
-  | None -> ());
-  mark "cogcomp-phase3";
+  let mediators = List.filter (fun v -> info.(v).my_rank = 0) (List.init n Fun.id) in
+  Option.iter
+    (fun tr -> List.iter (fun v -> Trace.record tr (Trace.Mediator { node = v })) mediators)
+    trace;
   let clusters, phase3_slots =
     Cogcomp.run_phase3 ~cast
       ~cluster_size:(fun v -> info.(v).cluster_size)
-      ~runner:(next_runner ())
+      ~runner:(next_phase "cogcomp-phase3")
   in
-  mark "cogcomp-phase4";
   let max_steps =
     match max_phase4_steps with
     | Some s -> s
@@ -594,26 +584,17 @@ let run ?jammer ?faults ?backend ?budget_factor ?max_phase4_steps
   let patience = n + 16 in
   let root_acc, terminated, covered, phase4_slots, reelections, retries =
     run_phase4 ?trace ~faulty ~timeout ~max_retries ~patience ~monoid ~values ~cast
-      ~info ~clusters
-      ~runner:(next_runner ()) ~max_steps ()
-  in
-  let mediators =
-    Array.to_list
-      (Array.of_seq
-         (Seq.filter_map
-            (fun v -> if info.(v).my_rank = 0 then Some v else None)
-            (Seq.init n (fun v -> v))))
+      ~info ~clusters ~runner:(next_phase "cogcomp-phase4") ~max_steps ()
   in
   let coverage = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 covered in
-  let lost =
-    List.filter (fun v -> not covered.(v)) (List.init n (fun v -> v))
-  in
+  let lost = List.filter (fun v -> not covered.(v)) (List.init n Fun.id) in
   let complete =
     cast.Cogcast.informed_count = n
     && Array.for_all (fun b -> b) terminated
     && coverage = n
   in
-  if complete then mark "cogcomp-done";
+  if complete then
+    Option.iter (fun tr -> Trace.record tr (Trace.Phase { name = "cogcomp-done" })) trace;
   {
     complete;
     root_value = root_acc;

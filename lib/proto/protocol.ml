@@ -1,5 +1,4 @@
 module Dynamic = Crn_channel.Dynamic
-module Assignment = Crn_channel.Assignment
 module Runner = Crn_radio.Runner
 module Trace = Crn_radio.Trace
 module Json = Crn_stats.Json
@@ -121,19 +120,13 @@ let of_run ~name ~synopsis ~capabilities exec =
   { p_name = name; p_synopsis = synopsis; p_capabilities = capabilities; p_exec = exec }
 
 (* The generic driver: the machine runs on the environment's backend
-   through [Runner.drive]. The trace preamble (Meta header, then a phase
-   marker named after the protocol) matches what Cogcast.run emits, so
-   registry traces are uniform regardless of how the protocol entered the
-   layer. *)
+   through [Runner.drive], after the trace preamble every protocol trace
+   opens with (a Meta header, then a phase marker named after the
+   protocol). *)
 let exec_machine ~name ~shardable ~budget ~init ~summarize env =
-  (match env.trace with
-  | Some tr ->
-      let n = Dynamic.num_nodes env.availability in
-      let c = Dynamic.channels_per_node env.availability in
-      let channels = Assignment.num_channels (Dynamic.at env.availability 0) in
-      Trace.record tr (Trace.Meta { n; channels; c; source = env.source });
-      Trace.record tr (Trace.Phase { name })
-  | None -> ());
+  Option.iter
+    (Trace.preamble ~availability:env.availability ~source:env.source ~name)
+    env.trace;
   let machine = init env in
   let max_slots =
     match env.max_slots with Some m -> m | None -> budget env

@@ -5,16 +5,16 @@
     Two ways into the layer:
     {ul
     {- {!of_machine} packs a {!Crn_radio.Machine.t} — a per-node
-       [decide]/[feedback]/[finished] state machine over
-       ['msg Crn_radio.Engine.node] semantics — built per run by [init],
-       and drives it with {!Crn_radio.Runner.drive} (so any backend,
-       jammer, fault schedule, metrics sink or trace applies uniformly).
-       The rendezvous baselines and the workloads enter this way, through
-       the machine builders their modules export.}
+       [decide]/[feedback]/[finished] state machine — built per run by
+       [init], and drives it with {!Crn_radio.Runner.drive} (so any
+       backend, jammer, fault schedule, metrics sink or trace applies
+       uniformly). COGCAST, the rendezvous baselines and the workloads
+       enter this way, through the machine builders their modules
+       export.}
     {- {!of_run} packs an opaque [env -> summary] function for protocols
        whose structure does not fit a single engine run — COGCOMP's four
-       phases, for example — delegating to their direct APIs so that a
-       registry-dispatched run is byte-identical to a direct call.}} *)
+       phases, one machine each — delegating to their direct APIs so that
+       a registry-dispatched run is byte-identical to a direct call.}} *)
 
 type arrivals = Poisson | Uniform
 (** Inter-arrival law for sustained-traffic runs: [Poisson] spaces rumor
@@ -163,10 +163,10 @@ val of_machine :
     way results are byte-identical to the {!Crn_radio.Runner.Engine}
     backend at any shard count.
 
-    With [env.trace] supplied the driver records a
-    {!Crn_radio.Trace.Meta} header and a [Phase name] marker before the
-    run, mirroring what COGCAST's direct API does, so every registry trace
-    starts with the same preamble. *)
+    With [env.trace] supplied the driver records
+    {!Crn_radio.Trace.preamble} (a {!Crn_radio.Trace.Meta} header and a
+    [Phase name] marker) before the run — the preamble COGCAST's direct
+    API records too — so every registry trace starts the same way. *)
 
 val of_run :
   name:string ->

@@ -38,36 +38,34 @@ let with_load = { single_run with Protocol.load = true }
 let multi_phase =
   { Protocol.dynamic = false; max_slots = false; metrics = false; load = false }
 
-(* ---- the paper's protocols: delegate to the direct APIs so that a
-   registry-dispatched run is byte-identical to a direct call ---- *)
+let count_report env ~completed_at ~key count : Protocol.report =
+  let n, _ = dims env in
+  {
+    Protocol.completed_at;
+    coverage = frac count n;
+    detail = Json.Obj [ (key, Json.Int count) ];
+  }
+
+(* ---- the paper's protocols. COGCAST is a machine entry, driven exactly
+   as [Cogcast.run] drives it; the COGCOMPs delegate to their direct APIs.
+   Either way a registry-dispatched run is byte-identical to a direct
+   call ---- *)
 
 let cogcast =
-  Protocol.of_run ~name:"cogcast" ~capabilities:single_run
+  Protocol.of_machine ~name:"cogcast" ~capabilities:single_run
     ~synopsis:"Epidemic local broadcast in O((c/k) max{1,c/n} lg n) slots (S4, Thm 4)"
-    (fun env ->
+    (* Per-node RNG streams, own-index writes, atomic informed counter. *)
+    ~shardable:true
+    ~budget:(fun env ->
       let n, c = dims env in
-      let max_slots =
-        match env.max_slots with
-        | Some m -> m
-        | None ->
-            Complexity.cogcast_slots ?factor:env.budget_factor ~n ~c ~k:env.k ()
-      in
-      let r =
-        Cogcast.run ?jammer:env.jammer ?faults:env.faults ?metrics:env.metrics
-          ?trace:env.trace ~backend:env.backend ~source:env.source
-          ~availability:env.availability ~rng:env.rng ~max_slots ()
-      in
-      {
-        Protocol.protocol = "cogcast";
-        slots_run = r.Cogcast.slots_run;
-        completed = r.Cogcast.completed_at <> None;
-        completed_at = r.Cogcast.completed_at;
-        coverage = frac r.Cogcast.informed_count n;
-        raw_rounds = r.Cogcast.raw_rounds;
-        failed_sessions = r.Cogcast.failed_sessions;
-        counters = r.Cogcast.counters;
-        detail = Json.Obj [ ("informed_count", Json.Int r.Cogcast.informed_count) ];
-      })
+      Complexity.cogcast_slots ?factor:env.Protocol.budget_factor ~n ~c
+        ~k:env.k ())
+    ~init:(fun env ->
+      Cogcast.machine ?trace:env.Protocol.trace ~source:env.source
+        ~availability:env.availability ~rng:env.rng ())
+    ~summarize:(fun env (r : Cogcast.result) ->
+      count_report env ~completed_at:r.Cogcast.completed_at
+        ~key:"informed_count" r.Cogcast.informed_count)
 
 let cogcomp =
   Protocol.of_run ~name:"cogcomp" ~capabilities:multi_phase
@@ -146,14 +144,6 @@ let cogcomp_robust =
 
 (* ---- the rendezvous baselines: state machines behind the one machine
    driver ---- *)
-
-let count_report env ~completed_at ~key count : Protocol.report =
-  let n, _ = dims env in
-  {
-    Protocol.completed_at;
-    coverage = frac count n;
-    detail = Json.Obj [ (key, Json.Int count) ];
-  }
 
 let broadcast_budget env =
   let n, c = dims env in
@@ -375,7 +365,7 @@ let push_sum =
             @ Workload.latency_fields r.P.latencies);
       })
 
-let machines =
+let baselines_and_workloads =
   [
     broadcast_baseline;
     aggregation_baseline ~name:"aggregation_baseline" ~ack:true
@@ -389,7 +379,8 @@ let machines =
     push_sum;
   ]
 
-let all = [ cogcast; cogcomp; cogcomp_robust ] @ machines
+let machines = cogcast :: baselines_and_workloads
+let all = cogcast :: cogcomp :: cogcomp_robust :: baselines_and_workloads
 
 let names () = List.map Protocol.name all
 let machine_names () = List.map Protocol.name machines

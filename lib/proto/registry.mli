@@ -22,12 +22,12 @@ val names : unit -> string list
 (** Canonical names of {!all}, in the same order. *)
 
 val machine_names : unit -> string list
-(** Names of the entries that enter through {!Protocol.of_machine} — the
-    single-engine-run state machines the generic driver can place on any
-    {!Crn_radio.Runner} backend, the struct-of-arrays one included. The
-    [of_run] entries (cogcast, cogcomp, cogcomp_robust) are
-    excluded: they orchestrate their own engine runs. The SoA differential
-    suite and bench E26 sweep this list. *)
+(** Names of the entries that enter through {!Protocol.of_machine} —
+    COGCAST and every baseline and workload: the single-run state machines
+    the generic driver can place on any {!Crn_radio.Runner} backend, the
+    struct-of-arrays one included. The [of_run] entries (cogcomp,
+    cogcomp_robust) are excluded: they drive one machine per phase. The
+    SoA differential suite and bench E26 sweep this list. *)
 
 val find : string -> Protocol.t option
 (** Lookup by (normalized) name; [jam_resist:<name>] yields the wrapped

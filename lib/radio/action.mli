@@ -40,9 +40,10 @@ type 'msg node = {
   decide : slot:int -> 'msg decision;
   feedback : slot:int -> 'msg feedback -> unit;
 }
-(** A protocol node as the slot engines drive it: asked for a {!decision}
-    each slot it is up, told the slot's {!feedback} afterwards. Re-exported
-    as {!Engine.node}, the name every caller uses. *)
+(** One node of a closure-per-node array: asked for a {!decision} each
+    slot it is up, told the slot's {!feedback} afterwards. Re-exported as
+    {!Engine.node}; the array is a wrapper over the {!Machine.t} shape
+    every protocol uses (see {!Soa_adapter.of_nodes}). *)
 
 val listen : label:int -> 'msg decision
 val broadcast : label:int -> 'msg -> 'msg decision

@@ -14,16 +14,10 @@ type outcome = {
    {!Trace.Session} event and the slot's longest session; [on_slot_end]
    folds that into the raw-round total. Faults and jamming act at the
    abstract-slot level exactly as in {!Engine.run}. *)
-let run ?(strategy = Decay) ?session_cap ?jammer ?faults ?metrics ?trace ?stop
-    ~availability ~rng ~nodes ~max_slots () =
-  let n = Array.length nodes in
+let run_machine ?(strategy = Decay) ?session_cap ?jammer ?faults ?metrics ?trace
+    ?stop ~availability ~rng ~machine ~max_slots () =
+  let n = Crn_channel.Dynamic.num_nodes availability in
   if n = 0 then invalid_arg "Emulation.run: no nodes";
-  if Crn_channel.Dynamic.num_nodes availability <> n then
-    invalid_arg "Emulation.run: node count disagrees with availability";
-  Array.iteri
-    (fun i node ->
-      if node.Engine.id <> i then invalid_arg "Emulation.run: node id mismatch")
-    nodes;
   if max_slots < 0 then invalid_arg "Emulation.run: negative max_slots";
   (match metrics with
   | Some m when Array.length m.Metrics.transmissions <> n ->
@@ -66,7 +60,7 @@ let run ?(strategy = Decay) ?session_cap ?jammer ?faults ?metrics ?trace ?stop
   in
   let o =
     Soa.run ?jammer ?faults ?metrics ?trace ?stop ~on_slot_end ~resolve
-      ~availability ~rng ~protocol:(Soa_adapter.protocol nodes) ~max_slots ()
+      ~availability ~rng ~protocol:(Soa_adapter.machine ~n machine) ~max_slots ()
   in
   {
     slots_run = o.Soa.slots_run;
@@ -75,3 +69,9 @@ let run ?(strategy = Decay) ?session_cap ?jammer ?faults ?metrics ?trace ?stop
     stopped_early = o.Soa.stopped_early;
     counters = o.Soa.counters;
   }
+
+let run ?strategy ?session_cap ?jammer ?faults ?metrics ?trace ?stop
+    ~availability ~rng ~nodes ~max_slots () =
+  Soa_adapter.check_nodes ~who:"Emulation.run" ~availability nodes;
+  run_machine ?strategy ?session_cap ?jammer ?faults ?metrics ?trace ?stop
+    ~availability ~rng ~machine:(Soa_adapter.of_nodes nodes) ~max_slots ()

@@ -22,7 +22,7 @@
     which matches the model's "failed broadcasters receive the message that
     was sent"; the winner learns of its success from the session itself.
 
-    Protocols written against {!Engine}'s node interface run unchanged; the
+    Protocols ({!Machine.t}s, through {!Runner.drive}) run unchanged; the
     outcome additionally reports the raw rounds consumed, so experiments can
     measure the emulation overhead (E22, E25). A session that fails to
     isolate a winner within the per-slot cap delivers nothing on that
@@ -61,7 +61,7 @@ type outcome = {
           slot-level actions absorbed by the jammer. *)
 }
 
-val run :
+val run_machine :
   ?strategy:strategy ->
   ?session_cap:int ->
   ?jammer:Jammer.t ->
@@ -71,7 +71,7 @@ val run :
   ?stop:(slot:int -> bool) ->
   availability:Crn_channel.Dynamic.t ->
   rng:Crn_prng.Rng.t ->
-  nodes:'msg Engine.node array ->
+  machine:('msg, _) Machine.t ->
   max_slots:int ->
   unit ->
   outcome
@@ -92,13 +92,31 @@ val run :
     {!Engine.run}, so session lengths and winners are a function of the
     seed alone.
 
-    [run] is a front over {!Soa.run} at one shard, like {!Engine.run}: the
-    node array goes through {!Soa_adapter.protocol} and the contention
-    session is {!Soa.run}'s [resolve]. {!Reference.emulation_run} is its
-    executable specification.
+    [run_machine] runs [machine]'s decide/feedback (its [finished] is not
+    consulted: [stop] ends the run) on {!Soa.run} at one shard, through
+    {!Soa_adapter.machine}, with the contention session as {!Soa.run}'s
+    [resolve]; it is the emulation backends of {!Runner.drive}.
+    {!Reference.emulation_run} is its executable specification.
 
-    Raises [Invalid_argument] naming [Emulation.run] if node ids are
-    inconsistent, the node count disagrees with [availability],
-    [max_slots] is negative, [session_cap < 1], or [metrics] is sized for
-    a different node count; an out-of-range label is reported by
+    Raises [Invalid_argument] naming [Emulation.run] if [availability] has
+    no nodes, [max_slots] is negative, [session_cap < 1], or [metrics] is
+    sized for a different node count; an out-of-range label is reported by
     {!Soa.run}. *)
+
+val run :
+  ?strategy:strategy ->
+  ?session_cap:int ->
+  ?jammer:Jammer.t ->
+  ?faults:Faults.t ->
+  ?metrics:Metrics.t ->
+  ?trace:Trace.t ->
+  ?stop:(slot:int -> bool) ->
+  availability:Crn_channel.Dynamic.t ->
+  rng:Crn_prng.Rng.t ->
+  nodes:'msg Engine.node array ->
+  max_slots:int ->
+  unit ->
+  outcome
+(** The node-array wrapper: {!run_machine} on
+    [Soa_adapter.of_nodes nodes], after {!Soa_adapter.check_nodes} (node
+    ids must be consistent and the count must match [availability]). *)

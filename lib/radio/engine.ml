@@ -12,20 +12,14 @@ type outcome = Soa.outcome = {
 
 let node ~id ~decide ~feedback = { id; decide; feedback }
 
-(* The engine is the struct-of-arrays loop at one shard: validate the node
-   array, bridge it through the machine adapter, run. *)
+(* A node array is the machine path at one shard: validate the array,
+   bridge it through the machine adapter, run. *)
 let run ?jammer ?faults ?metrics ?trace ?stop ?on_slot_end ~availability ~rng
     ~nodes ~max_slots () =
-  let n = Array.length nodes in
-  if n = 0 then invalid_arg "Engine.run: no nodes";
-  if Crn_channel.Dynamic.num_nodes availability <> n then
-    invalid_arg "Engine.run: node count disagrees with availability";
-  Array.iteri
-    (fun i node -> if node.id <> i then invalid_arg "Engine.run: node id mismatch")
-    nodes;
+  Soa_adapter.check_nodes ~who:"Engine.run" ~availability nodes;
   if max_slots < 0 then invalid_arg "Engine.run: negative max_slots";
   (match metrics with
-  | Some m when Array.length m.Metrics.transmissions <> n ->
+  | Some m when Array.length m.Metrics.transmissions <> Array.length nodes ->
       invalid_arg "Engine.run: metrics sized for a different node count"
   | _ -> ());
   Soa.run ?jammer ?faults ?metrics ?trace ?stop ?on_slot_end ~availability ~rng

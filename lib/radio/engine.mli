@@ -37,11 +37,15 @@
     ascending node id. Traced runs record each slot's events in the order
     documented in {!Trace}, byte-equal to {!Reference.engine_run}'s.
 
-    {b Implementation.} [run] is a front over {!Soa.run} at one shard: it
-    validates its input and bridges the node array through
-    {!Soa_adapter.protocol}. There is one slot loop, and
-    {!Reference.engine_run} is the list-based executable specification it
-    is differentially tested against. *)
+    {b Protocols are machines.} Every protocol is a {!Machine.t} that
+    {!Runner.drive} hands to {!Soa.run} through {!Soa_adapter.machine}; the
+    {!Runner.Engine} backend is that loop at one shard. This module's
+    closure-per-node {!node} array and {!run} are a wrapper kept for the
+    benchmark ([perfbench/]) and the engine tests, which compile against
+    them: [run] validates the array and runs it as
+    {!Soa_adapter.of_nodes} on {!Soa.run} at one shard. There is one slot
+    loop, and {!Reference.engine_run} is the list-based executable
+    specification it is differentially tested against. *)
 
 type 'msg node = 'msg Action.node = {
   id : int;  (** Must equal the node's index in the [nodes] array. *)

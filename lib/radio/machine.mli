@@ -1,6 +1,10 @@
-(** A single-run protocol as one whole-network state machine: the shape
-    every rendezvous baseline and sustained-traffic workload exports, and
-    what {!Runner.drive} runs on any backend.
+(** A protocol as one whole-network state machine: the only shape a
+    protocol hands the slot engines. {!Runner.drive} runs it on any
+    backend. The paper's protocols are machines — COGCAST
+    ([Crn_core.Cogcast.machine]) and each of COGCOMP's phases (phase 1 is
+    that COGCAST; the phase-2 roster exchange, the phase-3 rewind and the
+    phase-4 drain, plain and robust, are machines of their own) — and so
+    is every rendezvous baseline and sustained-traffic workload.
 
     The engine polls [decide] and [feedback] per node and slot exactly as
     {!Engine} specifies. [finished] is the protocol's own completion

@@ -29,15 +29,10 @@ let sorted_channels channels =
    then Down/Jam/Decide by node, resolutions and Win by channel,
    Deliver/Silent by node, and feedback by node. *)
 let spec_run ~fn ~resolve ?(jammer = Jammer.none) ?(faults = Faults.none)
-    ?metrics ?trace ?stop ?on_slot_end ~availability ~nodes ~max_slots () =
-  let n = Array.length nodes in
+    ?metrics ?trace ?stop ?on_slot_end ~availability ~(machine : (_, _) Machine.t)
+    ~max_slots () =
+  let n = Dynamic.num_nodes availability in
   if n = 0 then invalid_arg (fn ^ ": no nodes");
-  if Dynamic.num_nodes availability <> n then
-    invalid_arg (fn ^ ": node count disagrees with availability");
-  Array.iteri
-    (fun i node ->
-      if node.Engine.id <> i then invalid_arg (fn ^ ": node id mismatch"))
-    nodes;
   if max_slots < 0 then invalid_arg (fn ^ ": negative max_slots");
   (match metrics with
   | Some m when Array.length m.Metrics.transmissions <> n ->
@@ -64,7 +59,7 @@ let spec_run ~fn ~resolve ?(jammer = Jammer.none) ?(faults = Faults.none)
     let decisions =
       Array.init n (fun i ->
           if Faults.down faults ~slot:s ~node:i then None
-          else Some (nodes.(i).Engine.decide ~slot:s))
+          else Some (machine.Machine.decide ~node:i ~slot:s))
     in
     Array.iteri
       (fun i decision ->
@@ -156,7 +151,7 @@ let spec_run ~fn ~resolve ?(jammer = Jammer.none) ?(faults = Faults.none)
       end
     done;
     for i = 0 to n - 1 do
-      if tuned.(i) = -1 then nodes.(i).Engine.feedback ~slot:s Action.Jammed
+      if tuned.(i) = -1 then machine.Machine.feedback ~node:i ~slot:s Action.Jammed
       else if tuned.(i) >= 0 then
         let feedback =
           match ((Hashtbl.find channels tuned.(i)).winner, listening i) with
@@ -166,7 +161,7 @@ let spec_run ~fn ~resolve ?(jammer = Jammer.none) ?(faults = Faults.none)
           | Some (winner, msg), false -> Action.Lost { winner; msg }
           | None, false -> Action.No_winner
         in
-        nodes.(i).Engine.feedback ~slot:s feedback
+        machine.Machine.feedback ~node:i ~slot:s feedback
     done;
     counters.Trace.Counters.slots_run <- counters.Trace.Counters.slots_run + 1;
     if Jammer.observes jammer then begin
@@ -186,16 +181,23 @@ let spec_run ~fn ~resolve ?(jammer = Jammer.none) ?(faults = Faults.none)
   done;
   { Engine.slots_run = !slot; stopped_early = !stopped; counters }
 
-let engine_run ?jammer ?faults ?metrics ?trace ?stop ?on_slot_end ~availability
-    ~rng ~nodes ~max_slots () =
+let run_machine ?jammer ?faults ?metrics ?trace ?stop ?on_slot_end
+    ~availability ~rng ~machine ~max_slots () =
   let resolve ~slot:_ ~channel:_ ~contenders =
     Some (if contenders = 1 then 0 else Rng.int rng contenders)
   in
   spec_run ~fn:"Reference.engine_run" ~resolve ?jammer ?faults ?metrics ?trace
-    ?stop ?on_slot_end ~availability ~nodes ~max_slots ()
+    ?stop ?on_slot_end ~availability ~machine ~max_slots ()
+
+let engine_run ?jammer ?faults ?metrics ?trace ?stop ?on_slot_end ~availability
+    ~rng ~nodes ~max_slots () =
+  Soa_adapter.check_nodes ~who:"Reference.engine_run" ~availability nodes;
+  run_machine ?jammer ?faults ?metrics ?trace ?stop ?on_slot_end ~availability
+    ~rng ~machine:(Soa_adapter.of_nodes nodes) ~max_slots ()
 
 let emulation_run ?(strategy = Emulation.Decay) ?session_cap ?jammer ?faults
     ?metrics ?trace ?stop ~availability ~rng ~nodes ~max_slots () =
+  Soa_adapter.check_nodes ~who:"Reference.emulation_run" ~availability nodes;
   let session_cap =
     match session_cap with
     | None -> Backoff.expected_rounds_bound (Array.length nodes)
@@ -233,7 +235,8 @@ let emulation_run ?(strategy = Emulation.Decay) ?session_cap ?jammer ?faults
   in
   let o =
     spec_run ~fn:"Reference.emulation_run" ~resolve ?jammer ?faults ?metrics
-      ?trace ?stop ~on_slot_end ~availability ~nodes ~max_slots ()
+      ?trace ?stop ~on_slot_end ~availability
+      ~machine:(Soa_adapter.of_nodes nodes) ~max_slots ()
   in
   {
     Emulation.slots_run = o.Engine.slots_run;

@@ -15,6 +15,24 @@
     purpose, and double as the baseline the [MICRO] benchmark measures the
     engines against. Not intended for production use. *)
 
+val run_machine :
+  ?jammer:Jammer.t ->
+  ?faults:Faults.t ->
+  ?metrics:Metrics.t ->
+  ?trace:Trace.t ->
+  ?stop:(slot:int -> bool) ->
+  ?on_slot_end:(slot:int -> unit) ->
+  availability:Crn_channel.Dynamic.t ->
+  rng:Crn_prng.Rng.t ->
+  machine:('msg, _) Machine.t ->
+  max_slots:int ->
+  unit ->
+  Engine.outcome
+(** Specification twin of the {!Engine} backend over a machine: it asks
+    [machine]'s [decide]/[feedback] per node ([finished] is not consulted:
+    [stop] ends the run), with errors naming [Reference.engine_run]. The
+    {!Runner.Reference} backend of {!Runner.drive}. *)
+
 val engine_run :
   ?jammer:Jammer.t ->
   ?faults:Faults.t ->
@@ -28,8 +46,9 @@ val engine_run :
   max_slots:int ->
   unit ->
   Engine.outcome
-(** Specification twin of {!Engine.run}; identical contract, with errors
-    naming [Reference.engine_run]. *)
+(** Specification twin of {!Engine.run}, the node-array wrapper: identical
+    contract, with errors naming [Reference.engine_run]; {!run_machine} on
+    [Soa_adapter.of_nodes nodes]. *)
 
 val emulation_run :
   ?strategy:Emulation.strategy ->

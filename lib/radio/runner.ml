@@ -19,15 +19,12 @@ type outcome = {
   failed_sessions : int;
 }
 
+(* The polymorphic slot loop of one backend: a record field, so one runner
+   serves every message and result type a multi-phase protocol uses. *)
 type t = {
-  num_nodes : int;
-  run :
-    'msg.
-    ?stop:(slot:int -> bool) ->
-    nodes:'msg Engine.node array ->
-    max_slots:int ->
-    unit ->
-    outcome;
+  exec :
+    'msg 'r.
+    stop:(slot:int -> bool) -> ('msg, 'r) Machine.t -> max_slots:int -> outcome;
 }
 
 let of_engine (o : Engine.outcome) =
@@ -62,17 +59,16 @@ let add a b =
 
 let accumulating total runner =
   {
-    runner with
-    run =
-      (fun ?stop ~nodes ~max_slots () ->
-        let outcome = runner.run ?stop ~nodes ~max_slots () in
+    exec =
+      (fun ~stop m ~max_slots ->
+        let outcome = runner.exec ~stop m ~max_slots in
         total := add !total outcome;
         outcome);
   }
 
 let make ?pool ?machine_parallel:(parallel = false) ?jammer ?faults ?metrics
     ?trace ?(backend = Engine) ~availability ~rng () =
-  let num_nodes = Crn_channel.Dynamic.num_nodes availability in
+  let n = Crn_channel.Dynamic.num_nodes availability in
   match backend with
   | Engine | Soa _ ->
       let shards, dense_channel_limit =
@@ -81,47 +77,39 @@ let make ?pool ?machine_parallel:(parallel = false) ?jammer ?faults ?metrics
         | _ -> (1, None)
       in
       {
-        num_nodes;
-        run =
-          (fun ?stop ~nodes ~max_slots () ->
-            if Array.length nodes <> num_nodes then
-              invalid_arg
-                "Runner: node array disagrees with availability node count";
-            let protocol = Soa_adapter.protocol ~parallel nodes in
+        exec =
+          (fun ~stop m ~max_slots ->
             of_engine
               (Soa.run ?pool ~shards ?dense_channel_limit ?jammer ?faults
-                 ?metrics ?trace ?stop ~availability ~rng ~protocol ~max_slots
-                 ()));
+                 ?metrics ?trace ~stop ~availability ~rng
+                 ~protocol:(Soa_adapter.machine ~parallel ~n m) ~max_slots ()));
       }
   | Reference ->
       {
-        num_nodes;
-        run =
-          (fun ?stop ~nodes ~max_slots () ->
+        exec =
+          (fun ~stop machine ~max_slots ->
             of_engine
-              (Reference.engine_run ?jammer ?faults ?metrics ?trace ?stop
-                 ~availability ~rng ~nodes ~max_slots ()));
+              (Reference.run_machine ?jammer ?faults ?metrics ?trace ~stop
+                 ~availability ~rng ~machine ~max_slots ()));
       }
   | Emulation { strategy; session_cap } ->
       {
-        num_nodes;
-        run =
-          (fun ?stop ~nodes ~max_slots () ->
+        exec =
+          (fun ~stop machine ~max_slots ->
             of_emulation
-              (Emulation.run ~strategy ?session_cap ?jammer ?faults ?metrics
-                 ?trace ?stop ~availability ~rng ~nodes ~max_slots ()));
+              (Emulation.run_machine ~strategy ?session_cap ?jammer ?faults
+                 ?metrics ?trace ~stop ~availability ~rng ~machine ~max_slots
+                 ()));
       }
 
-let drive runner (m : (_, _) Machine.t) ~max_slots =
-  let nodes =
-    Array.init runner.num_nodes (fun v ->
-        Engine.node ~id:v
-          ~decide:(fun ~slot -> m.decide ~node:v ~slot)
-          ~feedback:(fun ~slot fb -> m.feedback ~node:v ~slot fb))
-  in
-  (* A machine that is complete before the first slot runs zero slots. *)
-  let max_slots = if m.finished () then 0 else max_slots in
+let drive ?stop runner (m : (_, _) Machine.t) ~max_slots =
   let outcome =
-    runner.run ~stop:(fun ~slot:_ -> m.finished ()) ~nodes ~max_slots ()
+    match stop with
+    | Some stop -> runner.exec ~stop m ~max_slots
+    | None ->
+        (* A machine that is complete before the first slot runs zero
+           slots. *)
+        let max_slots = if m.finished () then 0 else max_slots in
+        runner.exec ~stop:(fun ~slot:_ -> m.finished ()) m ~max_slots
   in
   (m.snapshot ~slots_run:outcome.slots_run, outcome)

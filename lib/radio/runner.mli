@@ -1,41 +1,27 @@
-(** One shared slot-loop runner for every protocol layer — the single place
-    where a protocol phase picks its execution backend.
-
-    Before this module existed, COGCAST, COGCOMP and robust COGCOMP each
-    carried a private "engine or emulation" shim ([slot_runner] records with
-    an [engine_runner]/[emulation_runner] pair per module). This is that
-    shim, once: a {!t} closes over the availability, generator, adversary
-    and observability of a run, and its polymorphic {!field-run} executes
-    any ['msg Engine.node] array on the selected {!backend}:
-
-    {ul
-    {- {!Engine} — the abstract one-winner engine ({!Engine.run}), the
-       default: the {!Soa} backend at one shard;}
-    {- {!Emulation} — the footnote-4 raw collision radio
-       ({!Emulation.run}: the {!Soa} loop with a contention-session
-       resolver), reporting raw-round cost;}
-    {- {!Reference} — the list-based executable specification
-       ({!Reference.engine_run}), for differential tests.}}
-
-    The runner adds no semantics of its own: each backend receives exactly
-    the arguments the caller supplied, so a protocol run through a {!t} is
-    byte-identical (outcomes, counters, RNG consumption, traces) to one
-    calling the backend directly. *)
+(** The one way a protocol reaches a slot engine: a {!t} picks the
+    backend and closes over a run's availability, generator, adversaries
+    and observability, and {!drive} runs any {!Machine.t} on it. Every
+    backend calls the machine's [decide ~node ~slot] and
+    [feedback ~node ~slot] directly ({!Soa_adapter.machine},
+    {!Emulation.run_machine}, {!Reference.run_machine}): no per-node
+    closure array sits between a machine and the slot loop. The runner
+    adds no semantics of its own, so a run through it is byte-identical
+    (outcomes, counters, RNG consumption, traces) to one calling the
+    backend directly. *)
 
 type backend =
   | Engine
-      (** {!Engine.run}; supports jamming, faults and metrics. The same run
-          as [Soa { shards = 1; dense_channel_limit = None }] — one slot
-          loop serves both names. *)
+      (** The abstract one-winner engine, the default: the same run as
+          [Soa { shards = 1; dense_channel_limit = None }]. *)
   | Emulation of { strategy : Emulation.strategy; session_cap : int option }
-      (** {!Emulation.run}; [strategy] picks the footnote-4 contention
-          realization (decay backoff or CSMA/CA). Jamming, faults and
+      (** The footnote-4 raw collision radio, reporting raw-round cost;
+          [strategy] picks the contention realization (decay backoff or CSMA/CA). Jamming, faults and
           metrics compose at the abstract-slot level, as on {!Engine}. *)
   | Reference
-      (** {!Reference.engine_run}, the slow specification twin of
-          {!Engine}; same feature set. *)
+      (** The list-based executable specification of {!Engine}, for
+          differential tests; same feature set. *)
   | Soa of { shards : int; dense_channel_limit : int option }
-      (** {!Soa.run} behind the generic {!Soa_adapter}: the node array is
+      (** {!Soa.run} behind the generic {!Soa_adapter}: the machine is
           bridged to range callbacks and one trial shards across [shards]
           domains. Results and traces are byte-identical to {!Engine} at
           any shard count by the SoA determinism contract;
@@ -60,19 +46,11 @@ type outcome = {
           abstract backends. *)
 }
 
-type t = {
-  num_nodes : int;  (** The availability's node count. *)
-  run :
-    'msg.
-    ?stop:(slot:int -> bool) ->
-    nodes:'msg Engine.node array ->
-    max_slots:int ->
-    unit ->
-    outcome;
-}
-(** The polymorphic slot loop: one runner serves every message type a
-    multi-phase protocol uses, which is why this is a record field rather
-    than a plain function. [nodes] must have [num_nodes] entries. *)
+type t
+(** A backend bound to one run's availability, generator, adversaries and
+    observability. One runner serves every message and result type, so a
+    multi-phase protocol can drive each of its phases on runners of the
+    same backend. *)
 
 val make :
   ?pool:Crn_exec.Pool.t ->
@@ -89,12 +67,12 @@ val make :
 (** [make ~availability ~rng ()] is a runner on the default {!Engine}
     backend. Every backend accepts the full adversary/observability set —
     on {!Emulation} the jammer and fault schedule address abstract slots,
-    exactly as on {!Engine} (see {!Emulation.run}).
+    exactly as on {!Engine}.
 
     [pool] and [machine_parallel] apply only to the {!Soa} backend (both
     ignored elsewhere): [pool] reuses an existing domain pool for the
     shards instead of spinning one up per run, and [machine_parallel]
-    (default [false]) asserts that the node closures honor the SoA
+    (default [false]) asserts that the machines honor the SoA
     sharding contract — per-node RNG streams, range-confined writes,
     [Atomic] commutative aggregates — letting decide/feedback run
     sharded. Leave it [false] for machines with shared mutable state or a
@@ -108,11 +86,20 @@ val accumulating : outcome ref -> t -> t
     a multi-phase protocol reports one summary over all of its engine
     runs. *)
 
-
-val drive : t -> ('msg, 'r) Machine.t -> max_slots:int -> 'r * outcome
+val drive :
+  ?stop:(slot:int -> bool) ->
+  t ->
+  ('msg, 'r) Machine.t ->
+  max_slots:int ->
+  'r * outcome
 (** [drive runner m ~max_slots] runs the state machine [m] on [runner]:
     zero slots if [m] is already finished, otherwise until [finished]
-    holds or [max_slots] slots have run, and returns [m]'s snapshot at the
-    slot count reached together with the run's outcome. This is the one
-    driver for single-run protocols: the registry runs its machine
-    entries through it. *)
+    holds after a slot or [max_slots] slots have run, and returns [m]'s
+    snapshot at the slot count reached together with the run's outcome.
+    This is the one driver for every protocol: the registry's machine
+    entries, COGCAST, and each COGCOMP phase.
+
+    [stop] replaces [finished] as the end-of-run test, for phases whose
+    end reads the slot index: [stop ~slot] is checked after every slot
+    (with the 0-based index of the slot just completed), and [finished]
+    is not consulted, not even before the first slot. *)

@@ -124,8 +124,8 @@ val down : char
 
 (** {1 Protocols}
 
-    A protocol is a pair of range callbacks in place of {!Engine.node}'s
-    per-node closures. [decide t ~slot ~lo ~hi] must set an intent (via
+    A protocol is a pair of range callbacks in place of a {!Machine.t}'s
+    per-node [decide]/[feedback] ({!Soa_adapter.machine} bridges one). [decide t ~slot ~lo ~hi] must set an intent (via
     {!set_listen} / {!set_broadcast}) for every node in [[lo, hi)] that is
     not {!down}. [feedback] reads the slot's outcome through the accessors
     below (or the arrays directly) for every node in [[lo, hi)] and

@@ -95,6 +95,14 @@ let record t ev =
   t.buf.(t.len) <- ev;
   t.len <- t.len + 1
 
+let preamble t ~availability ~source ~name =
+  let module Dynamic = Crn_channel.Dynamic in
+  let n = Dynamic.num_nodes availability in
+  let c = Dynamic.channels_per_node availability in
+  let channels = Crn_channel.Assignment.num_channels (Dynamic.at availability 0) in
+  record t (Meta { n; channels; c; source });
+  record t (Phase { name })
+
 let length t = t.len
 
 let get t i =

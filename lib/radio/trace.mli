@@ -141,6 +141,13 @@ val create : ?capacity:int -> unit -> t
 val record : t -> event -> unit
 (** Append one event (amortized O(1)). *)
 
+val preamble :
+  t -> availability:Crn_channel.Dynamic.t -> source:int -> name:string -> unit
+(** Record the two events every protocol trace opens with: the {!Meta}
+    header (node count, spectrum size and channels per node of
+    [availability]'s slot-0 assignment, and [source]), then a
+    [Phase name] marker. *)
+
 val length : t -> int
 val get : t -> int -> event
 val iter : (event -> unit) -> t -> unit

@@ -608,7 +608,7 @@ let test_cli_rejects_bad_counts () =
       "run -p cogcast --shards 0";
       "game --trials 0";
       "backoff --trials 0";
-      "jam -n 0";
+      "run -p jam_resist:cogcast --topology identical --jam-budget 2 -n 0";
       "chaos --trials 0";
       "run -p gossip --rumors 0";
       "sweep --values 8,abc,16";

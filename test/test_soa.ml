@@ -557,6 +557,76 @@ let test_registry_entry () =
         (summary (Runner.Soa { shards; dense_channel_limit = None }) = engine))
     [ 1; 2; 8 ]
 
+(* The node-array wrapper is the machine path. COGCAST's machine, handed
+   to the engine as an Engine.node array (as the benchmark does) — through
+   Engine.run, and through Soa_adapter.protocol on Soa.run at 2 shards —
+   gives the same outcome, counters, result and trace bytes as the same
+   machine through Runner.drive on the engine and the 2-shard soa
+   backend. Random naps make nodes sit out slots. *)
+let test_node_array_wrapper () =
+  let module Runner = Crn_radio.Runner in
+  let module Soa_adapter = Crn_radio.Soa_adapter in
+  let n = 96 and c = 8 in
+  let availability =
+    Dynamic.static
+      (Topology.shared_plus_random (Rng.create 5) { Topology.n; c; k = 2 })
+  in
+  let faults = Faults.random_naps ~seed:3L ~rate:0.1 in
+  let max_slots = 400 in
+  let machine traced =
+    let rng = Rng.create 11 in
+    let trace = if traced then Some (Trace.create ()) else None in
+    (Cogcast.machine ?trace ~source:0 ~availability ~rng (), rng, trace)
+  in
+  let observe (r : Cogcast.result) (o_slots, o_early, o_counters) trace =
+    ( (o_slots, o_early, counters_fields o_counters),
+      (r.Cogcast.completed_at, r.Cogcast.informed_count, r.Cogcast.parent,
+       r.Cogcast.informed_at),
+      match trace with Some tr -> Trace.to_jsonl tr | None -> "" )
+  in
+  let via_nodes ~shards traced =
+    let m, rng, trace = machine traced in
+    let nodes =
+      Array.init n (fun v ->
+          Engine.node ~id:v
+            ~decide:(fun ~slot -> m.Cogcast.decide ~node:v ~slot)
+            ~feedback:(fun ~slot fb -> m.Cogcast.feedback ~node:v ~slot fb))
+    in
+    let stop ~slot:_ = m.Cogcast.finished () in
+    let o =
+      if shards = 1 then
+        Engine.run ?trace ~faults ~stop ~availability ~rng ~nodes ~max_slots ()
+      else
+        Soa.run ~shards ?trace ~faults ~stop ~availability ~rng
+          ~protocol:(Soa_adapter.protocol ~parallel:true nodes) ~max_slots ()
+    in
+    let s = o.Engine.slots_run in
+    observe (m.Cogcast.snapshot ~slots_run:s) (s, o.Engine.stopped_early, o.Engine.counters)
+      trace
+  in
+  let via_drive ~shards traced =
+    let m, rng, trace = machine traced in
+    let backend =
+      if shards = 1 then Runner.Engine
+      else Runner.Soa { shards; dense_channel_limit = None }
+    in
+    let runner =
+      Runner.make ~machine_parallel:true ~faults ?trace ~backend ~availability ~rng ()
+    in
+    let r, o = Runner.drive runner m ~max_slots in
+    observe r (o.Runner.slots_run, o.Runner.stopped_early, o.Runner.counters) trace
+  in
+  List.iter
+    (fun (shards, traced) ->
+      let label =
+        Printf.sprintf "shards=%d%s" shards (if traced then " traced" else "")
+      in
+      let ((_, _, tr) as nodes) = via_nodes ~shards traced in
+      Alcotest.(check bool) (label ^ ": node array = machine") true
+        (nodes = via_drive ~shards traced);
+      Alcotest.(check bool) (label ^ ": trace recorded") traced (tr <> ""))
+    [ (1, false); (1, true); (2, false); (2, true) ]
+
 let () =
   Alcotest.run "soa"
     [
@@ -566,6 +636,8 @@ let () =
             test_traced;
           Alcotest.test_case "fast path shard & strategy invariant" `Quick
             test_shards;
+          Alcotest.test_case "node-array wrapper = machine via drive" `Quick
+            test_node_array_wrapper;
         ] );
       ( "registry audit",
         [
