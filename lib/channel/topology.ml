@@ -7,17 +7,13 @@ let validate_spec { n; c; k } =
   if k < 1 then invalid_arg "Topology: k must be at least 1";
   if k > c then invalid_arg "Topology: k must not exceed c"
 
-(* Finish a raw table: per-node label shuffle for the local-label model, or
-   increasing global order for the global-label model. *)
+(* Finish a raw table in place (every caller passes rows it has just built):
+   per-node label shuffle for the local-label model, or increasing global
+   order for the global-label model. *)
 let finalize ?(global_labels = false) rng ~num_channels rows =
-  let rows =
-    Array.map
-      (fun row ->
-        let row = Array.copy row in
-        if global_labels then Array.sort compare row else Rng.shuffle rng row;
-        row)
-      rows
-  in
+  Array.iter
+    (fun row -> if global_labels then Array.sort Int.compare row else Rng.shuffle rng row)
+    rows;
   Assignment.create ~num_channels ~local_to_global:rows
 
 let shared_core ?global_labels rng spec =

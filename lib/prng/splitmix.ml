@@ -1,23 +1,30 @@
-type t = { mutable state : int64 }
+(* The state is one 64-bit word in an 8-byte buffer, read and written with
+   the unchecked native-endian primitives, so a step keeps it unboxed. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* Stafford's Mix13 variant of the MurmurHash3 finalizer. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = seed }
+let[@inline] create seed =
+  let t = Bytes.create 8 in
+  set64 t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix64 s
 
 let next_int64 = next
 
-let split t =
-  let seed = next t in
-  create (mix64 seed)
+let split t = create (mix64 (next t))

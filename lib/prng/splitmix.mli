@@ -3,7 +3,10 @@
 
     Used in two roles: seeding {!Xoshiro} states, and deriving independent
     per-node streams from a single experiment seed so that simulations are
-    reproducible regardless of the order in which nodes draw randomness. *)
+    reproducible regardless of the order in which nodes draw randomness.
+
+    The state is one 64-bit word in an 8-byte buffer, stepped unboxed: only
+    the [int64] that {!next} returns is allocated. *)
 
 type t
 (** Mutable generator state. *)
