@@ -7,14 +7,34 @@ let validate_spec { n; c; k } =
   if k < 1 then invalid_arg "Topology: k must be at least 1";
   if k > c then invalid_arg "Topology: k must not exceed c"
 
-(* Finish a raw table in place (every caller passes rows it has just built):
-   per-node label shuffle for the local-label model, or increasing global
-   order for the global-label model. *)
-let finalize ?(global_labels = false) rng ~num_channels rows =
-  Array.iter
-    (fun row -> if global_labels then Array.sort Int.compare row else Rng.shuffle rng row)
-    rows;
-  Assignment.create ~num_channels ~local_to_global:rows
+(* Finish a flat row-major table in place (every caller passes one it has
+   just built): per-node label shuffle for the local-label model, or
+   increasing global order for the global-label model. *)
+let finalize ?(global_labels = false) rng ~num_channels ~c table =
+  let n = Array.length table / c in
+  if global_labels then begin
+    let row = Array.make c 0 in
+    for v = 0 to n - 1 do
+      Array.blit table (v * c) row 0 c;
+      Array.sort Int.compare row;
+      Array.blit row 0 table (v * c) c
+    done
+  end
+  else
+    for v = 0 to n - 1 do
+      Rng.shuffle_sub rng table (v * c) c
+    done;
+  Assignment.of_table ~num_channels ~channels_per_node:c table
+
+(* The flat table whose node [u], label [i] entry is [f u i]. *)
+let tabulate ~n ~c f =
+  let table = Array.make (n * c) 0 in
+  for u = 0 to n - 1 do
+    for i = 0 to c - 1 do
+      table.((u * c) + i) <- f u i
+    done
+  done;
+  table
 
 let shared_core ?global_labels rng spec =
   validate_spec spec;
@@ -22,18 +42,13 @@ let shared_core ?global_labels rng spec =
   let num_channels = k + (n * (c - k)) in
   (* Channels 0..k-1 are the common core; node u's private block is
      k + u*(c-k) .. k + (u+1)*(c-k) - 1. *)
-  let rows =
-    Array.init n (fun u ->
-        Array.init c (fun i ->
-            if i < k then i else k + (u * (c - k)) + (i - k)))
-  in
-  finalize ?global_labels rng ~num_channels rows
+  let table = tabulate ~n ~c (fun u i -> if i < k then i else k + (u * (c - k)) + (i - k)) in
+  finalize ?global_labels rng ~num_channels ~c table
 
 let identical ?global_labels rng spec =
   validate_spec spec;
   let { n; c; _ } = spec in
-  let rows = Array.init n (fun _ -> Array.init c (fun i -> i)) in
-  finalize ?global_labels rng ~num_channels:c rows
+  finalize ?global_labels rng ~num_channels:c ~c (tabulate ~n ~c (fun _ i -> i))
 
 let shared_plus_random ?global_labels ?big_c rng spec =
   validate_spec spec;
@@ -41,13 +56,22 @@ let shared_plus_random ?global_labels ?big_c rng spec =
   let big_c = match big_c with Some v -> v | None -> 4 * c in
   if big_c < c then invalid_arg "Topology.shared_plus_random: big_c < c";
   (* Channels 0..k-1 common; the rest of each node's set is a uniform random
-     (c-k)-subset of the remaining spectrum. *)
-  let rows =
-    Array.init n (fun _ ->
-        let extra = Rng.sample_without_replacement rng (c - k) (big_c - k) in
-        Array.init c (fun i -> if i < k then i else k + extra.(i - k)))
-  in
-  finalize ?global_labels rng ~num_channels:big_c rows
+     (c-k)-subset of the remaining spectrum, sampled straight into the
+     node's row. Every node samples, in node order, before [finalize]
+     shuffles any row. *)
+  let table = Array.make (n * c) 0 in
+  let sampler = Rng.sampler (c - k) in
+  for u = 0 to n - 1 do
+    let base = u * c in
+    for i = 0 to k - 1 do
+      table.(base + i) <- i
+    done;
+    Rng.sample_into rng sampler (c - k) (big_c - k) table (base + k);
+    for i = base + k to base + c - 1 do
+      table.(i) <- k + table.(i)
+    done
+  done;
+  finalize ?global_labels rng ~num_channels:big_c ~c table
 
 let pairwise_private ?global_labels rng spec =
   validate_spec spec;
@@ -64,25 +88,31 @@ let pairwise_private ?global_labels rng spec =
   let num_pairs = n * (n - 1) / 2 in
   let filler_per_node = c - (k * (max 0 (n - 1))) in
   let num_channels = max 1 ((num_pairs * k) + (n * filler_per_node)) in
-  let rows =
-    Array.init n (fun u ->
-        let buf = ref [] in
-        for v = 0 to n - 1 do
-          if v <> u then begin
-            let lo = min u v and hi = max u v in
-            let base = pair_index lo hi * k in
-            for j = 0 to k - 1 do
-              buf := (base + j) :: !buf
-            done
-          end
-        done;
-        let filler_base = (num_pairs * k) + (u * filler_per_node) in
-        for j = 0 to filler_per_node - 1 do
-          buf := (filler_base + j) :: !buf
-        done;
-        Array.of_list !buf)
-  in
-  finalize ?global_labels rng ~num_channels rows
+  (* Node u's row lists its pair blocks in increasing partner order, then
+     its filler, and is stored back to front: the last channel listed
+     takes label 0. *)
+  let table = Array.make (n * c) 0 in
+  for u = 0 to n - 1 do
+    let pos = ref ((u * c) + c - 1) in
+    let push ch =
+      table.(!pos) <- ch;
+      decr pos
+    in
+    for v = 0 to n - 1 do
+      if v <> u then begin
+        let lo = min u v and hi = max u v in
+        let base = pair_index lo hi * k in
+        for j = 0 to k - 1 do
+          push (base + j)
+        done
+      end
+    done;
+    let filler_base = (num_pairs * k) + (u * filler_per_node) in
+    for j = 0 to filler_per_node - 1 do
+      push (filler_base + j)
+    done
+  done;
+  finalize ?global_labels rng ~num_channels ~c table
 
 let clustered ?global_labels ~groups rng spec =
   validate_spec spec;
@@ -97,14 +127,13 @@ let clustered ?global_labels ~groups rng spec =
   let group_base g = k + (g * g_share) in
   let private_base = k + (groups * g_share) in
   let num_channels = private_base + (n * private_per_node) in
-  let rows =
-    Array.init n (fun u ->
-        Array.init c (fun i ->
-            if i < k then i
-            else if i < k + g_share then group_base (group_of u) + (i - k)
-            else private_base + (u * private_per_node) + (i - k - g_share)))
+  let table =
+    tabulate ~n ~c (fun u i ->
+        if i < k then i
+        else if i < k + g_share then group_base (group_of u) + (i - k)
+        else private_base + (u * private_per_node) + (i - k - g_share))
   in
-  finalize ?global_labels rng ~num_channels:(max 1 num_channels) rows
+  finalize ?global_labels rng ~num_channels:(max 1 num_channels) ~c table
 
 type kind = Shared_core | Identical | Shared_plus_random | Pairwise_private | Clustered
 

@@ -60,7 +60,7 @@ let machine ?trace ?record_slots ?(stop_when_complete = true) ~source
         Array.init n (fun _ -> Array.make slots { label = 0; event = Heard_silence }))
       record_slots
   in
-  let node_rngs = Rng.split_n rng n in
+  let streams = Rng.Arena.split_n rng n in
   (* The label each node chose this slot, so feedback can be logged against
      it. *)
   let current_label = Array.make n 0 in
@@ -70,7 +70,7 @@ let machine ?trace ?record_slots ?(stop_when_complete = true) ~source
     | None -> ()
   in
   let decide ~node:v ~slot:_ =
-    let label = Rng.int node_rngs.(v) c in
+    let label = Rng.Arena.int streams v c in
     current_label.(v) <- label;
     if informed.(v) then Action.broadcast ~label Init
     else Action.listen ~label
@@ -153,6 +153,5 @@ let label_oracle ~seed ~n ~c ~node =
   (* Mirrors [run]: the run splits one child generator per node from the
      top-level rng before the engine consumes it, and each node draws one
      label per slot. *)
-  let node_rngs = Rng.split_n (Rng.create seed) n in
-  let stream = node_rngs.(node) in
-  fun ~slot:_ -> Rng.int stream c
+  let streams = Rng.Arena.split_n (Rng.create seed) n in
+  fun ~slot:_ -> Rng.Arena.int streams node c

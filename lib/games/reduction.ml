@@ -9,12 +9,12 @@ type simulated_algorithm = {
 let cogcast_algorithm rng ~n ~c =
   if n < 2 then invalid_arg "Reduction.cogcast_algorithm: need n >= 2";
   let source_rng = Rng.split rng in
-  let node_rngs = Rng.split_n rng (n - 1) in
+  let streams = Rng.Arena.split_n rng (n - 1) in
   {
     alg_name = "cogcast";
     source_choice = (fun ~slot:_ -> Rng.int source_rng c);
     nonsource_choices =
-      (fun ~slot:_ -> Array.map (fun r -> Rng.int r c) node_rngs);
+      (fun ~slot:_ -> Array.init (n - 1) (fun v -> Rng.Arena.int streams v c));
   }
 
 let player_of_algorithm ~c alg =

@@ -27,9 +27,9 @@ let machine (type a) ?(ack = true) ~(monoid : a Crn_core.Aggregate.monoid)
   received.(source) <- true;
   let received_count = ref 1 in
   let acc = ref values.(source) in
-  let node_rngs = Rng.split_n rng n in
+  let streams = Rng.Arena.split_n rng n in
   let decide ~node:v ~slot:_ =
-    let label = Rng.int node_rngs.(v) c in
+    let label = Rng.Arena.int streams v c in
     if v = source then Action.listen ~label
     else if ack && received.(v) then Action.listen ~label (* idealized ACK *)
     else Action.broadcast ~label { from = v; value = values.(v) }

@@ -26,9 +26,9 @@ let machine ~source ~availability ~rng =
      counter is bumped at most once per node, so the total is
      shard-count independent. *)
   let informed_count = Atomic.make 1 in
-  let node_rngs = Rng.split_n rng n in
+  let streams = Rng.Arena.split_n rng n in
   let decide ~node:v ~slot:_ =
-    let label = Rng.int node_rngs.(v) c in
+    let label = Rng.Arena.int streams v c in
     (* Only the source ever transmits. An informed non-source node behaves
        exactly like an uninformed one — it keeps hopping and listening —
        because the straw man has no epidemic relay to serve; keeping served

@@ -31,7 +31,7 @@ let machine ?hear_limit ?trace ~arrivals ~availability ~rng () =
   if hear_limit < 1 then invalid_arg "Gossip.machine: hear_limit must be >= 1";
   let total = Array.length arrivals in
   let queues = Arrivals.by_origin ~n arrivals in
-  let node_rngs = Rng.split_n rng n in
+  let streams = Rng.Arena.split_n rng n in
   let record ev = match trace with Some tr -> Trace.record tr ev | None -> () in
   (* Whole-network bookkeeping: who knows what, since when, and how loudly
      they have heard it since. *)
@@ -91,13 +91,13 @@ let machine ?hear_limit ?trace ~arrivals ~availability ~rng () =
       | _ -> ()
     in
     drain ();
-    let label = Rng.int node_rngs.(v) c in
+    let label = Rng.Arena.int streams v c in
     match active.(v) with
     | [] -> Action.listen ~label
     | rs ->
-        if Rng.bool node_rngs.(v) then begin
+        if Rng.Arena.bool streams v then begin
           let len = List.length rs in
-          let rumor = List.nth rs (Rng.int node_rngs.(v) len) in
+          let rumor = List.nth rs (Rng.Arena.int streams v len) in
           Action.broadcast ~label { rumor }
         end
         else Action.listen ~label

@@ -40,7 +40,7 @@ let machine ?(tolerance = 0.02) ?values ?trace ~arrivals ~availability ~rng () =
   in
   let total = Array.length arrivals in
   let queues = Arrivals.by_origin ~n arrivals in
-  let node_rngs = Rng.split_n rng n in
+  let streams = Rng.Arena.split_n rng n in
   let record ev = match trace with Some tr -> Trace.record tr ev | None -> () in
   let s = Array.copy values in
   let w = Array.make n 1.0 in
@@ -110,9 +110,9 @@ let machine ?(tolerance = 0.02) ?values ?trace ~arrivals ~availability ~rng () =
       (* Beacon slot: advertise or scan. *)
       heard_beacon.(v) <- None;
       beaconed_label.(v) <- None;
-      let label = Rng.int node_rngs.(v) c in
+      let label = Rng.Arena.int streams v c in
       last_label.(v) <- label;
-      if Rng.bool node_rngs.(v) then begin
+      if Rng.Arena.bool streams v then begin
         beaconed_label.(v) <- Some label;
         Action.broadcast ~label Beacon
       end
@@ -135,7 +135,7 @@ let machine ?(tolerance = 0.02) ?values ?trace ~arrivals ~availability ~rng () =
               last_label.(v) <- label;
               Action.listen ~label
           | None ->
-              let label = Rng.int node_rngs.(v) c in
+              let label = Rng.Arena.int streams v c in
               last_label.(v) <- label;
               Action.listen ~label)
     end
