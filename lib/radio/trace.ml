@@ -353,307 +353,484 @@ module Check = struct
 
   let v invariant fmt = Printf.ksprintf (fun detail -> { invariant; detail }) fmt
 
-  (* Split the event stream into phase segments: slot numbering restarts at
-     each [Phase] marker, so per-(slot, channel) grouping is only meaningful
-     within a segment. Returns segments in stream order. *)
-  let segments t =
-    let segs = ref [] and cur = ref [] in
-    iter
-      (fun ev ->
-        match ev with
-        | Phase _ ->
-            if !cur <> [] then segs := List.rev !cur :: !segs;
-            cur := []
-        | ev -> cur := ev :: !cur)
-      t;
-    if !cur <> [] then segs := List.rev !cur :: !segs;
-    List.rev !segs
+  (* Each checker is a fold: built from the trace's header, stepped once
+     per event, finished into its violations in the order it found them.
+     [run] walks the stored trace once and steps every checker on each
+     event. *)
+  type checker = { step : event -> unit; finish : unit -> violation list }
 
-  let one_winner t =
-    let violations = ref [] in
-    let report vl = violations := vl :: !violations in
-    List.iter
-      (fun seg ->
-        let bcasters : (int * int, int list) Hashtbl.t = Hashtbl.create 64 in
-        let listeners : (int * int, int list) Hashtbl.t = Hashtbl.create 64 in
-        let wins : (int * int, (int * int) list) Hashtbl.t = Hashtbl.create 64 in
-        let failed : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
-        let delivers = ref [] in
-        let push tbl key x =
-          Hashtbl.replace tbl key (x :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
-        in
-        List.iter
-          (fun ev ->
-            match ev with
-            | Decide { slot; node; channel; tx; _ } ->
-                if tx then push bcasters (slot, channel) node
-                else push listeners (slot, channel) node
-            | Win { slot; channel; winner; contenders } ->
-                push wins (slot, channel) (winner, contenders)
-            | Session { slot; channel; ok = false; _ } ->
-                Hashtbl.replace failed (slot, channel) ()
-            | Deliver { slot; channel; sender; receiver } ->
-                delivers := (slot, channel, sender, receiver) :: !delivers
-            | _ -> ())
-          seg;
-        Hashtbl.iter
-          (fun (slot, channel) ws ->
-            let bs = Option.value ~default:[] (Hashtbl.find_opt bcasters (slot, channel)) in
-            (if List.length ws > 1 then
-               report
-                 (v "one-winner" "slot %d channel %d has %d winners" slot channel
-                    (List.length ws)));
-            List.iter
-              (fun (winner, contenders) ->
-                if not (List.mem winner bs) then
-                  report
-                    (v "one-winner"
-                       "slot %d channel %d: winner %d was not an audible broadcaster"
-                       slot channel winner);
-                if contenders <> List.length bs then
-                  report
-                    (v "one-winner"
-                       "slot %d channel %d: win records %d contenders, trace shows %d"
-                       slot channel contenders (List.length bs)))
-              ws)
-          wins;
-        Hashtbl.iter
-          (fun (slot, channel) _bs ->
-            if
-              (not (Hashtbl.mem wins (slot, channel)))
-              && not (Hashtbl.mem failed (slot, channel))
-            then
-              report
-                (v "one-winner"
-                   "slot %d channel %d has broadcasters but no winner and no failed \
-                    session"
-                   slot channel))
-          bcasters;
-        List.iter
-          (fun (slot, channel, sender, receiver) ->
-            (match Hashtbl.find_opt wins (slot, channel) with
-            | Some [ (winner, _) ] when winner = sender -> ()
-            | Some _ ->
-                report
-                  (v "one-winner"
-                     "slot %d channel %d: delivery from %d does not match the winner"
-                     slot channel sender)
-            | None ->
-                report
-                  (v "one-winner" "slot %d channel %d: delivery from %d without a win"
-                     slot channel sender));
-            let ls =
-              Option.value ~default:[] (Hashtbl.find_opt listeners (slot, channel))
-            in
-            if not (List.mem receiver ls) then
-              report
-                (v "one-winner"
-                   "slot %d channel %d: receiver %d was not listening there" slot
-                   channel receiver))
-          !delivers)
-      (segments t);
-    List.rev !violations
+  (* The id ranges the checkers' arrays cover: the first Meta header's, or,
+     for a trace without one, its own length — every slot records one
+     Decide, Jam or Down per node, so a run of one slot or more has no more
+     nodes than its trace has events, and the arrays never outgrow the
+     trace. *)
+  type header = { meta : bool; nodes : int; channels : int; source : int }
 
-  let informed_tree t =
-    let violations = ref [] in
-    let report vl = violations := vl :: !violations in
-    let meta =
-      fold
-        (fun acc ev ->
-          match ev with Meta { n; source; _ } -> Some (n, source) | _ -> acc)
-        None t
+  let header t =
+    let rec find i =
+      if i = t.len then { meta = false; nodes = t.len; channels = t.len; source = -1 }
+      else
+        match t.buf.(i) with
+        | Meta { n; channels; source; _ } ->
+            { meta = true; nodes = max 0 n; channels = max 0 channels; source }
+        | _ -> find (i + 1)
     in
-    let informs =
-      List.filter_map
-        (function Informed { slot; node; parent; label = _ } -> Some (slot, node, parent) | _ -> None)
-        (to_list t)
+    find 0
+
+  let run inits t =
+    let h = header t in
+    let checkers = Array.of_list (List.map (fun init -> init h) inits) in
+    for i = 0 to t.len - 1 do
+      let ev = t.buf.(i) in
+      for j = 0 to Array.length checkers - 1 do
+        checkers.(j).step ev
+      done
+    done;
+    List.concat_map (fun c -> c.finish ()) (Array.to_list checkers)
+
+  (* A growable int stack, emptied and refilled slot after slot. *)
+  type stack = { mutable items : int array; mutable size : int }
+
+  let stack () = { items = Array.make 16 0; size = 0 }
+
+  let push s x =
+    if s.size = Array.length s.items then begin
+      let grown = Array.make (2 * s.size) 0 in
+      Array.blit s.items 0 grown 0 s.size;
+      s.items <- grown
+    end;
+    s.items.(s.size) <- x;
+    s.size <- s.size + 1
+
+  (* [in_range report invariant ~slot what id bound] is whether [id] lies
+     in [0, bound); if not, it reports a violation naming the id. *)
+  let in_range report invariant ~slot what id bound =
+    id >= 0 && id < bound
+    || begin
+         report (v invariant "slot %d: %s %d out of range [0,%d)" slot what id bound);
+         false
+       end
+
+  (* One open slot per phase segment. A node's decision and a channel's
+     counters are valid while their stamp equals the open slot's; the slot
+     is checked when the next slot's first Decide, Session, Win or Deliver
+     arrives, at a Phase marker, and at the end of the trace. *)
+  let one_winner_init h =
+    let out = ref [] in
+    let report x = out := x :: !out in
+    let node ~slot what id = in_range report "one-winner" ~slot what id h.nodes in
+    let chan ~slot id = in_range report "one-winner" ~slot "channel" id h.channels in
+    (* Per node: the stamp of the slot it last decided in and
+       [2 * channel + tx] of that decision; the segment and slot of its
+       last Decide, Jam or Down. *)
+    let decided = Array.make h.nodes (-1) and tuned = Array.make h.nodes 0 in
+    let acted_seg = Array.make h.nodes (-1) and acted_slot = Array.make h.nodes 0 in
+    (* Per channel, for the open slot. *)
+    let fresh = Array.make h.channels (-1) in
+    let bcasts = Array.make h.channels 0 and nwins = Array.make h.channels 0 in
+    let winner = Array.make h.channels 0 and failed = Array.make h.channels false in
+    (* The open slot's wins (channel, winner, contenders, first win on the
+       channel), channels in order of their first broadcaster, and
+       deliveries (channel, sender, receiver). *)
+    let wins = stack () and bchans = stack () and delivers = stack () in
+    let seg = ref 0 and stamp = ref (-1) and opened = ref false in
+    let cur = ref 0 and top = ref min_int in
+    let channel ch =
+      if fresh.(ch) <> !stamp then begin
+        fresh.(ch) <- !stamp;
+        bcasts.(ch) <- 0;
+        nwins.(ch) <- 0;
+        failed.(ch) <- false
+      end
     in
-    (match (informs, meta) with
-    | [], _ -> ()
-    | _ :: _, None ->
-        report (v "informed-tree" "trace has Informed events but no Meta header")
-    | _ :: _, Some (n, source) ->
-        let informed_at = Array.make (max n 1) (-1) in
-        List.iter
-          (fun (slot, node, parent) ->
+    let close () =
+      let slot = !cur and st = !stamp in
+      let w = wins.items in
+      for i = 0 to (wins.size / 4) - 1 do
+        let ch = w.(4 * i) and wn = w.((4 * i) + 1) and contenders = w.((4 * i) + 2) in
+        if w.((4 * i) + 3) = 1 && nwins.(ch) > 1 then
+          report (v "one-winner" "slot %d channel %d has %d winners" slot ch nwins.(ch));
+        if decided.(wn) <> st || tuned.(wn) <> (2 * ch) + 1 then
+          report
+            (v "one-winner" "slot %d channel %d: winner %d was not an audible broadcaster"
+               slot ch wn);
+        if contenders <> bcasts.(ch) then
+          report
+            (v "one-winner" "slot %d channel %d: win records %d contenders, trace shows %d"
+               slot ch contenders bcasts.(ch))
+      done;
+      for i = 0 to bchans.size - 1 do
+        let ch = bchans.items.(i) in
+        if nwins.(ch) = 0 && not failed.(ch) then
+          report
+            (v "one-winner"
+               "slot %d channel %d has broadcasters but no winner and no failed session"
+               slot ch)
+      done;
+      let d = delivers.items in
+      for i = 0 to (delivers.size / 3) - 1 do
+        let ch = d.(3 * i) and sender = d.((3 * i) + 1) and receiver = d.((3 * i) + 2) in
+        if nwins.(ch) = 1 && winner.(ch) = sender then ()
+        else if nwins.(ch) > 0 then
+          report
+            (v "one-winner" "slot %d channel %d: delivery from %d does not match the winner"
+               slot ch sender)
+        else
+          report
+            (v "one-winner" "slot %d channel %d: delivery from %d without a win" slot ch
+               sender);
+        if decided.(receiver) <> st || tuned.(receiver) <> 2 * ch then
+          report
+            (v "one-winner" "slot %d channel %d: receiver %d was not listening there" slot
+               ch receiver)
+      done;
+      wins.size <- 0;
+      bchans.size <- 0;
+      delivers.size <- 0
+    in
+    (* Open [slot] unless it is the open one. A segment's slots come in
+       ascending blocks, so a slot at or below the highest one opened so
+       far means its events are not adjacent. *)
+    let enter slot =
+      if (not !opened) || slot <> !cur then begin
+        if !opened then begin
+          close ();
+          if slot <= !top then
+            report
+              (v "one-winner"
+                 "slot %d resumes after slot %d: a slot's Decide, Session, Win and \
+                  Deliver events must be adjacent, in ascending slot order"
+                 slot !cur)
+        end;
+        incr stamp;
+        cur := slot;
+        opened := true;
+        top := max !top slot
+      end
+    in
+    let act ~slot nd =
+      if acted_seg.(nd) = !seg && acted_slot.(nd) = slot then
+        report
+          (v "one-winner" "slot %d: node %d has more than one Decide, Jam or Down" slot nd);
+      acted_seg.(nd) <- !seg;
+      acted_slot.(nd) <- slot
+    in
+    let step = function
+      | Phase _ ->
+          if !opened then close ();
+          opened := false;
+          top := min_int;
+          incr seg
+      | Decide { slot; node = nd; channel = ch; tx; _ } ->
+          enter slot;
+          let ok_node = node ~slot "node" nd in
+          let ok_chan = chan ~slot ch in
+          if ok_node then act ~slot nd;
+          if ok_node && ok_chan then begin
+            decided.(nd) <- !stamp;
+            tuned.(nd) <- (2 * ch) + Bool.to_int tx;
+            if tx then begin
+              channel ch;
+              if bcasts.(ch) = 0 then push bchans ch;
+              bcasts.(ch) <- bcasts.(ch) + 1
+            end
+          end
+      | Jam { slot; node = nd; _ } | Down { slot; node = nd } ->
+          if node ~slot "node" nd then act ~slot nd
+      | Session { slot; channel = ch; ok; _ } ->
+          enter slot;
+          if chan ~slot ch && not ok then begin
+            channel ch;
+            failed.(ch) <- true
+          end
+      | Win { slot; channel = ch; winner = wn; contenders } ->
+          enter slot;
+          let ok_chan = chan ~slot ch in
+          if node ~slot "winner" wn && ok_chan then begin
+            channel ch;
+            push wins ch;
+            push wins wn;
+            push wins contenders;
+            push wins (Bool.to_int (nwins.(ch) = 0));
+            if nwins.(ch) = 0 then winner.(ch) <- wn;
+            nwins.(ch) <- nwins.(ch) + 1
+          end
+      | Deliver { slot; channel = ch; sender; receiver } ->
+          enter slot;
+          let ok_chan = chan ~slot ch in
+          let ok_sender = node ~slot "sender" sender in
+          if node ~slot "receiver" receiver && ok_sender && ok_chan then begin
+            channel ch;
+            push delivers ch;
+            push delivers sender;
+            push delivers receiver
+          end
+      | _ -> ()
+    in
+    let finish () =
+      if !opened then close ();
+      List.rev !out
+    in
+    { step; finish }
+
+  (* Node [node]'s fate along its parent chain: reaches the source, runs
+     into a cycle, or breaks at the first node (>= 0) that is not the
+     source and has no parent. Chains are walked once: every node on a
+     walk takes the walk's fate. *)
+  let reaches = -1
+  let cycle = -2
+  let unknown = -3
+  let walking = -4
+
+  let chain_violations report ~n ~source parent_of =
+    let fate = Array.make (Array.length parent_of) unknown in
+    let path = stack () in
+    for node = 0 to n - 1 do
+      if parent_of.(node) >= 0 then begin
+        let cur = ref node and outcome = ref unknown in
+        while !outcome = unknown do
+          let c = !cur in
+          if c = source then outcome := reaches
+          else if c >= n then outcome := c
+          else if fate.(c) = walking then outcome := cycle
+          else if fate.(c) <> unknown then outcome := fate.(c)
+          else if parent_of.(c) < 0 then outcome := c
+          else begin
+            fate.(c) <- walking;
+            push path c;
+            cur := parent_of.(c)
+          end
+        done;
+        for i = 0 to path.size - 1 do
+          fate.(path.items.(i)) <- !outcome
+        done;
+        path.size <- 0;
+        if !outcome = cycle then
+          report (v "informed-tree" "node %d: parent chain has a cycle" node)
+        else if !outcome >= 0 then
+          report
+            (v "informed-tree" "node %d: chain breaks at %d before the source" node
+               !outcome)
+      end
+    done
+
+  let informed_tree_init h =
+    let out = ref [] in
+    let report x = out := x :: !out in
+    let n = h.nodes and source = h.source in
+    let tables = lazy (Array.make (max n 1) (-1), Array.make (max n 1) (-1)) in
+    let headless = ref false in
+    let step = function
+      | Informed { slot; node; parent; label = _ } ->
+          if not h.meta then begin
+            if not !headless then
+              report (v "informed-tree" "trace has Informed events but no Meta header");
+            headless := true
+          end
+          else
+            let informed_at, parent_of = Lazy.force tables in
             if node < 0 || node >= n then
               report (v "informed-tree" "informed node %d out of range [0,%d)" node n)
-            else if parent < 0 || parent >= n then
-              report (v "informed-tree" "parent %d of node %d out of range" parent node)
             else begin
-              if node = source then
-                report (v "informed-tree" "source %d was informed at slot %d" node slot);
-              if parent = node then
-                report (v "informed-tree" "node %d is its own parent" node);
-              if informed_at.(node) >= 0 then
-                report
-                  (v "informed-tree" "node %d informed twice (slots %d and %d)" node
-                     informed_at.(node) slot)
+              if parent_of.(node) = -1 then parent_of.(node) <- parent;
+              if parent < 0 || parent >= n then
+                report (v "informed-tree" "parent %d of node %d out of range" parent node)
               else begin
-                (* Informer precedes informee: the parent must already have
-                   the message, i.e. be the source or have been informed in
-                   a strictly earlier slot (an informed node only starts
-                   broadcasting in the slot after it was informed). *)
-                (if parent <> source then
-                   match informed_at.(parent) with
-                   | -1 ->
-                       report
-                         (v "informed-tree"
-                            "node %d informed at slot %d by %d, which was never \
-                             informed before it"
-                            node slot parent)
-                   | ps when ps >= slot ->
-                       report
-                         (v "informed-tree"
-                            "node %d informed at slot %d by %d, informed only at slot \
-                             %d"
-                            node slot parent ps)
-                   | _ -> ());
-                informed_at.(node) <- slot
-              end
-            end)
-          informs;
-        (* Acyclicity and parent-edge validity by walking every chain to the
-           root. Redundant when the slot checks above pass, but catches
-           consistently corrupted traces. *)
-        let parent_of = Array.make (max n 1) (-1) in
-        List.iter
-          (fun (_, node, parent) ->
-            if node >= 0 && node < n && parent_of.(node) = -1 then
-              parent_of.(node) <- parent)
-          informs;
-        Array.iteri
-          (fun node p ->
-            if p >= 0 then begin
-              let steps = ref 0 and cur = ref node and broken = ref false in
-              while (not !broken) && !cur <> source && !steps <= n do
-                incr steps;
-                let p = if !cur >= 0 && !cur < n then parent_of.(!cur) else -1 in
-                if p < 0 then begin
+                if node = source then
+                  report (v "informed-tree" "source %d was informed at slot %d" node slot);
+                if parent = node then
+                  report (v "informed-tree" "node %d is its own parent" node);
+                if informed_at.(node) >= 0 then
                   report
-                    (v "informed-tree" "node %d: chain breaks at %d before the source"
-                       node !cur);
-                  broken := true
+                    (v "informed-tree" "node %d informed twice (slots %d and %d)" node
+                       informed_at.(node) slot)
+                else begin
+                  (* Informer precedes informee: the parent must be the
+                     source or have been informed in a strictly earlier
+                     slot (an informed node only starts broadcasting in the
+                     slot after it was informed). *)
+                  (if parent <> source then
+                     match informed_at.(parent) with
+                     | -1 ->
+                         report
+                           (v "informed-tree"
+                              "node %d informed at slot %d by %d, which was never \
+                               informed before it"
+                              node slot parent)
+                     | ps when ps >= slot ->
+                         report
+                           (v "informed-tree"
+                              "node %d informed at slot %d by %d, informed only at \
+                               slot %d"
+                              node slot parent ps)
+                     | _ -> ());
+                  informed_at.(node) <- slot
                 end
-                else cur := p
-              done;
-              if (not !broken) && !steps > n then
-                report (v "informed-tree" "node %d: parent chain has a cycle" node)
-            end)
-          parent_of);
-    List.rev !violations
+              end
+            end
+      | _ -> ()
+    in
+    let finish () =
+      (* Acyclicity and parent-edge validity, walking every chain to the
+         root. Redundant when the slot checks pass, but catches
+         consistently corrupted traces. *)
+      if Lazy.is_val tables then
+        chain_violations report ~n ~source (snd (Lazy.force tables));
+      List.rev !out
+    in
+    { step; finish }
 
-  let phase4_drain t =
-    let violations = ref [] in
-    let report vl = violations := vl :: !violations in
-    (* Isolate the events between Phase "cogcomp-phase4" and the next phase
-       marker; note whether the run declared completion. *)
-    let in_p4 = ref false in
-    let complete = ref false in
-    let has_down = ref false in
-    let sent : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-    let sent_hist : (int, (int * int) list) Hashtbl.t = Hashtbl.create 64 in
-    let delivered = ref [] in
-    let retired : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let informed = ref [] in
-    iter
-      (fun ev ->
-        match ev with
-        | Phase { name } ->
-            in_p4 := name = "cogcomp-phase4";
-            if name = "cogcomp-done" then complete := true
-        | Down _ -> has_down := true
-        | Informed { node; _ } -> informed := node :: !informed
-        | Sent_value { slot; node; r } when !in_p4 ->
-            Hashtbl.replace sent (slot, node) r;
-            Hashtbl.replace sent_hist node
-              ((slot, r) :: Option.value ~default:[] (Hashtbl.find_opt sent_hist node))
-        | Value_delivered { slot; sender; receiver; r } when !in_p4 ->
-            delivered := (slot, sender, receiver, r) :: !delivered
-        | Retired { slot; node } when !in_p4 -> (
-            match Hashtbl.find_opt retired node with
-            | Some prev ->
-                report
-                  (v "phase4-drain" "node %d retired twice (slots %d and %d)" node prev
-                     slot)
-            | None -> Hashtbl.replace retired node slot)
-        | _ -> ())
-      t;
-    let delivered = List.rev !delivered in
-    (* Every delivery matches a send by the sender with the same cluster
-       slot r. The echo confirming a delivery goes out in the slot after
-       the Values broadcast (steps are announce/values/echo triples), so in
-       a fault-free run the send is at exactly [slot - 1]. In a faulty run
-       (any [Down] event present) the echo may be deferred — the receiver
-       can miss its echo slot, or re-ack a retried send it already folded —
-       so the strict same-step requirement is relaxed to "some strictly
-       earlier send of the same cluster". *)
-    List.iter
-      (fun (slot, sender, _receiver, r) ->
-        if !has_down then begin
-          let sends =
-            Option.value ~default:[] (Hashtbl.find_opt sent_hist sender)
-          in
-          if not (List.exists (fun (s', r') -> s' < slot && r' = r) sends) then
-            report
-              (v "phase4-drain"
-                 "slot %d: delivery from %d (cluster %d) without any earlier \
-                  matching send"
-                 slot sender r)
-        end
-        else
-          match Hashtbl.find_opt sent (slot - 1, sender) with
-          | Some r' when r' = r -> ()
-          | Some r' ->
+  (* Phase-4 sends seen so far, per node: its latest two send slots with
+     their clusters (the same-step match looks one slot back) and, per
+     cluster, its first send slot (the relaxed match asks for any earlier
+     send). A send always precedes, in the stream, the echo slot that
+     delivers it. *)
+  type sends = {
+    last : int array;
+    last_r : int array;
+    prev : int array;
+    prev_r : int array;
+    firsts : (int * int) list array;
+  }
+
+  let sends n =
+    {
+      last = Array.make n min_int;
+      last_r = Array.make n 0;
+      prev = Array.make n min_int;
+      prev_r = Array.make n 0;
+      firsts = Array.make n [];
+    }
+
+  let send s ~slot ~node ~r =
+    if s.last.(node) = slot then s.last_r.(node) <- r
+    else begin
+      s.prev.(node) <- s.last.(node);
+      s.prev_r.(node) <- s.last_r.(node);
+      s.last.(node) <- slot;
+      s.last_r.(node) <- r
+    end;
+    if not (List.mem_assoc r s.firsts.(node)) then
+      s.firsts.(node) <- (r, slot) :: s.firsts.(node)
+
+  (* The cluster [node] sent at [slot], or [None]. *)
+  let sent_at s ~node ~slot =
+    if s.last.(node) = slot then Some s.last_r.(node)
+    else if s.prev.(node) = slot then Some s.prev_r.(node)
+    else None
+
+  let sent_before s ~node ~slot ~r =
+    List.exists (fun (r', first) -> r' = r && first < slot) s.firsts.(node)
+
+  let phase4_init h =
+    (* Violations tagged with the traces they hold on: the same-step match
+       applies only to fault-free traces, the relaxed one only to faulty
+       ones, and a trace is faulty if any Down event appears in it. *)
+    let out = ref [] in
+    let report ?(keep = `Always) x = out := (keep, x) :: !out in
+    let n = h.nodes in
+    let node ~slot what id = in_range (fun x -> report x) "phase4-drain" ~slot what id n in
+    let in_p4 = ref false and complete = ref false and has_down = ref false in
+    let informed = stack () in
+    let state =
+      lazy (sends n, Array.make n 0, Array.make n min_int, Array.make n min_int)
+    in
+    let step = function
+      | Phase { name } ->
+          in_p4 := name = "cogcomp-phase4";
+          if name = "cogcomp-done" then complete := true
+      | Down _ -> has_down := true
+      | Informed { node; _ } -> push informed node
+      | Sent_value { slot; node = nd; r } when !in_p4 ->
+          if node ~slot "node" nd then begin
+            let s, _, _, _ = Lazy.force state in
+            send s ~slot ~node:nd ~r
+          end
+      | Value_delivered { slot; sender; receiver; r } when !in_p4 ->
+          let ok_sender = node ~slot "sender" sender in
+          if node ~slot "receiver" receiver && ok_sender then begin
+            let s, delivered, _, last_r = Lazy.force state in
+            (* Every delivery matches a send by the sender with the same
+               cluster slot r. The echo confirming a delivery goes out in
+               the slot after the Values broadcast (steps are
+               announce/values/echo triples), so in a fault-free run the
+               send is at exactly [slot - 1]. In a faulty run the echo may
+               be deferred — the receiver can miss its echo slot, or re-ack
+               a retried send it already folded — so the requirement is
+               relaxed to "some strictly earlier send of the same
+               cluster". *)
+            (match sent_at s ~node:sender ~slot:(slot - 1) with
+            | Some r' when r' = r -> ()
+            | Some r' ->
+                report ~keep:`Fault_free
+                  (v "phase4-drain"
+                     "slot %d: delivery credits sender %d with cluster %d but it sent \
+                      cluster %d"
+                     slot sender r r')
+            | None ->
+                report ~keep:`Fault_free
+                  (v "phase4-drain" "slot %d: delivery from %d without a matching send"
+                     slot sender));
+            if not (sent_before s ~node:sender ~slot ~r) then
+              report ~keep:`Faulty
+                (v "phase4-drain"
+                   "slot %d: delivery from %d (cluster %d) without any earlier matching \
+                    send"
+                   slot sender r);
+            delivered.(sender) <- delivered.(sender) + 1;
+            (* Monotone drain: per receiver, delivered cluster slots never
+               increase (clusters are consumed in descending r). *)
+            let prev = last_r.(receiver) in
+            if prev <> min_int && r > prev then
               report
                 (v "phase4-drain"
-                   "slot %d: delivery credits sender %d with cluster %d but it sent \
-                    cluster %d"
-                   slot sender r r')
-          | None ->
+                   "receiver %d collected cluster %d after cluster %d (slot %d): drain \
+                    not monotone"
+                   receiver r prev slot);
+            last_r.(receiver) <- r
+          end
+      | Retired { slot; node = nd } when !in_p4 ->
+          if node ~slot "node" nd then begin
+            let _, _, retired, _ = Lazy.force state in
+            if retired.(nd) <> min_int then
               report
-                (v "phase4-drain" "slot %d: delivery from %d without a matching send"
-                   slot sender))
-      delivered;
-    (* Conservation: each node's value moves up at most once; exactly once
-       for every informed node when the run completed. *)
-    let delivered_count : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (_, sender, _, _) ->
-        Hashtbl.replace delivered_count sender
-          (1 + Option.value ~default:0 (Hashtbl.find_opt delivered_count sender)))
-      delivered;
-    Hashtbl.iter
-      (fun sender count ->
-        if count > 1 then
-          report (v "phase4-drain" "node %d's value was delivered %d times" sender count))
-      delivered_count;
-    (if !complete then
-       List.iter
-         (fun node ->
-           if Option.value ~default:0 (Hashtbl.find_opt delivered_count node) = 0 then
-             report
-               (v "phase4-drain"
-                  "run declared complete but informed node %d's value was never \
-                   delivered"
-                  node))
-         !informed);
-    (* Monotone drain: per receiver, delivered cluster slots never increase
-       (clusters are consumed in descending r). *)
-    let last_r : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (slot, _, receiver, r) ->
-        (match Hashtbl.find_opt last_r receiver with
-        | Some prev when r > prev ->
+                (v "phase4-drain" "node %d retired twice (slots %d and %d)" nd
+                   retired.(nd) slot)
+            else retired.(nd) <- slot
+          end
+      | _ -> ()
+    in
+    let finish () =
+      (* Conservation: each node's value moves up at most once; exactly
+         once for every informed node when the run completed. *)
+      let delivered nd =
+        if Lazy.is_val state && nd >= 0 && nd < n then
+          let _, d, _, _ = Lazy.force state in
+          d.(nd)
+        else 0
+      in
+      for nd = 0 to n - 1 do
+        if delivered nd > 1 then
+          report (v "phase4-drain" "node %d's value was delivered %d times" nd (delivered nd))
+      done;
+      if !complete then
+        for i = 0 to informed.size - 1 do
+          let nd = informed.items.(i) in
+          if delivered nd = 0 then
             report
               (v "phase4-drain"
-                 "receiver %d collected cluster %d after cluster %d (slot %d): drain \
-                  not monotone"
-                 receiver r prev slot)
-        | _ -> ());
-        Hashtbl.replace last_r receiver r)
-      delivered;
-    List.rev !violations
+                 "run declared complete but informed node %d's value was never delivered"
+                 nd)
+        done;
+      List.filter_map
+        (fun (keep, x) ->
+          match keep with
+          | `Always -> Some x
+          | `Fault_free -> if !has_down then None else Some x
+          | `Faulty -> if !has_down then Some x else None)
+        (List.rev !out)
+    in
+    { step; finish }
 
   (* No value is ever double-counted, retries or not: at most one
      [Value_delivered] per sender across the whole phase-4 segment, and
@@ -662,41 +839,37 @@ module Check = struct
      (fold once, re-ack silently) exists to maintain; unlike [phase4_drain]
      it makes no same-step assumption, so it applies equally to fault-free
      and faulty traces. *)
-  let exactly_once_drain t =
-    let violations = ref [] in
-    let report vl = violations := vl :: !violations in
+  let exactly_once_init h =
+    let out = ref [] in
+    let report x = out := x :: !out in
+    let n = h.nodes in
+    let node ~slot what id = in_range report "exactly-once-drain" ~slot what id n in
     let in_p4 = ref false in
-    let sent_hist : (int, (int * int) list) Hashtbl.t = Hashtbl.create 64 in
-    let delivered = ref [] in
-    iter
-      (fun ev ->
-        match ev with
-        | Phase { name } -> in_p4 := name = "cogcomp-phase4"
-        | Sent_value { slot; node; r } when !in_p4 ->
-            Hashtbl.replace sent_hist node
-              ((slot, r) :: Option.value ~default:[] (Hashtbl.find_opt sent_hist node))
-        | Value_delivered { slot; sender; receiver = _; r } when !in_p4 ->
-            delivered := (slot, sender, r) :: !delivered
-        | _ -> ())
-      t;
-    let delivered = List.rev !delivered in
-    let counts : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (slot, sender, r) ->
-        let c = 1 + Option.value ~default:0 (Hashtbl.find_opt counts sender) in
-        Hashtbl.replace counts sender c;
-        if c > 1 then
-          report
-            (v "exactly-once-drain"
-               "node %d's value was counted %d times (latest at slot %d)" sender c slot);
-        let sends = Option.value ~default:[] (Hashtbl.find_opt sent_hist sender) in
-        if not (List.exists (fun (s', r') -> s' < slot && r' = r) sends) then
-          report
-            (v "exactly-once-drain"
-               "slot %d: delivery from %d (cluster %d) without an earlier matching send"
-               slot sender r))
-      delivered;
-    List.rev !violations
+    let state = lazy (sends n, Array.make n 0) in
+    let step = function
+      | Phase { name } -> in_p4 := name = "cogcomp-phase4"
+      | Sent_value { slot; node = nd; r } when !in_p4 ->
+          if node ~slot "node" nd then send (fst (Lazy.force state)) ~slot ~node:nd ~r
+      | Value_delivered { slot; sender; receiver = _; r } when !in_p4 ->
+          if node ~slot "sender" sender then begin
+            let s, counts = Lazy.force state in
+            let c = counts.(sender) + 1 in
+            counts.(sender) <- c;
+            if c > 1 then
+              report
+                (v "exactly-once-drain"
+                   "node %d's value was counted %d times (latest at slot %d)" sender c
+                   slot);
+            if not (sent_before s ~node:sender ~slot ~r) then
+              report
+                (v "exactly-once-drain"
+                   "slot %d: delivery from %d (cluster %d) without an earlier matching \
+                    send"
+                   slot sender r)
+          end
+      | _ -> ()
+    in
+    { step; finish = (fun () -> List.rev !out) }
 
   (* Multi-rumor causality, over [Injected] / [Rumor_delivered] /
      [Rumor_done] events from the workload protocols. A rumor is injected
@@ -708,120 +881,151 @@ module Check = struct
      at most once per rumor and only once every node knows it: with a
      [Meta] header present, exactly [n - 1] distinct non-origin nodes must
      have deliveries no later than the done slot. *)
-  let rumor_causality t =
-    let violations = ref [] in
-    let report vl = violations := vl :: !violations in
-    let meta_n =
-      fold (fun acc ev -> match ev with Meta { n; _ } -> Some n | _ -> acc) None t
+  type rumor = {
+    mutable injected : bool;
+    mutable injected_at : int;
+    mutable origin : int;
+    mutable done_at : int;  (** [min_int] until the first Rumor_done. *)
+    mutable learned : int array;
+        (** Per node, the slot of its first delivery ([min_int] for none);
+            empty until the rumor's first delivery. *)
+  }
+
+  let rumor_causality_init h =
+    let out = ref [] in
+    let report x = out := x :: !out in
+    let n = h.nodes in
+    let node ~slot what id = in_range report "rumor-causality" ~slot what id n in
+    let rumors : (int, rumor) Hashtbl.t = Hashtbl.create 16 in
+    let finished = stack () in
+    let rumor id =
+      match Hashtbl.find rumors id with
+      | r -> r
+      | exception Not_found ->
+          let r =
+            { injected = false; injected_at = 0; origin = 0; done_at = min_int; learned = [||] }
+          in
+          Hashtbl.replace rumors id r;
+          r
     in
-    let injected : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-    let delivered_at : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-    let delivered_nodes : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-    let done_at : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    iter
-      (fun ev ->
-        match ev with
-        | Injected { slot; rumor; node } -> (
-            match Hashtbl.find_opt injected rumor with
-            | Some (prev_slot, _) ->
+    let step = function
+      | Injected { slot; rumor = id; node = nd } ->
+          if node ~slot "node" nd then begin
+            let r = rumor id in
+            if r.injected then
+              report
+                (v "rumor-causality" "rumor %d injected twice (slots %d and %d)" id
+                   r.injected_at slot)
+            else begin
+              r.injected <- true;
+              r.injected_at <- slot;
+              r.origin <- nd
+            end
+          end
+      | Rumor_delivered { slot; rumor = id; node = nd; parent } ->
+          let ok_parent = node ~slot "parent" parent in
+          if node ~slot "node" nd && ok_parent then begin
+            let r = rumor id in
+            if not r.injected then
+              report
+                (v "rumor-causality"
+                   "rumor %d delivered to node %d at slot %d before any injection" id nd
+                   slot)
+            else begin
+              if nd = r.origin then
                 report
-                  (v "rumor-causality" "rumor %d injected twice (slots %d and %d)"
-                     rumor prev_slot slot)
-            | None -> Hashtbl.replace injected rumor (slot, node))
-        | Rumor_delivered { slot; rumor; node; parent } -> (
-            match Hashtbl.find_opt injected rumor with
-            | None ->
+                  (v "rumor-causality" "rumor %d delivered to its own origin %d at slot %d"
+                     id nd slot);
+              if parent = nd then
+                report
+                  (v "rumor-causality" "rumor %d: node %d is its own parent at slot %d" id
+                     nd slot);
+              if r.learned = [||] then r.learned <- Array.make n min_int;
+              let prev = r.learned.(nd) in
+              if prev <> min_int then
                 report
                   (v "rumor-causality"
-                     "rumor %d delivered to node %d at slot %d before any injection"
-                     rumor node slot)
-            | Some (inj_slot, origin) ->
-                if node = origin then
+                     "rumor %d delivered to node %d twice (slots %d and %d)" id nd prev
+                     slot)
+              else r.learned.(nd) <- slot;
+              if parent = r.origin then begin
+                if slot < r.injected_at then
                   report
                     (v "rumor-causality"
-                       "rumor %d delivered to its own origin %d at slot %d" rumor node
-                       slot);
-                if parent = node then
+                       "rumor %d delivered to node %d at slot %d, before its injection \
+                        at slot %d"
+                       id nd slot r.injected_at)
+              end
+              else
+                let ps = r.learned.(parent) in
+                if ps = min_int then
                   report
-                    (v "rumor-causality" "rumor %d: node %d is its own parent at slot %d"
-                       rumor node slot);
-                (match Hashtbl.find_opt delivered_at (rumor, node) with
-                | Some prev ->
-                    report
-                      (v "rumor-causality"
-                         "rumor %d delivered to node %d twice (slots %d and %d)" rumor
-                         node prev slot)
-                | None ->
-                    Hashtbl.replace delivered_at (rumor, node) slot;
-                    Hashtbl.replace delivered_nodes rumor
-                      (node
-                      :: Option.value ~default:[]
-                           (Hashtbl.find_opt delivered_nodes rumor)));
-                if parent = origin then begin
-                  if slot < inj_slot then
-                    report
-                      (v "rumor-causality"
-                         "rumor %d delivered to node %d at slot %d, before its \
-                          injection at slot %d"
-                         rumor node slot inj_slot)
-                end
-                else
-                  match Hashtbl.find_opt delivered_at (rumor, parent) with
-                  | None ->
-                      report
-                        (v "rumor-causality"
-                           "rumor %d delivered to node %d at slot %d by %d, which \
-                            never learned it before"
-                           rumor node slot parent)
-                  | Some ps when ps >= slot ->
-                      report
-                        (v "rumor-causality"
-                           "rumor %d delivered to node %d at slot %d by %d, which \
-                            learned it only at slot %d"
-                           rumor node slot parent ps)
-                  | Some _ -> ())
-        | Rumor_done { slot; rumor } -> (
-            (match Hashtbl.find_opt done_at rumor with
-            | Some prev ->
-                report
-                  (v "rumor-causality" "rumor %d done twice (slots %d and %d)" rumor
-                     prev slot)
-            | None -> Hashtbl.replace done_at rumor slot);
-            match Hashtbl.find_opt injected rumor with
-            | None ->
-                report
-                  (v "rumor-causality" "rumor %d done at slot %d but never injected"
-                     rumor slot)
-            | Some _ -> ())
-        | _ -> ())
-      t;
-    (match meta_n with
-    | None ->
-        if Hashtbl.length done_at > 0 then
+                    (v "rumor-causality"
+                       "rumor %d delivered to node %d at slot %d by %d, which never \
+                        learned it before"
+                       id nd slot parent)
+                else if ps >= slot then
+                  report
+                    (v "rumor-causality"
+                       "rumor %d delivered to node %d at slot %d by %d, which learned it \
+                        only at slot %d"
+                       id nd slot parent ps)
+            end
+          end
+      | Rumor_done { slot; rumor = id } ->
+          let r = rumor id in
+          if r.done_at <> min_int then
+            report
+              (v "rumor-causality" "rumor %d done twice (slots %d and %d)" id r.done_at
+                 slot)
+          else begin
+            r.done_at <- slot;
+            push finished id
+          end;
+          if not r.injected then
+            report
+              (v "rumor-causality" "rumor %d done at slot %d but never injected" id slot)
+      | _ -> ()
+    in
+    let finish () =
+      if not h.meta then begin
+        if finished.size > 0 then
           report (v "rumor-causality" "trace has Rumor_done events but no Meta header")
-    | Some n ->
-        Hashtbl.iter
-          (fun rumor slot ->
-            if Hashtbl.mem injected rumor then begin
-              let timely =
-                List.filter
-                  (fun node ->
-                    match Hashtbl.find_opt delivered_at (rumor, node) with
-                    | Some s -> s <= slot
-                    | None -> false)
-                  (Option.value ~default:[] (Hashtbl.find_opt delivered_nodes rumor))
-              in
-              if List.length timely <> n - 1 then
-                report
-                  (v "rumor-causality"
-                     "rumor %d done at slot %d with %d of %d non-origin nodes \
-                      delivered"
-                     rumor slot (List.length timely) (n - 1))
-            end)
-          done_at);
-    List.rev !violations
+      end
+      else
+        for i = 0 to finished.size - 1 do
+          let id = finished.items.(i) in
+          let r = Hashtbl.find rumors id in
+          if r.injected then begin
+            let timely =
+              Array.fold_left
+                (fun acc s -> if s <> min_int && s <= r.done_at then acc + 1 else acc)
+                0 r.learned
+            in
+            if timely <> n - 1 then
+              report
+                (v "rumor-causality"
+                   "rumor %d done at slot %d with %d of %d non-origin nodes delivered" id
+                   r.done_at timely (n - 1))
+          end
+        done;
+      List.rev !out
+    in
+    { step; finish }
 
-  let all t =
-    one_winner t @ informed_tree t @ phase4_drain t @ exactly_once_drain t
-    @ rumor_causality t
+  let one_winner = run [ one_winner_init ]
+  let informed_tree = run [ informed_tree_init ]
+  let phase4_drain = run [ phase4_init ]
+  let exactly_once_drain = run [ exactly_once_init ]
+  let rumor_causality = run [ rumor_causality_init ]
+
+  let all =
+    run
+      [
+        one_winner_init;
+        informed_tree_init;
+        phase4_init;
+        exactly_once_init;
+        rumor_causality_init;
+      ]
 end

@@ -128,8 +128,12 @@ type event =
       receives in ascending node id.
 
     Traces from a backend and from its specification are therefore
-    byte-equal. {!Check} does not depend on the order of events within a
-    slot. *)
+    byte-equal. {!Check} needs a slot's events to be adjacent but not
+    ordered within the slot: within a phase segment, a slot's {!Decide},
+    {!Session}, {!Win} and {!Deliver} events form one block, blocks come
+    in ascending slot order, and each node has at most one {!Decide},
+    {!Jam} or {!Down} per slot. {!Check.one_winner} reports a trace that
+    breaks either rule. *)
 
 (** {1 The trace buffer} *)
 
@@ -180,6 +184,24 @@ val of_jsonl : string -> (t, string) result
 
 (** {1 Invariant checking} *)
 
+(** The checkers read a stored trace in one pass, each as a fold whose
+    state is O(n + C) arrays indexed by node and channel id (plus, for
+    {!Check.rumor_causality}, one node array per rumor); a stored trace
+    costs O(events + n + C) to check.
+
+    Id ranges come from the trace's header, its first {!Meta} event:
+    nodes and parents from 0 to n - 1, channels from 0 to C - 1. A trace
+    without one is ranged by its own length. An id outside its range is
+    reported as a violation naming the id, and the event is not checked
+    further; no checker raises on a malformed trace.
+
+    Violations come in a fixed order: checker by checker, in the order
+    below; within a checker, those found while reading come first, in
+    stream order (a slot's {!Check.one_winner} checks when the slot
+    closes),
+    then those that need the whole trace, by node id or, for
+    {!Rumor_done}, in the order of the done events. A trace and its JSONL
+    round trip yield the same list. *)
 module Check : sig
   type violation = { invariant : string; detail : string }
 
@@ -191,7 +213,10 @@ module Check : sig
       channel; the recorded contender count matches the broadcaster count;
       every channel with a broadcaster resolves to a win unless a failed
       emulation {!Session} explains the loss; every {!Deliver} names the
-      winning sender and a node that was listening there. *)
+      winning sender and a node that was listening there. Also reports a
+      slot whose events are not one block in ascending slot order, and a
+      node with more than one {!Decide}, {!Jam} or {!Down} in a slot (see
+      the per-slot event order above). *)
 
   val informed_tree : t -> violation list
   (** §4 distribution tree, from {!Informed} events: nodes are informed at
@@ -234,5 +259,6 @@ module Check : sig
       deliveries no later than the done slot. *)
 
   val all : t -> violation list
-  (** The concatenation of every checker, in the order above. *)
+  (** The concatenation of every checker, in the order above, from one
+      pass over the trace. *)
 end
