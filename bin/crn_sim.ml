@@ -6,10 +6,11 @@
                   `run -p cogcast`, COGCOMP `run -p cogcomp`, fault-tolerant
                   COGCOMP `run -p cogcomp_robust`; the sustained-traffic
                   workloads take an offered load with --rate, --arrivals
-                  and --rumors and report pooled latency percentiles)
+                  and --rumors and report pooled latency percentiles;
+                  --sweep n|c|k=V,V,... runs one point per value and fits
+                  the completion scaling)
      game       — play the §6 hitting games against the closed-form bounds
      backoff    — measure the decay-backoff realization of the slot model
-     sweep      — sweep n, c or k and report completion scaling
      chaos      — sweep registry protocols across fault rates
 
    `run` and `chaos` dispatch through Crn_proto.Registry, so any newly
@@ -34,7 +35,6 @@ module Jammer = Crn_radio.Jammer
 module Trace = Crn_radio.Trace
 module Runner = Crn_radio.Runner
 module Emulation = Crn_radio.Emulation
-module Cogcast = Crn_core.Cogcast
 module Complexity = Crn_core.Complexity
 module Protocol = Crn_proto.Protocol
 module Registry = Crn_proto.Registry
@@ -56,14 +56,18 @@ let pos_int =
    [Error msg] of a validation step into that. *)
 let ( let* ) r f = match r with Ok v -> f v | Error m -> `Error (false, m)
 
+(* [f] over a list, left to right, stopping at the first error. *)
+let map_result f l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> Result.bind (f x) (fun y -> go (y :: acc) rest)
+  in
+  go [] l
+
 (* A comma-separated list parsed item by item; the first bad item is the
    error. *)
 let parse_list parse l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | s :: rest -> Result.bind (parse s) (fun x -> go (x :: acc) rest)
-  in
-  go []
+  map_result parse
     (String.split_on_char ',' l |> List.map String.trim
     |> List.filter (fun s -> s <> ""))
 
@@ -76,7 +80,7 @@ let trials_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Pool.default_jobs ())
+    & opt pos_int (Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Domains running trials in parallel. Results are identical at any \
@@ -117,7 +121,10 @@ let topology_arg =
           "Overlap pattern: shared-core, identical, shared+random, \
            pairwise-private or clustered.")
 
-let check_params c k = if k < 1 || k > c then Error "need 1 <= k <= c" else Ok ()
+let check_params { Topology.n; c; k } =
+  if n < 1 then Error "need n >= 1"
+  else if k < 1 || k > c then Error "need 1 <= k <= c"
+  else Ok ()
 
 (* ---- dynamic-spectrum adversaries (--dynamic, §7) ---- *)
 
@@ -435,7 +442,7 @@ let find_protocol name =
    untraced, so their wall-clock is unaffected) and export/verify its
    event stream. *)
 let observe ~trace_path ~metrics_path ~check f =
-  if trace_path = None && metrics_path = None && not check then `Ok ()
+  if trace_path = None && metrics_path = None && not check then Ok ()
   else begin
     let tr = Crn_radio.Trace.create () in
     f ~trace:tr;
@@ -452,22 +459,21 @@ let observe ~trace_path ~metrics_path ~check f =
         Crn_stats.Json.write ~path (Crn_radio.Metrics.Registry.to_json reg);
         Printf.printf "  wrote metrics: %s\n" path
     | None -> ());
-    if not check then `Ok ()
+    if not check then Ok ()
     else begin
       match Crn_radio.Trace.Check.all tr with
       | [] ->
           Printf.printf "  trace invariants: ok (%d events)\n"
             (Crn_radio.Trace.length tr);
-          `Ok ()
+          Ok ()
       | violations ->
           List.iter
             (fun v ->
               Format.eprintf "  violation: %a@." Crn_radio.Trace.Check.pp_violation v)
             violations;
-          `Error
-            ( false,
-              Printf.sprintf "--check found %d trace invariant violation(s)"
-                (List.length violations) )
+          Error
+            (Printf.sprintf "--check found %d trace invariant violation(s)"
+               (List.length violations))
     end
   end
 
@@ -576,12 +582,63 @@ let build_load rate arrivals rumors =
              rumors = Option.value rumors ~default:16;
            })
 
+(* [spec] with the swept parameter set to [v]. *)
+let sweep_point param v (spec : Topology.spec) =
+  match param with
+  | "n" -> { spec with n = v }
+  | "c" -> { spec with c = v }
+  | _ -> { spec with k = v }
+
+(* The --jam-budget jammer of one point. The spectrum size is determined by
+   the topology spec, so one probe assignment tells us C. *)
+let build_jammer ~topology ~seed ~fault_seed ~jam_budget spec =
+  if jam_budget = 0 then Ok None
+  else
+    let probe = Topology.generate topology (Rng.create seed) spec in
+    let num_channels = Crn_channel.Assignment.num_channels probe in
+    if 2 * jam_budget >= num_channels then
+      Error
+        (Printf.sprintf
+           "--jam-budget %d: Theorem 18 needs 2t < C (spectrum here has C=%d \
+            channels)"
+           jam_budget num_channels)
+    else
+      Ok
+        (Some
+           (Jammer.random_per_node
+              ~seed:(Int64.of_int fault_seed)
+              ~budget:jam_budget ~num_channels))
+
 let run_cmd =
   let run name n c k topology dynamic jam_budget seed trials jobs shards
       backend_choice session_cap dense_channel_limit faults_spec fault_seed
-      rate arrivals rumors trace_path metrics_path check json_path =
-    let spec = { Topology.n; c; k } in
-    let* () = check_params c k in
+      rate arrivals rumors trace_path metrics_path check json_path sweep =
+    (* A plain run is one point; --sweep makes one per value. Every point is
+       validated before any trial runs. *)
+    let specs =
+      let base = { Topology.n; c; k } in
+      match sweep with
+      | None -> [ base ]
+      | Some (param, values) -> List.map (fun v -> sweep_point param v base) values
+    in
+    let per_point check =
+      map_result
+        (fun ({ Topology.n; c; k } as spec) ->
+          Result.map_error
+            (fun m ->
+              if sweep = None then m
+              else Printf.sprintf "--sweep point n=%d c=%d k=%d: %s" n c k m)
+            (check spec))
+        specs
+    in
+    let* _ = per_point check_params in
+    let* () =
+      match (sweep, trace_path, metrics_path) with
+      | Some (_, []), _, _ -> Error "--sweep needs at least one value"
+      | Some _, Some _, _ | Some _, _, Some _ ->
+          Error "--trace and --metrics record one run; neither combines with --sweep"
+      | _ -> Ok ()
+    in
     let* proto = find_protocol name in
     let* () =
       if jam_budget < 0 then Error "jam budget must be non-negative" else Ok ()
@@ -592,170 +649,199 @@ let run_cmd =
         Error (Protocol.unsupported proto "load")
       else Ok ()
     in
-    let* () = check_dynamic ~mode:dynamic ~spec [ proto ] in
+    let* _ = per_point (fun spec -> check_dynamic ~mode:dynamic ~spec [ proto ]) in
     let* backend =
       build_backend ?dense_channel_limit ~shards backend_choice session_cap
     in
     try
-      let faults = build_faults faults_spec fault_seed in
-      (* The spectrum size is determined by the topology spec, so one
-         probe assignment tells us C for the jammer. *)
-      let jammer =
-        if jam_budget = 0 then None
-        else
-          let probe = Topology.generate topology (Rng.create seed) spec in
-          let num_channels = Crn_channel.Assignment.num_channels probe in
-          if 2 * jam_budget >= num_channels then
-            invalid_arg
-              (Printf.sprintf
-                 "--jam-budget %d: Theorem 18 needs 2t < C (spectrum here has \
-                  C=%d channels)"
-                 jam_budget num_channels)
-          else
-            Some
-              (Jammer.random_per_node
-                 ~seed:(Int64.of_int fault_seed)
-                 ~budget:jam_budget ~num_channels)
+      let* jammers =
+        per_point (build_jammer ~topology ~seed ~fault_seed ~jam_budget)
       in
-      let env ?trace ~rng () =
+      let faults = build_faults faults_spec fault_seed in
+      let env (spec, jammer) ?trace ~rng () =
         let availability, rng =
           armed_availability ~mode:dynamic ~topology ~spec ?trace ~rng ()
         in
-        Protocol.env ?faults ?jammer ?trace ?load ~backend ~k ~availability ~rng
-          ()
+        Protocol.env ?faults ?jammer ?trace ?load ~backend ~k:spec.Topology.k
+          ~availability ~rng ()
       in
-      let summaries =
-        Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
-            Protocol.run proto (env ~rng ()))
+      (* One point's trials and report: its completion-slot summary and its
+         crn-run/1 object. *)
+      let run_point ((spec, jammer) as point) =
+        let { Topology.n; c; k } = spec in
+        let summaries =
+          Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
+              Protocol.run proto (env point ~rng ()))
+        in
+        Printf.printf "%s  n=%d c=%d k=%d topology=%s trials=%d\n"
+          (Protocol.name proto) n c k
+          (Topology.kind_name topology) trials;
+        Printf.printf "  %s\n" (Protocol.synopsis proto);
+        (if backend <> Runner.Engine then
+           Printf.printf "  backend: %s%s\n" (Runner.backend_name backend)
+             (match backend with
+             | Runner.Emulation { session_cap = Some cap; _ } ->
+                 Printf.sprintf " (session cap %d)" cap
+             | Runner.Soa { shards; _ } ->
+                 Printf.sprintf " (%d shard%s)" shards (if shards = 1 then "" else "s")
+             | _ -> ""));
+        (if dynamic <> Adversary_lab.Static then
+           Printf.printf "  dynamic: %s reassignment per slot\n"
+             (Adversary_lab.mode_name dynamic));
+        (match jammer with
+        | Some j ->
+            Printf.printf "  jammer: %s (budget %d, seed %d)\n" (Jammer.name j)
+              (Jammer.budget j) fault_seed
+        | None -> ());
+        (match faults with
+        | Some f ->
+            Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f) fault_seed
+        | None -> ());
+        (match load with
+        | Some l ->
+            Printf.printf "  offered: rate=%g rumors/slot (%s), batch=%d rumors\n"
+              l.Protocol.rate (arrivals_name l.Protocol.arrivals) l.Protocol.rumors
+        | None -> ());
+        let floats f = Array.map f summaries in
+        let completion =
+          Summary.of_floats
+            (floats (fun s ->
+                 float_of_int
+                   (Option.value s.Protocol.completed_at ~default:s.Protocol.slots_run)))
+        in
+        Printf.printf "  completion slots: %s\n" (Summary.to_string completion);
+        let completions =
+          Array.fold_left
+            (fun acc s -> if s.Protocol.completed then acc + 1 else acc)
+            0 summaries
+        in
+        let mean_coverage =
+          Array.fold_left ( +. ) 0.0 (floats (fun s -> s.Protocol.coverage))
+          /. float_of_int trials
+        in
+        Printf.printf "  complete: %d/%d; mean coverage: %.3f\n" completions trials
+          mean_coverage;
+        (match detail_means summaries with
+        | [] -> ()
+        | fields ->
+            Printf.printf "  detail (mean over trials): %s\n"
+              (String.concat " " fields));
+        let latencies = pooled_latencies summaries in
+        (match latencies with
+        | Some [||] -> Printf.printf "  pooled latency slots: no samples\n"
+        | Some l ->
+            let pct = Summary.percentile l in
+            Printf.printf
+              "  pooled latency slots: p50=%.0f p95=%.0f p99=%.0f (%d samples)\n"
+              (pct 50.0) (pct 95.0) (pct 99.0) (Array.length l)
+        | None -> ());
+        (if is_emulation backend then
+           let raw = floats (fun s -> float_of_int s.Protocol.raw_rounds) in
+           let failed =
+             Array.fold_left (fun acc s -> acc + s.Protocol.failed_sessions) 0 summaries
+           in
+           Printf.printf "  raw rounds: %s; failed sessions: %d\n"
+             (Summary.to_string (Summary.of_floats raw)) failed);
+        let opt f = function Some v -> f v | None -> Json.Null in
+        let latency_fields =
+          match latencies with
+          | None -> []
+          | Some l ->
+              ("latency_samples", Json.Int (Array.length l))
+              :: List.map
+                   (fun p ->
+                     ( Printf.sprintf "latency_p%.0f" p,
+                       if l = [||] then Json.Null
+                       else Json.Float (Summary.percentile l p) ))
+                   [ 50.0; 95.0; 99.0 ]
+        in
+        ( completion,
+          Json.Obj
+            ([
+               ("schema", Json.String "crn-run/1");
+               ("protocol", Json.String (Protocol.name proto));
+               ("n", Json.Int n);
+               ("c", Json.Int c);
+               ("k", Json.Int k);
+               ("topology", Json.String (Topology.kind_name topology));
+               ("dynamic", Json.String (Adversary_lab.mode_name dynamic));
+               ("backend", Json.String (Runner.backend_name backend));
+               ("shards", Json.Int shards);
+               ("jam_budget", Json.Int jam_budget);
+               ("faults", opt (fun f -> Json.String (Faults.to_string f)) faults);
+               ("fault_seed", Json.Int fault_seed);
+               ("trials", Json.Int trials);
+               ("seed", Json.Int seed);
+               ( "load",
+                 opt
+                   (fun l ->
+                     Json.Obj
+                       [
+                         ("rate", Json.Float l.Protocol.rate);
+                         ("arrivals", Json.String (arrivals_name l.Protocol.arrivals));
+                         ("rumors", Json.Int l.Protocol.rumors);
+                       ])
+                   load );
+               ( "completion_rate",
+                 Json.Float (float_of_int completions /. float_of_int trials) );
+               ("mean_coverage", Json.Float mean_coverage);
+             ]
+            @ latency_fields
+            @ [
+                ( "per_trial",
+                  Json.List (Array.to_list (Array.map Protocol.summary_json summaries))
+                );
+              ]) )
       in
-      Printf.printf "%s  n=%d c=%d k=%d topology=%s trials=%d\n"
-        (Protocol.name proto) n c k
-        (Topology.kind_name topology) trials;
-      Printf.printf "  %s\n" (Protocol.synopsis proto);
-      (if backend <> Runner.Engine then
-         Printf.printf "  backend: %s%s\n" (Runner.backend_name backend)
-           (match backend with
-           | Runner.Emulation { session_cap = Some cap; _ } ->
-               Printf.sprintf " (session cap %d)" cap
-           | Runner.Soa { shards; _ } ->
-               Printf.sprintf " (%d shard%s)" shards (if shards = 1 then "" else "s")
-           | _ -> ""));
-      (if dynamic <> Adversary_lab.Static then
-         Printf.printf "  dynamic: %s reassignment per slot\n"
-           (Adversary_lab.mode_name dynamic));
-      (match jammer with
-      | Some j ->
-          Printf.printf "  jammer: %s (budget %d, seed %d)\n" (Jammer.name j)
-            (Jammer.budget j) fault_seed
-      | None -> ());
-      (match faults with
-      | Some f ->
-          Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f) fault_seed
-      | None -> ());
-      (match load with
-      | Some l ->
-          Printf.printf "  offered: rate=%g rumors/slot (%s), batch=%d rumors\n"
-            l.Protocol.rate (arrivals_name l.Protocol.arrivals) l.Protocol.rumors
-      | None -> ());
-      let floats f = Array.map f summaries in
-      Printf.printf "  completion slots: %s\n"
-        (Summary.to_string
-           (Summary.of_floats
-              (floats (fun s ->
-                   float_of_int
-                     (Option.value s.Protocol.completed_at
-                        ~default:s.Protocol.slots_run)))));
-      let completions =
-        Array.fold_left
-          (fun acc s -> if s.Protocol.completed then acc + 1 else acc)
-          0 summaries
+      let write_json doc =
+        match json_path with
+        | Some path ->
+            Json.write ~path doc;
+            Printf.printf "  wrote %s\n" path
+        | None -> ()
       in
-      let mean_coverage =
-        Array.fold_left ( +. ) 0.0 (floats (fun s -> s.Protocol.coverage))
-        /. float_of_int trials
+      (* Each point: its report, a plain run's JSON, then its instrumented
+         run (--check). *)
+      let* results =
+        map_result
+          (fun point ->
+            let completion, doc = run_point point in
+            if sweep = None then write_json doc;
+            Result.map
+              (fun () -> (completion, doc))
+              (observe ~trace_path ~metrics_path ~check (fun ~trace ->
+                   ignore
+                     (Protocol.run proto (env point ~trace ~rng:(Rng.create seed) ())))))
+          (List.combine specs jammers)
       in
-      Printf.printf "  complete: %d/%d; mean coverage: %.3f\n" completions trials
-        mean_coverage;
-      (match detail_means summaries with
-      | [] -> ()
-      | fields ->
-          Printf.printf "  detail (mean over trials): %s\n"
-            (String.concat " " fields));
-      let latencies = pooled_latencies summaries in
-      (match latencies with
-      | Some [||] -> Printf.printf "  pooled latency slots: no samples\n"
-      | Some l ->
-          let pct = Summary.percentile l in
-          Printf.printf
-            "  pooled latency slots: p50=%.0f p95=%.0f p99=%.0f (%d samples)\n"
-            (pct 50.0) (pct 95.0) (pct 99.0) (Array.length l)
-      | None -> ());
-      (if is_emulation backend then
-         let raw = floats (fun s -> float_of_int s.Protocol.raw_rounds) in
-         let failed =
-           Array.fold_left (fun acc s -> acc + s.Protocol.failed_sessions) 0 summaries
-         in
-         Printf.printf "  raw rounds: %s; failed sessions: %d\n"
-           (Summary.to_string (Summary.of_floats raw)) failed);
-      (match json_path with
-      | Some path ->
-          let opt f = function Some v -> f v | None -> Json.Null in
-          let latency_fields =
-            match latencies with
-            | None -> []
-            | Some l ->
-                ("latency_samples", Json.Int (Array.length l))
-                :: List.map
-                     (fun p ->
-                       ( Printf.sprintf "latency_p%.0f" p,
-                         if l = [||] then Json.Null
-                         else Json.Float (Summary.percentile l p) ))
-                     [ 50.0; 95.0; 99.0 ]
-          in
-          Json.write ~path
-            (Json.Obj
-               ([
-                  ("schema", Json.String "crn-run/1");
-                  ("protocol", Json.String (Protocol.name proto));
-                  ("n", Json.Int n);
-                  ("c", Json.Int c);
-                  ("k", Json.Int k);
-                  ("topology", Json.String (Topology.kind_name topology));
-                  ("dynamic", Json.String (Adversary_lab.mode_name dynamic));
-                  ("backend", Json.String (Runner.backend_name backend));
-                  ("shards", Json.Int shards);
-                  ("jam_budget", Json.Int jam_budget);
-                  ("faults", opt (fun f -> Json.String (Faults.to_string f)) faults);
-                  ("fault_seed", Json.Int fault_seed);
-                  ("trials", Json.Int trials);
-                  ("seed", Json.Int seed);
-                  ( "load",
-                    opt
-                      (fun l ->
-                        Json.Obj
-                          [
-                            ("rate", Json.Float l.Protocol.rate);
-                            ( "arrivals",
-                              Json.String (arrivals_name l.Protocol.arrivals) );
-                            ("rumors", Json.Int l.Protocol.rumors);
-                          ])
-                      load );
-                  ( "completion_rate",
-                    Json.Float (float_of_int completions /. float_of_int trials) );
-                  ("mean_coverage", Json.Float mean_coverage);
-                ]
-               @ latency_fields
-               @ [
-                   ( "per_trial",
-                     Json.List
-                       (Array.to_list (Array.map Protocol.summary_json summaries))
-                   );
-                 ]));
-          Printf.printf "  wrote %s\n" path
-      | None -> ());
-      observe ~trace_path ~metrics_path ~check (fun ~trace ->
-          let rng = Rng.create seed in
-          ignore (Protocol.run proto (env ~trace ~rng ())))
+      (match sweep with
+      | None -> ()
+      | Some (param, values) ->
+          let table = Crn_stats.Table.create [ param; "median slots"; "p90 slots" ] in
+          List.iter2
+            (fun v (s, _) ->
+              Crn_stats.Table.add_rowf table "%d|%.1f|%.1f" v s.Summary.median
+                s.Summary.p90)
+            values results;
+          Crn_stats.Table.print
+            ~title:
+              (Printf.sprintf "%s sweep over %s (topology %s)" (Protocol.name proto)
+                 param (Topology.kind_name topology))
+            table;
+          (* A single point, or one with a zero median, has no slope. *)
+          (try
+             let fit =
+               Crn_stats.Fit.log_log
+                 (Array.of_list
+                    (List.map2
+                       (fun v (s, _) -> (float_of_int v, s.Summary.median))
+                       values results))
+             in
+             Printf.printf "  log-log slope vs %s: %.2f (r2=%.3f)\n" param
+               fit.Crn_stats.Fit.slope fit.Crn_stats.Fit.r2
+           with Invalid_argument _ -> ());
+          write_json (Json.List (List.map snd results)));
+      `Ok ()
     with Invalid_argument msg -> `Error (false, msg)
   in
   let protocol_arg =
@@ -821,7 +907,22 @@ let run_cmd =
             "Write the run as JSON (schema crn-run/1): its parameters, the \
              offered load (or null), completion rate, mean coverage, pooled \
              latency percentiles when the trials report latencies, and every \
-             trial's full summary.")
+             trial's full summary. With $(b,--sweep), a JSON list holding \
+             that object for each point.")
+  in
+  let sweep_arg =
+    let param = Arg.enum [ ("n", "n"); ("c", "c"); ("k", "k") ] in
+    Arg.(
+      value
+      & opt (some (pair ~sep:'=' param (list int))) None
+      & info [ "sweep" ] ~docv:"PARAM=V,V,..."
+          ~doc:
+            "Run once per value of PARAM ($(b,n), $(b,c) or $(b,k)) in place \
+             of that parameter's flag, then print one row per point (median \
+             and p90 completion slots) and the log-log slope of the median. \
+             Every point is validated before any trial runs. $(b,--check) \
+             checks every point; $(b,--trace) and $(b,--metrics) are \
+             rejected.")
   in
   let term =
     Term.(
@@ -830,7 +931,7 @@ let run_cmd =
        $ dynamic_arg $ jam_budget_arg $ seed_arg $ trials_arg $ jobs_arg
        $ shards_arg $ backend_arg $ session_cap_arg $ dense_channel_limit_arg
        $ faults_arg $ fault_seed_arg $ rate_arg $ arrivals_arg $ rumors_arg
-       $ trace_arg $ metrics_arg $ check_arg $ json_arg))
+       $ trace_arg $ metrics_arg $ check_arg $ json_arg $ sweep_arg))
   in
   Cmd.v
     (Cmd.info "run"
@@ -920,110 +1021,6 @@ let backoff_cmd =
     (Cmd.info "backoff" ~doc:"Measure the decay-backoff contention layer (footnote 4).")
     term
 
-(* ---- sweep ---- *)
-
-let sweep_cmd =
-  let run param values n c k topology seed trials jobs csv =
-    (* Every token and every point is validated before any trial runs. *)
-    let* values =
-      parse_list
-        (fun tok ->
-          match int_of_string_opt tok with
-          | Some v -> Ok v
-          | None ->
-              Error
-                (Printf.sprintf
-                   "--values: %S is not an integer (expected a \
-                    comma-separated int list)"
-                   tok))
-        values
-    in
-    let* () = if values = [] then Error "--values: need at least one value" else Ok () in
-    let point v =
-      match param with "n" -> (v, c, k) | "c" -> (n, v, k) | _ -> (n, c, v)
-    in
-    let invalid v =
-      let n, c, k = point v in
-      n < 1 || k < 1 || k > c
-    in
-    let* () =
-      match List.find_opt invalid values with
-      | Some v ->
-          let n, c, k = point v in
-          Error (Printf.sprintf "invalid point %s=%d (n=%d c=%d k=%d)" param v n c k)
-      | None -> Ok ()
-    in
-    let table = Crn_stats.Table.create [ param; "median slots"; "p90 slots" ] in
-    let pts =
-      Pool.with_pool ~jobs (fun pool ->
-          List.map
-            (fun v ->
-              let n, c, k = point v in
-              let spec = { Topology.n; c; k } in
-              let samples =
-                Trials.run ~pool ~trials ~seed (fun rng ->
-                    let assignment = Topology.generate topology rng spec in
-                    let r = Cogcast.run_static ~source:0 ~assignment ~k ~rng () in
-                    match r.Cogcast.completed_at with
-                    | Some s -> float_of_int s
-                    | None -> float_of_int r.Cogcast.slots_run)
-              in
-              let s = Summary.of_floats samples in
-              Crn_stats.Table.add_row table
-                [
-                  string_of_int v;
-                  Printf.sprintf "%.1f" s.Summary.median;
-                  Printf.sprintf "%.1f" s.Summary.p90;
-                ];
-              (float_of_int v, s.Summary.median))
-            values)
-    in
-    Crn_stats.Table.print
-      ~title:
-        (Printf.sprintf "COGCAST sweep over %s (topology %s)" param
-           (Topology.kind_name topology))
-      table;
-    (if List.length pts >= 2 then
-       try
-         let fit = Crn_stats.Fit.log_log (Array.of_list pts) in
-         Printf.printf "  log-log slope vs %s: %.2f (r2=%.3f)\n" param
-           fit.Crn_stats.Fit.slope fit.Crn_stats.Fit.r2
-       with Invalid_argument _ -> ());
-    (match csv with
-    | Some path ->
-        Crn_stats.Csv.write_table ~path table;
-        Printf.printf "  wrote %s\n" path
-    | None -> ());
-    `Ok ()
-  in
-  let param_arg =
-    Arg.(
-      value
-      & opt (enum [ ("n", "n"); ("c", "c"); ("k", "k") ]) "n"
-      & info [ "param" ] ~docv:"P" ~doc:"Swept parameter: n, c or k.")
-  in
-  let values_arg =
-    Arg.(
-      value
-      & opt string "32,64,128,256"
-      & info [ "values" ] ~docv:"V,V,..." ~doc:"Comma-separated values for the swept parameter.")
-  in
-  let csv_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV to $(docv).")
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ param_arg $ values_arg $ n_arg $ c_arg $ k_arg $ topology_arg
-       $ seed_arg $ trials_arg $ jobs_arg $ csv_arg))
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Sweep n, c or k and report COGCAST completion scaling.")
-    term
-
 (* ---- chaos ---- *)
 
 (* Degradation campaign: sweep {protocol} x {fault rate} for one fault kind,
@@ -1038,11 +1035,7 @@ let chaos_cmd =
       backend_choice session_cap dense_channel_limit kind protocols rates
       json_path check =
     let* protos =
-      parse_list
-        (fun s ->
-          find_protocol
-            (if String.lowercase_ascii s = "robust" then "cogcomp_robust" else s))
-        protocols
+      parse_list find_protocol protocols
     in
     let* rates =
       parse_list
@@ -1052,12 +1045,12 @@ let chaos_cmd =
           | _ -> Error (Printf.sprintf "rate %S must be a float in [0, 1)" s))
         rates
     in
-    let* () = check_params c k in
+    let spec = { Topology.n; c; k } in
+    let* () = check_params spec in
     let* kind = Adversary_lab.fault_kind_of_string kind in
     let* backend =
       build_backend ?dense_channel_limit ~shards backend_choice session_cap
     in
-    let spec = { Topology.n; c; k } in
     let kind_name = Adversary_lab.fault_kind_name kind in
     let* () = check_dynamic ~mode:dynamic ~spec protos in
     (* Selftest hook: with CRN_CHAOS_INJECT_VIOLATION set, every trial
@@ -1314,7 +1307,6 @@ let () =
         run_cmd;
         game_cmd;
         backoff_cmd;
-        sweep_cmd;
         chaos_cmd;
       ]
   in

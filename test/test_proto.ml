@@ -246,38 +246,97 @@ let test_jobs_determinism () =
       Alcotest.(check (array string)) (name ^ ": jobs 1 = jobs 8") j1 j8)
     (Registry.names ())
 
+(* The document [crn_sim cmd --json FILE] writes; the command must exit 0. *)
+let cli_json cmd =
+  let path = Filename.temp_file "crn_run" ".json" in
+  let cmd = Printf.sprintf "%s --json %s" cmd (Filename.quote path) in
+  let code, _ = Cli.run cmd in
+  Alcotest.(check int) cmd 0 code;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  match Crn_stats.Json.of_string text with
+  | Error m -> Alcotest.failf "%s: bad JSON: %s" cmd m
+  | Ok doc -> doc
+
 (* The same determinism contract at the front end: a workload run's
    per-trial summaries in its crn-run/1 JSON do not depend on --jobs or on
    the soa backend's shard count. *)
 let test_cli_run_json_determinism () =
   let module Json = Crn_stats.Json in
   let per_trial flags =
-    let path = Filename.temp_file "crn_run" ".json" in
     let cmd =
-      Printf.sprintf "run -p gossip --rate 0.5 --rumors 2 --trials 2 %s --json %s"
-        flags (Filename.quote path)
+      Printf.sprintf "run -p gossip --rate 0.5 --rumors 2 --trials 2 %s" flags
     in
-    let code, _ = Cli.run cmd in
-    Alcotest.(check int) cmd 0 code;
-    let ic = open_in_bin path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove path;
-    match Json.of_string text with
-    | Error m -> Alcotest.failf "%s: bad JSON: %s" cmd m
-    | Ok doc ->
-        Alcotest.(check (option string))
-          (cmd ^ ": schema") (Some "\"crn-run/1\"")
-          (Option.map Json.to_string (Json.member "schema" doc));
-        (match Json.member "per_trial" doc with
-        | Some (Json.List l) -> Alcotest.(check int) (cmd ^ ": trials") 2 (List.length l)
-        | _ -> Alcotest.failf "%s: no per_trial list" cmd);
-        Json.to_string (Option.get (Json.member "per_trial" doc))
+    let doc = cli_json cmd in
+    Alcotest.(check (option string))
+      (cmd ^ ": schema") (Some "\"crn-run/1\"")
+      (Option.map Json.to_string (Json.member "schema" doc));
+    (match Json.member "per_trial" doc with
+    | Some (Json.List l) -> Alcotest.(check int) (cmd ^ ": trials") 2 (List.length l)
+    | _ -> Alcotest.failf "%s: no per_trial list" cmd);
+    Json.to_string (Option.get (Json.member "per_trial" doc))
   in
   let base = per_trial "--jobs 1" in
   Alcotest.(check string) "jobs 1 = jobs 2" base (per_trial "--jobs 2");
   Alcotest.(check string) "engine = soa at 2 shards" base
     (per_trial "--jobs 1 --backend soa --shards 2")
+
+(* run --sweep keeps the numbers of the COGCAST-only sweep subcommand it
+   replaced: one row per point (median and p90 completion slots) and the
+   log-log slope of the medians. *)
+let test_cli_sweep_known_answer () =
+  let cmd = "run -p cogcast --sweep n=32,64,128 -c 16 -k 4 --trials 9 --seed 1" in
+  let code, out = Cli.run cmd in
+  Alcotest.(check int) cmd 0 code;
+  let lines = String.split_on_char '\n' out in
+  let rows =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line |> List.filter (fun w -> w <> "") with
+        | [ v; median; p90 ] when List.mem v [ "32"; "64"; "128" ] ->
+            Some (String.concat " " [ v; median; p90 ])
+        | _ -> None)
+      lines
+  in
+  Alcotest.(check (list string))
+    "rows"
+    [ "32 13.0 15.6"; "64 9.0 12.6"; "128 7.0 9.0" ]
+    rows;
+  Alcotest.(check bool)
+    "slope line" true
+    (List.mem "  log-log slope vs n: -0.45 (r2=0.988)" lines)
+
+(* Each element of a --sweep --json list is the crn-run/1 object a plain
+   run at that point writes. *)
+let test_cli_sweep_json_per_point () =
+  let module Json = Crn_stats.Json in
+  List.iter
+    (fun (flags, param, values) ->
+      let swept =
+        Printf.sprintf "%s --sweep %s=%s" flags param
+          (String.concat "," (List.map string_of_int values))
+      in
+      match cli_json swept with
+      | Json.List docs ->
+          Alcotest.(check int) (swept ^ ": points") (List.length values)
+            (List.length docs);
+          List.iter2
+            (fun v doc ->
+              let plain = Printf.sprintf "%s -%s %d" flags param v in
+              Alcotest.(check string) (swept ^ " = " ^ plain)
+                (Json.to_string (cli_json plain))
+                (Json.to_string doc))
+            values docs
+      | _ -> Alcotest.failf "%s: not a JSON list" swept)
+    [
+      ("run -p cogcast -c 16 -k 4 --trials 3 --jobs 2", "n", [ 32; 64 ]);
+      ( "run -p broadcast_baseline -n 24 -k 2 --trials 3 --jobs 1 --backend soa \
+         --shards 2",
+        "c",
+        [ 8; 16 ] );
+    ]
 
 let test_traces_check_clean () =
   List.iter
@@ -593,9 +652,9 @@ let test_jam_resist_needs_dynamic () =
   Alcotest.(check int) "CLI chaos jam_resist:cogcomp" Cli.cli_error code;
   Alcotest.(check string) "CLI chaos jam_resist:cogcomp: nothing printed" "" out
 
-(* Counts must be positive and sweep input well-formed; each bad value
-   exits 124 before any trial runs, instead of crashing, printing NaN or
-   reporting zeros. *)
+(* Counts must be positive, sweep input well-formed and protocol names
+   registered; each bad value exits 124 before any trial runs, instead of
+   crashing, printing NaN or reporting zeros. *)
 let test_cli_rejects_bad_counts () =
   List.iter
     (fun cmd ->
@@ -611,10 +670,14 @@ let test_cli_rejects_bad_counts () =
       "run -p jam_resist:cogcast --topology identical --jam-budget 2 -n 0";
       "chaos --trials 0";
       "run -p gossip --rumors 0";
-      "sweep --values 8,abc,16";
-      "sweep --values ,";
-      "sweep --param x";
-      "sweep --param k --values 2,99";
+      "run -p cogcast --jobs 0";
+      "run -p cogcast --sweep n=8,abc,16";
+      "run -p cogcast --sweep n=,";
+      "run -p cogcast --sweep x=1,2";
+      "run -p cogcast --sweep k=2,99";
+      "run -p cogcast --sweep n=8,16 --trace t.jsonl";
+      "run -p cogcast --sweep n=8,16 --metrics m.json";
+      "chaos --protocols robust";
     ]
 
 (* ---- registry lookup ---- *)
@@ -673,6 +736,10 @@ let () =
             test_jobs_determinism;
           Alcotest.test_case "run --json per_trial at jobs 1/2 and soa shards 2"
             `Quick test_cli_run_json_determinism;
+          Alcotest.test_case "run --sweep keeps the sweep's numbers" `Quick
+            test_cli_sweep_known_answer;
+          Alcotest.test_case "run --sweep --json point = plain run" `Quick
+            test_cli_sweep_json_per_point;
           Alcotest.test_case "fault-free traces pass Check.all" `Quick
             test_traces_check_clean;
           Alcotest.test_case "every protocol survives faults" `Quick

@@ -238,36 +238,6 @@ let test_table_rejects_long_rows () =
   Alcotest.check_raises "too many cells" (Invalid_argument "Table.add_row: too many cells")
     (fun () -> Table.add_row t [ "x"; "y" ])
 
-(* --- Csv ----------------------------------------------------------------- *)
-
-module Csv = Crn_stats.Csv
-
-let test_csv_escape () =
-  Alcotest.(check string) "plain untouched" "abc" (Csv.escape "abc");
-  Alcotest.(check string) "comma quoted" "\"a,b\"" (Csv.escape "a,b");
-  Alcotest.(check string) "quote doubled" "\"a\"\"b\"" (Csv.escape "a\"b");
-  Alcotest.(check string) "newline quoted" "\"a\nb\"" (Csv.escape "a\nb")
-
-let test_csv_of_table () =
-  let t = Table.create [ "n"; "label" ] in
-  Table.add_row t [ "1"; "plain" ];
-  Table.add_row t [ "2"; "with,comma" ];
-  Alcotest.(check string) "csv output" "n,label\n1,plain\n2,\"with,comma\"\n"
-    (Csv.of_table t)
-
-let test_csv_write_roundtrip () =
-  let t = Table.create [ "a"; "b" ] in
-  Table.add_row t [ "x"; "y" ];
-  let path = Filename.temp_file "crn_csv" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Csv.write_table ~path t;
-      let ic = open_in path in
-      let content = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Alcotest.(check string) "file content" "a,b\nx,y\n" content)
-
 (* --- Json --------------------------------------------------------------- *)
 
 module Json = Crn_stats.Json
@@ -692,9 +662,6 @@ let () =
           Alcotest.test_case "series exponent" `Quick test_series_exponent;
           Alcotest.test_case "series plot" `Quick test_series_plot_nonempty;
           Alcotest.test_case "series empty plot" `Quick test_series_plot_empty;
-          Alcotest.test_case "csv escaping" `Quick test_csv_escape;
-          Alcotest.test_case "csv of table" `Quick test_csv_of_table;
-          Alcotest.test_case "csv write roundtrip" `Quick test_csv_write_roundtrip;
         ] );
       ( "json",
         [
