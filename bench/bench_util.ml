@@ -1,5 +1,6 @@
 (* Shared helpers for the experiment harness: quick-mode trimming, the
-   parallel trial runner, and the per-experiment recorder behind --json. *)
+   parallel trial runner, registry points through Crn_proto.Run, and the
+   per-experiment recorder behind --json. *)
 
 module Rng = Crn_prng.Rng
 module Summary = Crn_stats.Summary
@@ -8,6 +9,7 @@ module Series = Crn_stats.Series
 module Json = Crn_stats.Json
 module Pool = Crn_exec.Pool
 module Trials = Crn_exec.Trials
+module Run = Crn_proto.Run
 
 (* Global flags, set by main from the command line before any experiment
    runs: quick trims trial counts and sweep ranges; jobs sizes the domain
@@ -95,13 +97,16 @@ let records_json () =
 
 (* ---- parallel trials ---- *)
 
+let count_trials trials =
+  match !current with
+  | Some r -> r.trials_run <- r.trials_run + trials
+  | None -> ()
+
 (* [run_trials ~trials ~base_seed f] runs [f] once per trial on the shared
    pool, one pre-split RNG stream per trial, so the result array is
    identical at any --jobs value (see Crn_exec.Trials). *)
 let run_trials ~trials ~base_seed f =
-  (match !current with
-  | Some r -> r.trials_run <- r.trials_run + trials
-  | None -> ());
+  count_trials trials;
   Trials.run ~pool:(Lazy.force pool) ~trials ~seed:base_seed f
 
 (* Median / mean over [trials] parallel runs of [f rng]; each run must
@@ -112,8 +117,31 @@ let median_of ~trials ~base_seed f =
 let mean_of ~trials ~base_seed f =
   Summary.mean (Array.map float_of_int (run_trials ~trials ~base_seed f))
 
-let samples_of ~trials ~base_seed f =
-  Array.map float_of_int (run_trials ~trials ~base_seed f)
+(* ---- registry points ---- *)
+
+(* [point spec] runs one registry point on the shared pool: the trials
+   `crn_sim run` runs for the same flags, identical at any --jobs. *)
+let point spec =
+  count_trials spec.Run.trials;
+  Run.point ~pool:(Lazy.force pool) spec
+
+let median r = r.Run.completion.Summary.median
+
+(* The mean over a point's trials of [f] of each trial's summary. *)
+let mean_over r f =
+  Array.fold_left (fun acc s -> acc +. f s) 0.0 r.Run.summaries
+  /. float_of_int (Array.length r.Run.summaries)
+
+(* A trial's numeric detail field, 0 when it reports none. *)
+let detail key s = Option.value ~default:0.0 (Run.detail_number key s)
+
+(* Notes the `crn_sim run` line that reproduces a table's rows: [spec]'s
+   flags, with the values that change from row to row (and the seed, as the
+   experiment's formula) spelled as [vary] gives them. *)
+let reproduce ~vary spec =
+  let value (flag, v) = [ flag; Option.value (List.assoc_opt flag vary) ~default:v ] in
+  note "reproduce: crn_sim run %s"
+    (String.concat " " (List.concat_map value (Run.args spec)))
 
 let fmt_f x = Printf.sprintf "%.1f" x
 let fmt_f2 x = Printf.sprintf "%.2f" x

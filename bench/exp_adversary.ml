@@ -3,15 +3,17 @@
 
    Part A verifies that the per-slot reassignment policies remain *legal*
    dynamic CRN instances (sampled pairwise overlap >= k every slot) and
-   that COGCAST still completes within Theorem 4's slot budget under them
+   that COGCAST — one `crn_sim run --dynamic MODE` point per mode — still
+   completes within Theorem 4's slot budget under them
    — the §7 claim that the epidemic needs no knowledge of the assignment's
    history. The Theorem 17 conspiracy rides along as the contrast row: a
    legal-looking adversary that predicts the source's choices defeats any
    budget.
 
-   Part B sweeps the jammer budget t on the uniform spectrum and puts the
-   plain protocol (receiver-side jamming) and its jam_resist: transform
-   (Theorem 18 reduction) on the same curve: the transform trades a
+   Part B sweeps the jammer budget t on the uniform spectrum (one `crn_sim
+   run --jam-budget T` point per cell) and puts the plain protocol
+   (receiver-side jamming) and its jam_resist: transform (Theorem 18
+   reduction) on the same curve: the transform trades a
    constant-factor slowdown for immunity to the budget, and degradation is
    monotone in t for both.
 
@@ -26,7 +28,6 @@ module Topology = Crn_channel.Topology
 module Assignment = Crn_channel.Assignment
 module Dynamic = Crn_channel.Dynamic
 module Jammer = Crn_radio.Jammer
-module Cogcast = Crn_core.Cogcast
 module Complexity = Crn_core.Complexity
 module Protocol = Crn_proto.Protocol
 module Registry = Crn_proto.Registry
@@ -44,6 +45,10 @@ let e24 () =
   let spec = { Topology.n; c; k } in
   let budget = Complexity.cogcast_slots ~n ~c ~k () in
   let trials_a = trials ~full:60 in
+  let dynamic mode =
+    Run.spec ~topology:Topology.Shared_core ~dynamic:mode ~trials:trials_a ~seed:24_100
+      (Registry.find_exn "cogcast") spec
+  in
   let ta =
     Table.create
       [ "dynamic mode"; "min overlap (64 slots)"; "median slots"; "complete"; "budget ratio" ]
@@ -59,25 +64,8 @@ let e24 () =
         let a = Dynamic.at armed_probe.Adversary_lab.availability slot in
         min_overlap := min !min_overlap (Assignment.min_pairwise_overlap a)
       done;
-      let runs =
-        run_trials ~trials:trials_a ~base_seed:24_100 (fun rng ->
-            let armed =
-              Adversary_lab.arm ~mode ~topology:Topology.Shared_core ~spec
-                ~source:0 ~rng
-            in
-            let r =
-              Cogcast.run ~source:0
-                ~availability:armed.Adversary_lab.availability
-                ~rng:armed.Adversary_lab.rng ~max_slots:budget ()
-            in
-            ( (match r.Cogcast.completed_at with Some s -> s | None -> budget),
-              if r.Cogcast.informed_count = n then 1 else 0 ))
-      in
-      let median =
-        Crn_stats.Summary.median
-          (Array.map (fun (s, _) -> float_of_int s) runs)
-      in
-      let complete = Array.fold_left (fun acc (_, c) -> acc + c) 0 runs in
+      let r = point (dynamic mode) in
+      let median = median r and complete = r.Run.completed in
       Table.add_row ta
         [
           Adversary_lab.mode_name mode;
@@ -88,6 +76,7 @@ let e24 () =
         ])
     Adversary_lab.all_modes;
   print_table ~title:"COGCAST on shared-core, per-slot reassignment" ta;
+  reproduce ~vary:[ ("--dynamic", "MODE") ] (dynamic Adversary_lab.Rotating);
   note "claim (Thm 4 under §7 dynamics): rotating/reshuffle keep pairwise overlap";
   note ">= k in every slot and COGCAST completes within the same O((c/k) lg n)";
   note "budget; the Thm 17 isolate conspiracy defeats any budget (contrast row)";
@@ -101,6 +90,10 @@ let e24 () =
   let plain = Registry.find_exn "cogcast" in
   let resist = Registry.find_exn "jam_resist:cogcast" in
   let budgets = if !quick then [ 0; 2; 4; 5 ] else [ 0; 1; 2; 3; 4; 5 ] in
+  let jammed proto t =
+    Run.spec ~topology:Topology.Identical ~jam_budget:t ~trials:trials_b
+      ~seed:(24_200 + t) proto spec
+  in
   let tb =
     Table.create
       [ "t (jammed/node/slot)"; "protocol"; "median slots"; "complete"; "slot inflation" ]
@@ -114,33 +107,8 @@ let e24 () =
       let prev = ref 0.0 in
       List.iter
         (fun t ->
-          let runs =
-            run_trials ~trials:trials_b ~base_seed:(24_200 + t) (fun rng ->
-                let assignment =
-                  Topology.generate Topology.Identical rng spec
-                in
-                let jammer =
-                  if t = 0 then None
-                  else
-                    Some
-                      (Jammer.random_per_node ~seed:(Rng.bits64 rng) ~budget:t
-                         ~num_channels:c)
-                in
-                let s =
-                  Protocol.run proto
-                    (Protocol.env ?jammer ~k:c
-                       ~availability:(Dynamic.static assignment) ~rng ())
-                in
-                ( (match s.Protocol.completed_at with
-                  | Some v -> v
-                  | None -> s.Protocol.slots_run),
-                  if s.Protocol.completed then 1 else 0 ))
-          in
-          let median =
-            Crn_stats.Summary.median
-              (Array.map (fun (s, _) -> float_of_int s) runs)
-          in
-          let complete = Array.fold_left (fun acc (_, c) -> acc + c) 0 runs in
+          let r = point (jammed proto t) in
+          let median = median r and complete = r.Run.completed in
           if !base = None then base := Some median;
           (* The plain protocol's degradation must be monotone in the
              adversary's budget, up to median jitter on small samples; the
@@ -166,6 +134,9 @@ let e24 () =
         budgets)
     [ plain; resist ];
   print_table ~title:"n-uniform jammer sweep, identical spectrum (C = 12, t < C/2)" tb;
+  reproduce
+    ~vary:[ ("-p", "PROTOCOL"); ("--jam-budget", "T"); ("--seed", "24200+T") ]
+    (jammed plain 1);
   note "claim (Thm 18): the jam_resist: transform runs the protocol unmodified on";
   note "the sensed unjammed spectrum (>= C-t channels, overlap >= C-2t) and keeps";
   note "completing for every legal t at a constant-factor cost, while the plain";
@@ -199,34 +170,27 @@ let e24 () =
           let runs =
             run_trials ~trials:trials_c ~base_seed:24_300 (fun rng ->
                 let jammer = Jammer.reactive () in
-                let t =
-                  Adversary_lab.run_trial proto (fun ~trace ->
-                      let armed =
-                        Adversary_lab.arm ~mode ~topology:Topology.Shared_core
-                          ~spec ~source:0 ~rng
-                      in
-                      Protocol.env ~jammer ~trace ~k
-                        ~availability:
-                          (Adversary_lab.instrument ~trace
-                             armed.Adversary_lab.availability)
-                        ~rng:armed.Adversary_lab.rng ())
-                in
-                let s = t.Adversary_lab.summary in
-                ( (match s.Protocol.completed_at with
-                  | Some v -> v
-                  | None -> s.Protocol.slots_run),
-                  (if s.Protocol.completed then 1 else 0),
-                  List.length t.Adversary_lab.violations ))
+                Adversary_lab.run_trial proto (fun ~trace ->
+                    let availability, rng =
+                      Run.armed_availability ~mode ~topology:Topology.Shared_core
+                        ~spec ~trace ~rng ()
+                    in
+                    Protocol.env ~jammer ~trace ~k ~availability ~rng ()))
           in
+          let summaries = Array.map (fun t -> t.Adversary_lab.summary) runs in
           let median =
-            Crn_stats.Summary.median
-              (Array.map (fun (s, _, _) -> float_of_int s) runs)
+            Summary.median
+              (Array.map
+                 (fun s ->
+                   float_of_int
+                     (Option.value s.Protocol.completed_at ~default:s.Protocol.slots_run))
+                 summaries)
           in
           let complete =
-            Array.fold_left (fun acc (_, c, _) -> acc + c) 0 runs
+            Array.fold_left (fun acc s -> if s.Protocol.completed then acc + 1 else acc) 0 summaries
           in
           let violations =
-            Array.fold_left (fun acc (_, _, v) -> acc + v) 0 runs
+            Array.fold_left (fun acc t -> acc + List.length t.Adversary_lab.violations) 0 runs
           in
           total_violations := !total_violations + violations;
           Table.add_row tc

@@ -6,26 +6,16 @@ module Rng = Crn_prng.Rng
 module Topology = Crn_channel.Topology
 module Assignment = Crn_channel.Assignment
 module Cogcast = Crn_core.Cogcast
-module Cogcomp = Crn_core.Cogcomp
-module Aggregate = Crn_core.Aggregate
 module Complexity = Crn_core.Complexity
 module Table = Crn_stats.Table
 module Dynamic = Crn_channel.Dynamic
 module Protocol = Crn_proto.Protocol
 module Registry = Crn_proto.Registry
 
-(* Every baseline below is dispatched through the protocol registry — the
-   same path as `crn_sim run` — so the bench doubles as a regression check
-   on the protocol layer. The registry's default budgets reproduce the
-   original experiments' sizing (8x the rendezvous bound; 8x C for the
-   scan), so the numbers are unchanged. *)
-let registry_summary name ~k ~assignment ~rng =
-  Protocol.run (Registry.find_exn name)
-    (Protocol.env ~k ~availability:(Dynamic.static assignment) ~rng ())
-
-let registry_slots name ~k ~assignment ~rng =
-  let s = registry_summary name ~k ~assignment ~rng in
-  Option.value ~default:s.Protocol.slots_run s.Protocol.completed_at
+(* E4 and E7 are registry points on shared-core instances, as `crn_sim run
+   -p NAME --topology shared-core`. *)
+let shared_core name ~trials ~seed params =
+  Run.spec ~topology:Topology.Shared_core ~trials ~seed (Registry.find_exn name) params
 
 (* E4: local broadcast, epidemic vs rendezvous (§1: factor Theta(c) for
    n >= c). *)
@@ -36,25 +26,23 @@ let e4 () =
   let t =
     Table.create [ "c"; "COGCAST median"; "rendezvous median"; "speedup"; "claimed ~c" ]
   in
+  let cogcast c =
+    shared_core "cogcast" ~trials:(trials ~full:5) ~seed:(7000 + c) { Topology.n; c; k }
+  in
+  let baseline c =
+    shared_core "broadcast_baseline" ~trials:(trials ~full:5) ~seed:(8000 + c)
+      { Topology.n; c; k }
+  in
   List.iter
     (fun c ->
-      let spec = { Topology.n; c; k } in
-      let trials = trials ~full:5 in
-      let cog =
-        median_of ~trials ~base_seed:(7000 + c) (fun rng ->
-            let assignment = Topology.shared_core rng spec in
-            let r = Cogcast.run_static ~source:0 ~assignment ~k ~rng () in
-            Option.value ~default:r.Cogcast.slots_run r.Cogcast.completed_at)
-      in
-      let base =
-        median_of ~trials ~base_seed:(8000 + c) (fun rng ->
-            let assignment = Topology.shared_core rng spec in
-            registry_slots "broadcast_baseline" ~k ~assignment ~rng)
-      in
+      let cog = median (point (cogcast c)) in
+      let base = median (point (baseline c)) in
       Table.add_row t
         [ string_of_int c; fmt_f cog; fmt_f base; fmt_f2 (base /. cog); string_of_int c ])
     cs;
   print_table t;
+  reproduce ~vary:[ ("-c", "C"); ("--seed", "7000+C") ] (cogcast (List.hd cs));
+  reproduce ~vary:[ ("-c", "C"); ("--seed", "8000+C") ] (baseline (List.hd cs));
   note "claim: the measured speedup grows linearly with c (who wins: COGCAST, everywhere)"
 
 (* E7: aggregation, COGCOMP vs rendezvous baseline (§1: O((c/k)lg n + n) vs
@@ -74,31 +62,22 @@ let e7 () =
         "speedup vs honest";
       ]
   in
+  (* Each entry with the offset of its per-point seed, offset + n. *)
+  let cogcomp = ("cogcomp", 9000)
+  and ack = ("aggregation_baseline", 9500)
+  and honest = ("aggregation_baseline_honest", 9700) in
+  let spec (name, offset) n =
+    shared_core name ~trials:(trials ~full:5) ~seed:(offset + n) { Topology.n; c; k }
+  in
   List.iter
     (fun n ->
-      let spec = { Topology.n; c; k } in
-      let trials = trials ~full:5 in
-      let run_baseline ~ack rng =
-        let assignment = Topology.shared_core rng spec in
-        let name =
-          if ack then "aggregation_baseline" else "aggregation_baseline_honest"
-        in
-        (registry_summary name ~k ~assignment ~rng).Protocol.slots_run
-      in
-      (* Keep total slots and the phase-4 share of the same runs together,
-         then take the medians of each — the old sequential code relied on
-         stateful update order, which a parallel runner cannot. *)
-      let runs =
-        run_trials ~trials ~base_seed:(9000 + n) (fun rng ->
-            let assignment = Topology.shared_core rng spec in
-            let values = Array.init n (fun i -> i) in
-            let r = Cogcomp.run ~monoid:Aggregate.sum ~values ~source:0 ~assignment ~k ~rng () in
-            (r.Cogcomp.total_slots, r.Cogcomp.phase4_slots))
-      in
-      let cog = Crn_stats.Summary.median (Array.map (fun (tot, _) -> float_of_int tot) runs) in
-      let p4 = Crn_stats.Summary.median (Array.map (fun (_, p) -> float_of_int p) runs) in
-      let base_ack = median_of ~trials ~base_seed:(9500 + n) (run_baseline ~ack:true) in
-      let base_honest = median_of ~trials ~base_seed:(9700 + n) (run_baseline ~ack:false) in
+      let r = point (spec cogcomp n) in
+      let cog = median r in
+      (* The phase-4 share of the same runs: the median of each trial's
+         phase4_slots. *)
+      let p4 = Summary.median (Array.map (detail "phase4_slots") r.Run.summaries) in
+      let base_ack = median (point (spec ack n)) in
+      let base_honest = median (point (spec honest n)) in
       Table.add_row t
         [
           string_of_int n;
@@ -110,6 +89,12 @@ let e7 () =
         ])
     ns;
   print_table t;
+  List.iter
+    (fun ((_, offset) as entry) ->
+      reproduce
+        ~vary:[ ("-n", "N"); ("--seed", Printf.sprintf "%d+N" offset) ]
+        (spec entry (List.hd ns)))
+    [ cogcomp; ack; honest ];
   note "honest baseline (no ACK): the source coupon-collects n-1 distinct values ~ n ln n;";
   note "the +ACK variant is a gift to the baseline (free acknowledgements). COGCOMP's";
   note "total is Theta((c/k) lg n) + Theta(n) and overtakes both as n grows; its crossover";
@@ -144,7 +129,11 @@ let e10 () =
             in
             (* The registry's default seq_scan budget is 8 x C = [8 * big_c],
                the same horizon the direct call used here. *)
-            registry_slots "seq_scan" ~k ~assignment ~rng)
+            let s =
+              Protocol.run (Registry.find_exn "seq_scan")
+                (Protocol.env ~k ~availability:(Dynamic.static assignment) ~rng ())
+            in
+            Option.value ~default:s.Protocol.slots_run s.Protocol.completed_at)
       in
       let cog =
         median_of ~trials ~base_seed:(11_000 + n) (fun rng ->

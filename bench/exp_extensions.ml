@@ -15,6 +15,7 @@ module Assignment = Crn_channel.Assignment
 module Dynamic = Crn_channel.Dynamic
 module Faults = Crn_radio.Faults
 module Runner = Crn_radio.Runner
+module Emulation = Crn_radio.Emulation
 module Cogcast = Crn_core.Cogcast
 module Complexity = Crn_core.Complexity
 module Deterministic = Crn_rendezvous.Deterministic
@@ -378,8 +379,15 @@ let e21 () =
 (* E22: footnote 4 end-to-end — COGCAST executed over decay-backoff
    contention sessions on the raw collision radio; overhead in raw rounds
    per abstract slot should be O(log² n) with a small constant. *)
-let decay_emulation =
-  Crn_radio.Runner.Emulation { strategy = Crn_radio.Emulation.Decay; session_cap = None }
+let emulation strategy = Runner.Emulation { strategy; session_cap = None }
+
+(* A raw-radio point's abstract slots, raw rounds and failed sessions,
+   summed over its trials. *)
+let radio_totals r =
+  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 r.Run.summaries in
+  ( sum (fun s -> s.Protocol.slots_run),
+    sum (fun s -> s.Protocol.raw_rounds),
+    sum (fun s -> s.Protocol.failed_sessions) )
 
 let e22 () =
   header "E22" "COGCAST on the raw radio via decay sessions (footnote 4, end-to-end)";
@@ -389,25 +397,14 @@ let e22 () =
     Table.create
       [ "n"; "abstract slots"; "raw rounds"; "rounds/slot"; "4(lg n + 1)^2"; "failed sessions" ]
   in
+  let trials = trials ~full:5 in
+  let spec n =
+    Run.spec ~backend:(emulation Emulation.Decay) ~trials ~seed:(29_000 + n)
+      (Registry.find_exn "cogcast") { Topology.n; c; k }
+  in
   List.iter
     (fun n ->
-      let spec = { Topology.n; c; k } in
-      let trials = trials ~full:5 in
-      let runs =
-        run_trials ~trials ~base_seed:(29_000 + n) (fun rng ->
-            let run_rng = Rng.split rng in
-            let assignment = Topology.shared_plus_random rng spec in
-            let max_slots = 8 * Complexity.cogcast_slots ~n ~c ~k () in
-            let r =
-              Cogcast.run ~backend:decay_emulation ~source:0
-                ~availability:(Dynamic.static assignment)
-                ~rng:run_rng ~max_slots ()
-            in
-            (r.Cogcast.slots_run, r.Cogcast.raw_rounds, r.Cogcast.failed_sessions))
-      in
-      let slots = Array.fold_left (fun acc (s, _, _) -> acc + s) 0 runs in
-      let rounds = Array.fold_left (fun acc (_, r, _) -> acc + r) 0 runs in
-      let failed = Array.fold_left (fun acc (_, _, f) -> acc + f) 0 runs in
+      let slots, rounds, failed = radio_totals (point (spec n)) in
       let ft = float_of_int trials in
       Table.add_row t
         [
@@ -420,28 +417,25 @@ let e22 () =
         ])
     ns;
   print_table t;
+  reproduce ~vary:[ ("-n", "N"); ("--seed", "29000+N") ] (spec (List.hd ns));
   note "claim (footnote 4): the one-winner model costs O(log^2 n) raw rounds per";
   note "abstract slot; measured per-slot overhead grows logarithmically and stays";
   note "far below the worst-case budget, with no failed contention sessions";
   (* And the full aggregation stack, all four phases on the raw radio. *)
-  let n = 32 in
-  let assignment =
-    Topology.shared_plus_random (Rng.create 29_500) { Topology.n; c; k }
+  let cogcomp =
+    Run.spec ~backend:(emulation Emulation.Decay) ~trials:1 ~seed:29_500
+      (Registry.find_exn "cogcomp") { Topology.n = 32; c; k }
   in
-  let values = Array.init n (fun i -> i) in
-  let res =
-    Cogcomp.run ~backend:decay_emulation ~monoid:Aggregate.sum ~values ~source:0
-      ~assignment ~k ~rng:(Rng.create 29_501) ()
-  in
-  let raw_rounds = res.Crn_core.Cogcomp.raw_rounds in
+  let s = (point cogcomp).Run.summaries.(0) in
   note "COGCOMP end-to-end on the raw radio (n=32): complete=%b, sum %s, %d abstract"
-    res.Crn_core.Cogcomp.complete
-    (match res.Crn_core.Cogcomp.root_value with
-    | Some v -> string_of_int v
+    s.Protocol.completed
+    (match Run.detail_number "root_value" s with
+    | Some v -> Printf.sprintf "%.0f" v
     | None -> "-")
-    res.Crn_core.Cogcomp.total_slots;
-  note "slots realized in %d raw rounds (%.2f rounds/slot)" raw_rounds
-    (float_of_int raw_rounds /. float_of_int (max 1 res.Crn_core.Cogcomp.total_slots))
+    s.Protocol.slots_run;
+  note "slots realized in %d raw rounds (%.2f rounds/slot)" s.Protocol.raw_rounds
+    (float_of_int s.Protocol.raw_rounds /. float_of_int (max 1 s.Protocol.slots_run));
+  reproduce ~vary:[] cogcomp
 
 (* E25: the footnote-4 loop closed for the whole registry — every
    protocol executed on the raw collision radio under
@@ -452,10 +446,6 @@ let e22 () =
 let e25 () =
   header "E25"
     "Registry on the raw radio: rounds/slot, decay vs CSMA/CA (footnote 4)";
-  let module Protocol = Crn_proto.Protocol in
-  let module Registry = Crn_proto.Registry in
-  let module Runner = Crn_radio.Runner in
-  let module Emulation = Crn_radio.Emulation in
   let c = 8 and k = 2 in
   let ns = if !quick then [ 16; 64 ] else [ 16; 64; 256 ] in
   (* Every registry entry but robust COGCOMP: fault-free it is plain
@@ -482,38 +472,21 @@ let e25 () =
         "4(lg n+1)^2"; "decay failed"; "csma failed";
       ]
   in
+  let trials = trials ~full:5 in
+  (* Same seed for both strategies: trial i sees the same assignment and
+     protocol stream under decay and CSMA, so the two columns differ only
+     in the contention realization. *)
+  let spec pi name strategy n =
+    Run.spec ~backend:(emulation strategy) ~trials ~seed:(31_000 + (1_000 * pi) + n)
+      (Registry.find_exn name) { Topology.n; c; k }
+  in
   let violations = ref [] in
   List.iteri
     (fun pi name ->
-      let proto = Registry.find_exn name in
       List.iter
         (fun n ->
-          let spec = { Topology.n; c; k } in
-          let trials = trials ~full:5 in
           let measure strategy =
-            (* Same base seed for both strategies: trial i sees the same
-               assignment and protocol stream under decay and CSMA, so the
-               two columns differ only in the contention realization. *)
-            let runs =
-              run_trials ~trials ~base_seed:(31_000 + (1_000 * pi) + n)
-                (fun rng ->
-                  let run_rng = Rng.split rng in
-                  let assignment = Topology.shared_plus_random rng spec in
-                  let s =
-                    Protocol.run proto
-                      (Protocol.env
-                         ~backend:(Runner.Emulation { strategy; session_cap = None })
-                         ~k
-                         ~availability:(Dynamic.static assignment)
-                         ~rng:run_rng ())
-                  in
-                  ( s.Protocol.slots_run,
-                    s.Protocol.raw_rounds,
-                    s.Protocol.failed_sessions ))
-            in
-            let slots = Array.fold_left (fun acc (s, _, _) -> acc + s) 0 runs in
-            let rounds = Array.fold_left (fun acc (_, r, _) -> acc + r) 0 runs in
-            let failed = Array.fold_left (fun acc (_, _, f) -> acc + f) 0 runs in
+            let slots, rounds, failed = radio_totals (point (spec pi name strategy n)) in
             (slots, float_of_int rounds /. float_of_int (max 1 slots), failed)
           in
           let slots, decay_factor, decay_failed = measure Emulation.Decay in
@@ -528,7 +501,7 @@ let e25 () =
             [
               name;
               string_of_int n;
-              fmt_f (float_of_int slots /. float_of_int (trials));
+              fmt_f (float_of_int slots /. float_of_int trials);
               fmt_f2 decay_factor;
               fmt_f2 csma_factor;
               string_of_int budget;
@@ -538,6 +511,11 @@ let e25 () =
         ns)
     protos;
   print_table t;
+  reproduce
+    ~vary:[ ("-p", "NAME"); ("-n", "N"); ("--seed", "31000+1000P+N") ]
+    (spec 0 (List.hd protos) Emulation.Decay (List.hd ns));
+  note "P: the protocol's place in the table, from 0; --backend emulation-csma for";
+  note "the csma columns";
   (match !violations with
   | [] ->
       note "claim (footnote 4): every protocol's decay overhead factor stays within";
@@ -570,7 +548,7 @@ let e26 () =
   let t =
     Table.create [ "protocol"; "n"; "backend"; "slots"; "done"; "wall s"; "parity" ]
   in
-  let mismatches = ref [] in
+  let mismatches = ref [] and skipped = ref [] in
   let completed_at_scale = ref [] in
   List.iteri
     (fun pi name ->
@@ -593,41 +571,48 @@ let e26 () =
         let s = Protocol.run proto env in
         (s, Unix.gettimeofday () -. t0)
       in
+      (* Past n = 10^4 an entry that ran to the cap at the previous n is
+         not scaled up: it would only run to the cap again, for most of the
+         refresh's wall time. *)
+      let completed = ref true in
       List.iter
         (fun n ->
           let base = ref "" in
-          List.iter
-            (fun shards ->
-              let s, wall = run ~n ~shards in
-              let summary = Json.to_string (Protocol.summary_json s) in
-              let parity =
-                if shards = 1 then begin
-                  base := summary;
-                  "-"
-                end
-                else if summary = !base then "ok"
-                else begin
-                  mismatches :=
-                    Printf.sprintf "%s n=%d shards=%d" name n shards
-                    :: !mismatches;
-                  "MISMATCH"
-                end
-              in
-              if s.Protocol.completed && n = scale_n then
-                completed_at_scale :=
-                  Printf.sprintf "%s (shards=%d)" name shards
-                  :: !completed_at_scale;
-              Table.add_row t
-                [
-                  name;
-                  string_of_int n;
-                  Printf.sprintf "soa s=%d" shards;
-                  string_of_int s.Protocol.slots_run;
-                  (if s.Protocol.completed then "yes" else "no");
-                  fmt_f2 wall;
-                  parity;
-                ])
-            [ 1; 8 ])
+          if n > 10_000 && not !completed then skipped := name :: !skipped
+          else
+            List.iter
+              (fun shards ->
+                let s, wall = run ~n ~shards in
+                completed := s.Protocol.completed;
+                let summary = Json.to_string (Protocol.summary_json s) in
+                let parity =
+                  if shards = 1 then begin
+                    base := summary;
+                    "-"
+                  end
+                  else if summary = !base then "ok"
+                  else begin
+                    mismatches :=
+                      Printf.sprintf "%s n=%d shards=%d" name n shards
+                      :: !mismatches;
+                    "MISMATCH"
+                  end
+                in
+                if s.Protocol.completed && n = scale_n then
+                  completed_at_scale :=
+                    Printf.sprintf "%s (shards=%d)" name shards
+                    :: !completed_at_scale;
+                Table.add_row t
+                  [
+                    name;
+                    string_of_int n;
+                    Printf.sprintf "soa s=%d" shards;
+                    string_of_int s.Protocol.slots_run;
+                    (if s.Protocol.completed then "yes" else "no");
+                    fmt_f2 wall;
+                    parity;
+                  ])
+              [ 1; 8 ])
         ns)
     (Registry.machine_names ());
   print_table t;
@@ -636,6 +621,9 @@ let e26 () =
       note "parity: every shards=8 summary is byte-identical to its shards=1";
       note "summary — sharding a trial is observationally invisible"
   | ms -> List.iter (fun m -> note "PARITY MISMATCH: %s" m) (List.rev ms));
+  if !skipped <> [] then
+    note "not run at n=%d (ran to max_slots=%d at the smaller n): %s" scale_n max_slots
+      (String.concat ", " (List.rev !skipped));
   (match !completed_at_scale with
   | [] ->
       note "no protocol completed at n=%d before max_slots=%d" scale_n max_slots

@@ -5,38 +5,23 @@
    profiled at two rates with its mass accounting surfaced. *)
 
 open Bench_util
-module Rng = Crn_prng.Rng
 module Topology = Crn_channel.Topology
-module Dynamic = Crn_channel.Dynamic
 module Protocol = Crn_proto.Protocol
 module Registry = Crn_proto.Registry
 
-let detail_f key (s : Protocol.summary) =
-  match Json.member key s.Protocol.detail with
-  | Some (Json.Float f) -> f
-  | Some (Json.Int i) -> float_of_int i
-  | _ -> 0.0
+(* One loaded point, as `crn_sim run -p NAME --rate R --arrivals poisson
+   --rumors K`: rumor arrivals are drawn inside the registry's init from
+   each trial's stream — identical tables at any --jobs. *)
+let loaded name ~spec ~trials ~seed ~rate ~rumors =
+  Run.spec
+    ~load:{ Protocol.rate; arrivals = Protocol.Poisson; rumors }
+    ~trials ~seed (Registry.find_exn name) spec
 
-let latencies (s : Protocol.summary) =
-  match Json.member "latencies" s.Protocol.detail with
-  | Some (Json.List l) ->
-      List.filter_map
-        (function
-          | Json.Float f -> Some f
-          | Json.Int i -> Some (float_of_int i)
-          | _ -> None)
-        l
-  | _ -> []
-
-(* One loaded run: fresh topology and env per trial, rumor arrivals drawn
-   inside the registry's init from the same seeded stream — identical
-   tables at any --jobs. *)
-let run_loaded ~name ~spec ~load rng =
-  let assignment = Topology.generate Topology.Shared_plus_random rng spec in
-  Protocol.run (Registry.find_exn name)
-    (Protocol.env ~k:spec.Topology.k ~load
-       ~availability:(Dynamic.static assignment)
-       ~rng ())
+(* A percentile of a point's pooled latencies, nan without samples. *)
+let latency r p =
+  match r.Run.latencies with
+  | Some l when Array.length l > 0 -> Summary.percentile l p
+  | _ -> Float.nan
 
 let e23 () =
   header "E23" "Sustained traffic: open-loop load on gossip and push-sum";
@@ -66,29 +51,17 @@ let e23 () =
   (* Saturation: the last offered rate the network still clears — every
      rumor finishes and goodput tracks the arrival rate. *)
   let saturation = ref None in
+  let gossip rate =
+    loaded "gossip" ~spec ~trials ~seed:(23_000 + int_of_float (rate *. 1_000.)) ~rate
+      ~rumors
+  in
   List.iter
     (fun rate ->
-      let load = { Protocol.rate; arrivals = Protocol.Poisson; rumors } in
-      let runs =
-        run_trials ~trials ~base_seed:(23_000 + int_of_float (rate *. 1_000.))
-          (fun rng ->
-            let s = run_loaded ~name:"gossip" ~spec ~load rng in
-            let goodput =
-              detail_f "completed_rumors" s /. float_of_int s.Protocol.slots_run
-            in
-            ((if s.Protocol.completed then 1.0 else 0.0), goodput, latencies s))
-      in
-      let mean_of f =
-        Array.fold_left (fun acc r -> acc +. f r) 0.0 runs
-        /. float_of_int (Array.length runs)
-      in
-      let completion = mean_of (fun (c, _, _) -> c) in
-      let goodput = mean_of (fun (_, g, _) -> g) in
-      let lat =
-        Array.to_list runs |> List.concat_map (fun (_, _, l) -> l) |> Array.of_list
-      in
-      let pct p =
-        if Array.length lat = 0 then Float.nan else Summary.percentile lat p
+      let r = point (gossip rate) in
+      let completion = float_of_int r.Run.completed /. float_of_int trials in
+      let goodput =
+        mean_over r (fun s ->
+            detail "completed_rumors" s /. float_of_int s.Protocol.slots_run)
       in
       (* Goodput includes the drain tail after the last arrival, so even a
          network that keeps up perfectly reads a little under the offered
@@ -99,13 +72,14 @@ let e23 () =
           fmt_f2 rate;
           fmt_f2 completion;
           Printf.sprintf "%.3f" goodput;
-          fmt_f (pct 50.0);
-          fmt_f (pct 95.0);
-          fmt_f (pct 99.0);
+          fmt_f (latency r 50.0);
+          fmt_f (latency r 95.0);
+          fmt_f (latency r 99.0);
         ])
     rates;
   print_table ~title:(Printf.sprintf "gossip, n=%d c=%d k=%d, %d rumors (Poisson)"
                         spec.Topology.n spec.Topology.c spec.Topology.k rumors) t;
+  reproduce ~vary:[ ("--rate", "R"); ("--seed", "23000+1000R") ] (gossip (List.hd rates));
   (match !saturation with
   | Some r ->
       note "saturation point: %.2f rumors/slot — the highest offered rate with" r;
@@ -121,40 +95,24 @@ let e23 () =
       [ "offered"; "completion"; "transfers/slot"; "lost mass"; "max drift"; "lat p95" ]
   in
   let ps_rates = if !quick then [ 0.1 ] else [ 0.05; 0.15 ] in
+  let push_sum rate =
+    loaded "push_sum" ~spec ~trials ~seed:(23_500 + int_of_float (rate *. 1_000.)) ~rate
+      ~rumors:(max 2 (rumors / 4))
+  in
   List.iter
     (fun rate ->
-      let load =
-        { Protocol.rate; arrivals = Protocol.Poisson; rumors = max 2 (rumors / 4) }
-      in
-      let runs =
-        run_trials ~trials ~base_seed:(23_500 + int_of_float (rate *. 1_000.))
-          (fun rng ->
-            let s = run_loaded ~name:"push_sum" ~spec ~load rng in
-            ( (if s.Protocol.completed then 1.0 else 0.0),
-              detail_f "transfer_rate" s,
-              detail_f "lost_mass" s,
-              detail_f "max_drift" s,
-              latencies s ))
-      in
-      let mean_of f =
-        Array.fold_left (fun acc r -> acc +. f r) 0.0 runs
-        /. float_of_int (Array.length runs)
-      in
-      let lat =
-        Array.to_list runs
-        |> List.concat_map (fun (_, _, _, _, l) -> l)
-        |> Array.of_list
-      in
+      let r = point (push_sum rate) in
       Table.add_row t2
         [
           fmt_f2 rate;
-          fmt_f2 (mean_of (fun (c, _, _, _, _) -> c));
-          Printf.sprintf "%.3f" (mean_of (fun (_, tr, _, _, _) -> tr));
-          Printf.sprintf "%.2e" (mean_of (fun (_, _, lm, _, _) -> lm));
-          Printf.sprintf "%.2e" (mean_of (fun (_, _, _, d, _) -> d));
-          fmt_f (if Array.length lat = 0 then Float.nan else Summary.percentile lat 95.0);
+          fmt_f2 (float_of_int r.Run.completed /. float_of_int trials);
+          Printf.sprintf "%.3f" (mean_over r (detail "transfer_rate"));
+          Printf.sprintf "%.2e" (mean_over r (detail "lost_mass"));
+          Printf.sprintf "%.2e" (mean_over r (detail "max_drift"));
+          fmt_f (latency r 95.0);
         ])
     ps_rates;
   print_table ~title:"push-sum under load (fault-free)" t2;
+  reproduce ~vary:[ ("--rate", "R"); ("--seed", "23500+1000R") ] (push_sum (List.hd ps_rates));
   note "lost mass is exactly 0 fault-free and max drift is float noise: every";
   note "debit (Won) pairs with a fold (Heard) inside one engine slot."

@@ -68,13 +68,10 @@ let usage oc =
      \                  domain count; results are identical at any N)\n\
      \  --json [PATH]   also write results as JSON to PATH (default\n\
      \                  BENCH_<yyyy-mm-dd>.json)\n\
-     \  --trace [PATH]  record one instrumented COGCOMP run (n=64 c=16 k=4)\n\
-     \                  and write its slot-level event trace as JSON Lines\n\
-     \                  (default TRACE_<yyyy-mm-dd>.jsonl)\n\
-     \  --metrics [PATH] derive the metrics registry from the same\n\
-     \                  instrumented run and write it as JSON (default\n\
-     \                  METRICS_<yyyy-mm-dd>.json)\n\
      \  --help          this message\n\
+     \n\
+     One instrumented run's trace and metrics come from the simulator:\n\
+     \  crn_sim run -p cogcomp -n 64 -c 16 -k 4 --trials 1 --trace F --metrics M\n\
      \n\
      experiment ids: %s\n"
     (Crn_exec.Pool.default_jobs ())
@@ -88,24 +85,19 @@ let die fmt =
       exit 2)
     fmt
 
-let dated fmt =
+let default_json_path () =
   let tm = Unix.localtime (Unix.gettimeofday ()) in
-  Printf.sprintf fmt (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-
-let default_json_path () = dated "BENCH_%04d-%02d-%02d.json"
-let default_trace_path () = dated "TRACE_%04d-%02d-%02d.jsonl"
-let default_metrics_path () = dated "METRICS_%04d-%02d-%02d.json"
+  Printf.sprintf "BENCH_%04d-%02d-%02d.json" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
+    tm.Unix.tm_mday
 
 type config = {
   mutable micro : bool;
   mutable json : string option;
-  mutable trace : string option;
-  mutable metrics : string option;
   mutable selected : string list; (* reversed *)
 }
 
 let parse_args argv =
-  let cfg = { micro = true; json = None; trace = None; metrics = None; selected = [] } in
+  let cfg = { micro = true; json = None; selected = [] } in
   let is_flag a = String.length a > 0 && a.[0] = '-' in
   let is_known_id a = List.mem (String.uppercase_ascii a) known_ids in
   let parse_jobs v =
@@ -138,33 +130,11 @@ let parse_args argv =
         | _ ->
             cfg.json <- Some (default_json_path ());
             go rest)
-    | "--trace" :: rest -> (
-        match rest with
-        | v :: rest' when (not (is_flag v)) && not (is_known_id v) ->
-            cfg.trace <- Some v;
-            go rest'
-        | _ ->
-            cfg.trace <- Some (default_trace_path ());
-            go rest)
-    | "--metrics" :: rest -> (
-        match rest with
-        | v :: rest' when (not (is_flag v)) && not (is_known_id v) ->
-            cfg.metrics <- Some v;
-            go rest'
-        | _ ->
-            cfg.metrics <- Some (default_metrics_path ());
-            go rest)
     | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
         parse_jobs (String.sub a 7 (String.length a - 7));
         go rest
     | a :: rest when String.length a > 7 && String.sub a 0 7 = "--json=" ->
         cfg.json <- Some (String.sub a 7 (String.length a - 7));
-        go rest
-    | a :: rest when String.length a > 8 && String.sub a 0 8 = "--trace=" ->
-        cfg.trace <- Some (String.sub a 8 (String.length a - 8));
-        go rest
-    | a :: rest when String.length a > 10 && String.sub a 0 10 = "--metrics=" ->
-        cfg.metrics <- Some (String.sub a 10 (String.length a - 10));
         go rest
     | a :: _ when is_flag a -> die "unknown flag %S" a
     | a :: rest ->
@@ -222,32 +192,4 @@ let () =
       in
       Json.write ~path report;
       Printf.printf "\nwrote %s\n" path);
-  (if cfg.trace <> None || cfg.metrics <> None then begin
-     (* One instrumented COGCOMP run at the representative point used across
-        the experiment suite (n=64 c=16 k=4, seed 1). The measured
-        experiments above always run untraced, so their wall-clock numbers
-        are unaffected by these flags. *)
-     let tr = Crn_radio.Trace.create () in
-     let rng = Crn_prng.Rng.create 1 in
-     let spec = { Crn_channel.Topology.n = 64; c = 16; k = 4 } in
-     let assignment =
-       Crn_channel.Topology.generate Crn_channel.Topology.Shared_plus_random rng spec
-     in
-     let values = Array.init spec.Crn_channel.Topology.n (fun v -> v) in
-     ignore
-       (Crn_core.Cogcomp.run ~trace:tr ~monoid:Crn_core.Aggregate.sum ~values
-          ~source:0 ~assignment ~k:spec.Crn_channel.Topology.k ~rng ());
-     (match cfg.trace with
-     | Some path ->
-         Crn_radio.Trace.write_jsonl ~path tr;
-         Printf.printf "wrote %s (%d events)\n" path (Crn_radio.Trace.length tr)
-     | None -> ());
-     match cfg.metrics with
-     | Some path ->
-         let reg = Crn_radio.Metrics.Registry.create () in
-         Crn_radio.Metrics.Registry.observe_trace reg tr;
-         Json.write ~path (Crn_radio.Metrics.Registry.to_json reg);
-         Printf.printf "wrote %s\n" path
-     | None -> ()
-   end);
   Printf.printf "\nall experiments done in %.1fs\n" total

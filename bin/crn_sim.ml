@@ -39,6 +39,7 @@ module Complexity = Crn_core.Complexity
 module Protocol = Crn_proto.Protocol
 module Registry = Crn_proto.Registry
 module Adversary_lab = Crn_proto.Adversary_lab
+module Run = Crn_proto.Run
 
 (* ---- shared arguments ---- *)
 
@@ -65,11 +66,13 @@ let map_result f l =
   go [] l
 
 (* A comma-separated list parsed item by item; the first bad item is the
-   error. *)
-let parse_list parse l =
-  map_result parse
-    (String.split_on_char ',' l |> List.map String.trim
-    |> List.filter (fun s -> s <> ""))
+   error, and so is a list with no items. *)
+let parse_list ~flag parse l =
+  match
+    String.split_on_char ',' l |> List.map String.trim |> List.filter (fun s -> s <> "")
+  with
+  | [] -> Error (Printf.sprintf "%s needs at least one value" flag)
+  | items -> map_result parse items
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -121,11 +124,6 @@ let topology_arg =
           "Overlap pattern: shared-core, identical, shared+random, \
            pairwise-private or clustered.")
 
-let check_params { Topology.n; c; k } =
-  if n < 1 then Error "need n >= 1"
-  else if k < 1 || k > c then Error "need 1 <= k <= c"
-  else Ok ()
-
 (* ---- dynamic-spectrum adversaries (--dynamic, §7) ---- *)
 
 let dynamic_conv =
@@ -151,118 +149,11 @@ let dynamic_arg =
            leaked-seed oracle keeps the source's predicted channel private, \
            stalling COGCAST forever).")
 
-(* Non-static modes must be honored, not silently snapshotted: reject the
-   protocols whose capabilities say they cannot. *)
-let check_dynamic ~mode ~spec protos =
-  Result.bind (Adversary_lab.validate ~mode ~spec) (fun () ->
-      match
-        List.find_opt (fun p -> not (Protocol.capabilities p).Protocol.dynamic) protos
-      with
-      | Some p when mode <> Adversary_lab.Static ->
-          Error (Protocol.unsupported p ("--dynamic " ^ Adversary_lab.mode_name mode))
-      | _ -> Ok ())
-
-(* Per-trial availability + run stream for one --dynamic mode, with the
-   reassignment provenance events streamed into [?trace] when one is
-   recording. *)
-let armed_availability ~mode ~topology ~spec ?trace ~rng () =
-  let armed = Adversary_lab.arm ~mode ~topology ~spec ~source:0 ~rng in
-  let availability =
-    match trace with
-    | Some tr when mode <> Adversary_lab.Static ->
-        Trace.record tr
-          (Trace.Adversary
-             { name = "dynamic:" ^ Adversary_lab.mode_name mode; budget = 0 });
-        Adversary_lab.instrument ~trace:tr armed.Adversary_lab.availability
-    | _ -> armed.Adversary_lab.availability
-  in
-  (availability, armed.Adversary_lab.rng)
-
 (* ---- fault schedule mini-language (--faults / --fault-seed) ---- *)
 
-(* '+'-separated atoms; randomized atoms (naps, churn) draw their coins
-   from --fault-seed, so a spec plus a seed is a complete, reproducible
-   schedule. [spare] atoms are collected and applied last so they exempt
-   the node from every other atom regardless of order. *)
-type fault_spec = { text : string; build : seed:int64 -> Faults.t }
-
-let fault_usage =
-  "expected '+'-separated atoms: none | crash:NODE:SLOT | \
-   restart:NODE:SLOT:DUR | naps:RATE | churn:MEAN_UP:MEAN_DOWN | spare:NODE \
-   (e.g. \"naps:0.05+crash:3:40+spare:0\")"
-
-let parse_fault_atom atom =
-  let fail fmt =
-    Printf.ksprintf (fun m -> Error (Printf.sprintf "%s (%s)" m fault_usage)) fmt
-  in
-  let int_field name s f =
-    match int_of_string_opt s with
-    | Some v when v >= 0 -> f v
-    | Some v -> fail "%s in %S must be >= 0, got %d" name atom v
-    | None -> fail "%s in %S is not an integer: %S" name atom s
-  in
-  match String.split_on_char ':' atom with
-  | [ "none" ] -> Ok `None
-  | [ "crash"; node; slot ] ->
-      int_field "NODE" node (fun node ->
-          int_field "SLOT" slot (fun from_slot ->
-              Ok (`Schedule (fun ~seed:_ -> Faults.crash ~node ~from_slot))))
-  | [ "restart"; node; slot; dur ] ->
-      int_field "NODE" node (fun node ->
-          int_field "SLOT" slot (fun from_slot ->
-              int_field "DUR" dur (fun down_for ->
-                  if down_for < 1 then fail "DUR in %S must be >= 1" atom
-                  else
-                    Ok
-                      (`Schedule
-                        (fun ~seed:_ ->
-                          Faults.crash_restart ~node ~from_slot ~down_for)))))
-  | [ "naps"; rate ] -> (
-      match float_of_string_opt rate with
-      | Some r when r >= 0.0 && r < 1.0 ->
-          Ok (`Schedule (fun ~seed -> Faults.random_naps ~seed ~rate:r))
-      | Some r -> fail "RATE in %S must be in [0, 1), got %g" atom r
-      | None -> fail "RATE in %S is not a number: %S" atom rate)
-  | [ "churn"; up; down ] -> (
-      match (float_of_string_opt up, float_of_string_opt down) with
-      | Some mean_up, Some mean_down when mean_up >= 1.0 && mean_down >= 1.0 ->
-          Ok (`Schedule (fun ~seed -> Faults.bernoulli_churn ~seed ~mean_up ~mean_down))
-      | Some _, Some _ ->
-          fail "MEAN_UP and MEAN_DOWN in %S must both be >= 1 (slots)" atom
-      | _ -> fail "MEAN_UP:MEAN_DOWN in %S must be numbers" atom)
-  | [ "spare"; node ] -> int_field "NODE" node (fun node -> Ok (`Spare node))
-  | _ -> fail "unknown fault atom %S" atom
-
-let parse_fault_spec s =
-  let atoms = String.split_on_char '+' s |> List.map String.trim in
-  let rec go schedules spares = function
-    | [] ->
-        let build ~seed =
-          let base =
-            match schedules with
-            | [] -> Faults.none
-            | first :: rest ->
-                List.fold_left
-                  (fun acc b -> Faults.union acc (b ~seed))
-                  (first ~seed) rest
-          in
-          List.fold_left (fun acc node -> Faults.spare acc ~node) base spares
-        in
-        Ok { text = s; build }
-    | atom :: rest -> (
-        match parse_fault_atom atom with
-        | Error _ as e -> e
-        | Ok `None -> go schedules spares rest
-        | Ok (`Schedule b) -> go (b :: schedules) spares rest
-        | Ok (`Spare node) -> go schedules (node :: spares) rest)
-  in
-  go [] [] atoms
-
 let fault_spec_conv =
-  let parse s =
-    match parse_fault_spec s with Ok v -> Ok v | Error m -> Error (`Msg m)
-  in
-  Arg.conv (parse, fun fmt spec -> Format.pp_print_string fmt spec.text)
+  let parse s = Result.map_error (fun m -> `Msg m) (Run.parse_faults s) in
+  Arg.conv (parse, fun fmt f -> Format.pp_print_string fmt (Run.faults_text f))
 
 let faults_arg =
   Arg.(
@@ -285,11 +176,6 @@ let fault_seed_arg =
           "Seed for the randomized fault atoms (naps, churn), independent of \
            --seed so the same schedule can be replayed against different \
            protocol randomness.")
-
-let build_faults faults_spec fault_seed =
-  Option.map
-    (fun spec -> spec.build ~seed:(Int64.of_int fault_seed))
-    faults_spec
 
 (* ---- observability (--trace / --metrics / --check) ---- *)
 
@@ -430,8 +316,6 @@ let build_backend ?dense_channel_limit ~shards choice session_cap =
            shards (Runner.backend_name b))
   | _ -> backend
 
-let is_emulation = function Runner.Emulation _ -> true | _ -> false
-
 let find_protocol name =
   match Registry.find_exn name with
   | p -> Ok p
@@ -518,55 +402,6 @@ let protocols_cmd =
        ~doc:"List every protocol in the registry and what each one supports.")
     Term.(const run $ const ())
 
-(* The numeric fields of the trials' [detail] objects, each as a mean over
-   the trials that reported it as a number. A field some trials left null
-   (e.g. COGCOMP's root value on an incomplete run) carries an "(m/T)"
-   count, so its mean is never read as covering trials it does not. *)
-let detail_means (summaries : Protocol.summary array) =
-  let keys =
-    match summaries.(0).Protocol.detail with
-    | Json.Obj fields -> List.map fst fields
-    | _ -> []
-  in
-  let number key (s : Protocol.summary) =
-    match Json.member key s.Protocol.detail with
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | Some (Json.Float f) -> Some f
-    | _ -> None
-  in
-  List.filter_map
-    (fun key ->
-      match List.filter_map (number key) (Array.to_list summaries) with
-      | [] -> None
-      | xs ->
-          let m = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-          let v =
-            if Float.is_integer m then Printf.sprintf "%.0f" m
-            else Printf.sprintf "%.4g" m
-          in
-          let trials = Array.length summaries in
-          Some
-            (if List.length xs = trials then Printf.sprintf "%s=%s" key v
-             else Printf.sprintf "%s=%s (%d/%d)" key v (List.length xs) trials))
-    keys
-
-(* The trials' [latencies] pooled into one sample, or [None] when no trial
-   reports latencies (only the workloads do). *)
-let pooled_latencies (summaries : Protocol.summary array) =
-  let reported =
-    Array.to_list summaries
-    |> List.filter_map (fun (s : Protocol.summary) ->
-           match Json.member "latencies" s.Protocol.detail with
-           | Some (Json.List l) ->
-               Some (List.filter_map (function Json.Float f -> Some f | _ -> None) l)
-           | _ -> None)
-  in
-  if reported = [] then None else Some (Array.of_list (List.concat reported))
-
-let arrivals_laws = [ ("poisson", Protocol.Poisson); ("uniform", Protocol.Uniform) ]
-
-let arrivals_name law = fst (List.find (fun (_, l) -> l = law) arrivals_laws)
-
 (* An offered load is set only when a load flag is given; the flags left
    unset take their defaults. *)
 let build_load rate arrivals rumors =
@@ -589,49 +424,66 @@ let sweep_point param v (spec : Topology.spec) =
   | "c" -> { spec with c = v }
   | _ -> { spec with k = v }
 
-(* The --jam-budget jammer of one point. The spectrum size is determined by
-   the topology spec, so one probe assignment tells us C. *)
-let build_jammer ~topology ~seed ~fault_seed ~jam_budget spec =
-  if jam_budget = 0 then Ok None
-  else
-    let probe = Topology.generate topology (Rng.create seed) spec in
-    let num_channels = Crn_channel.Assignment.num_channels probe in
-    if 2 * jam_budget >= num_channels then
-      Error
-        (Printf.sprintf
-           "--jam-budget %d: Theorem 18 needs 2t < C (spectrum here has C=%d \
-            channels)"
-           jam_budget num_channels)
-    else
-      Ok
-        (Some
-           (Jammer.random_per_node
-              ~seed:(Int64.of_int fault_seed)
-              ~budget:jam_budget ~num_channels))
+(* One point's report: its parameters, adversaries and load, then what its
+   trials measured. *)
+let print_report (p : Run.spec) (r : Run.result) =
+  let { Topology.n; c; k } = p.Run.params in
+  Printf.printf "%s  n=%d c=%d k=%d topology=%s trials=%d\n"
+    (Protocol.name p.Run.protocol) n c k
+    (Topology.kind_name p.Run.topology) p.Run.trials;
+  Printf.printf "  %s\n" (Protocol.synopsis p.Run.protocol);
+  (if p.Run.backend <> Runner.Engine then
+     Printf.printf "  backend: %s%s\n" (Runner.backend_name p.Run.backend)
+       (match p.Run.backend with
+       | Runner.Emulation { session_cap = Some cap; _ } ->
+           Printf.sprintf " (session cap %d)" cap
+       | Runner.Soa { shards; _ } ->
+           Printf.sprintf " (%d shard%s)" shards (if shards = 1 then "" else "s")
+       | _ -> ""));
+  (if p.Run.dynamic <> Adversary_lab.Static then
+     Printf.printf "  dynamic: %s reassignment per slot\n"
+       (Adversary_lab.mode_name p.Run.dynamic));
+  (match Run.jammer p with
+  | Some j ->
+      Printf.printf "  jammer: %s (budget %d, seed %d)\n" (Jammer.name j)
+        (Jammer.budget j) p.Run.fault_seed
+  | None -> ());
+  (match Run.faults p with
+  | Some f ->
+      Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f) p.Run.fault_seed
+  | None -> ());
+  (match p.Run.load with
+  | Some l ->
+      Printf.printf "  offered: rate=%g rumors/slot (%s), batch=%d rumors\n"
+        l.Protocol.rate (Run.arrivals_name l.Protocol.arrivals) l.Protocol.rumors
+  | None -> ());
+  Printf.printf "  completion slots: %s\n" (Summary.to_string r.Run.completion);
+  Printf.printf "  complete: %d/%d; mean coverage: %.3f\n" r.Run.completed p.Run.trials
+    r.Run.mean_coverage;
+  (match Run.detail_means r.Run.summaries with
+  | [] -> ()
+  | fields -> Printf.printf "  detail (mean over trials): %s\n" (String.concat " " fields));
+  (match r.Run.latencies with
+  | Some [||] -> Printf.printf "  pooled latency slots: no samples\n"
+  | Some l ->
+      let pct = Summary.percentile l in
+      Printf.printf "  pooled latency slots: p50=%.0f p95=%.0f p99=%.0f (%d samples)\n"
+        (pct 50.0) (pct 95.0) (pct 99.0) (Array.length l)
+  | None -> ());
+  match p.Run.backend with
+  | Runner.Emulation _ ->
+      let raw = Array.map (fun s -> float_of_int s.Protocol.raw_rounds) r.Run.summaries in
+      let failed =
+        Array.fold_left (fun acc s -> acc + s.Protocol.failed_sessions) 0 r.Run.summaries
+      in
+      Printf.printf "  raw rounds: %s; failed sessions: %d\n"
+        (Summary.to_string (Summary.of_floats raw)) failed
+  | _ -> ()
 
 let run_cmd =
   let run name n c k topology dynamic jam_budget seed trials jobs shards
-      backend_choice session_cap dense_channel_limit faults_spec fault_seed
+      backend_choice session_cap dense_channel_limit faults fault_seed
       rate arrivals rumors trace_path metrics_path check json_path sweep =
-    (* A plain run is one point; --sweep makes one per value. Every point is
-       validated before any trial runs. *)
-    let specs =
-      let base = { Topology.n; c; k } in
-      match sweep with
-      | None -> [ base ]
-      | Some (param, values) -> List.map (fun v -> sweep_point param v base) values
-    in
-    let per_point check =
-      map_result
-        (fun ({ Topology.n; c; k } as spec) ->
-          Result.map_error
-            (fun m ->
-              if sweep = None then m
-              else Printf.sprintf "--sweep point n=%d c=%d k=%d: %s" n c k m)
-            (check spec))
-        specs
-    in
-    let* _ = per_point check_params in
     let* () =
       match (sweep, trace_path, metrics_path) with
       | Some (_, []), _, _ -> Error "--sweep needs at least one value"
@@ -640,208 +492,82 @@ let run_cmd =
       | _ -> Ok ()
     in
     let* proto = find_protocol name in
-    let* () =
-      if jam_budget < 0 then Error "jam budget must be non-negative" else Ok ()
-    in
     let* load = build_load rate arrivals rumors in
-    let* () =
-      if load <> None && not (Protocol.capabilities proto).Protocol.load then
-        Error (Protocol.unsupported proto "load")
-      else Ok ()
-    in
-    let* _ = per_point (fun spec -> check_dynamic ~mode:dynamic ~spec [ proto ]) in
     let* backend =
       build_backend ?dense_channel_limit ~shards backend_choice session_cap
     in
-    try
-      let* jammers =
-        per_point (build_jammer ~topology ~seed ~fault_seed ~jam_budget)
-      in
-      let faults = build_faults faults_spec fault_seed in
-      let env (spec, jammer) ?trace ~rng () =
-        let availability, rng =
-          armed_availability ~mode:dynamic ~topology ~spec ?trace ~rng ()
-        in
-        Protocol.env ?faults ?jammer ?trace ?load ~backend ~k:spec.Topology.k
-          ~availability ~rng ()
-      in
-      (* One point's trials and report: its completion-slot summary and its
-         crn-run/1 object. *)
-      let run_point ((spec, jammer) as point) =
-        let { Topology.n; c; k } = spec in
-        let summaries =
-          Trials.run_jobs ~jobs ~trials ~seed (fun rng ->
-              Protocol.run proto (env point ~rng ()))
-        in
-        Printf.printf "%s  n=%d c=%d k=%d topology=%s trials=%d\n"
-          (Protocol.name proto) n c k
-          (Topology.kind_name topology) trials;
-        Printf.printf "  %s\n" (Protocol.synopsis proto);
-        (if backend <> Runner.Engine then
-           Printf.printf "  backend: %s%s\n" (Runner.backend_name backend)
-             (match backend with
-             | Runner.Emulation { session_cap = Some cap; _ } ->
-                 Printf.sprintf " (session cap %d)" cap
-             | Runner.Soa { shards; _ } ->
-                 Printf.sprintf " (%d shard%s)" shards (if shards = 1 then "" else "s")
-             | _ -> ""));
-        (if dynamic <> Adversary_lab.Static then
-           Printf.printf "  dynamic: %s reassignment per slot\n"
-             (Adversary_lab.mode_name dynamic));
-        (match jammer with
-        | Some j ->
-            Printf.printf "  jammer: %s (budget %d, seed %d)\n" (Jammer.name j)
-              (Jammer.budget j) fault_seed
-        | None -> ());
-        (match faults with
-        | Some f ->
-            Printf.printf "  faults: %s (seed %d)\n" (Faults.to_string f) fault_seed
-        | None -> ());
-        (match load with
-        | Some l ->
-            Printf.printf "  offered: rate=%g rumors/slot (%s), batch=%d rumors\n"
-              l.Protocol.rate (arrivals_name l.Protocol.arrivals) l.Protocol.rumors
-        | None -> ());
-        let floats f = Array.map f summaries in
-        let completion =
-          Summary.of_floats
-            (floats (fun s ->
-                 float_of_int
-                   (Option.value s.Protocol.completed_at ~default:s.Protocol.slots_run)))
-        in
-        Printf.printf "  completion slots: %s\n" (Summary.to_string completion);
-        let completions =
-          Array.fold_left
-            (fun acc s -> if s.Protocol.completed then acc + 1 else acc)
-            0 summaries
-        in
-        let mean_coverage =
-          Array.fold_left ( +. ) 0.0 (floats (fun s -> s.Protocol.coverage))
-          /. float_of_int trials
-        in
-        Printf.printf "  complete: %d/%d; mean coverage: %.3f\n" completions trials
-          mean_coverage;
-        (match detail_means summaries with
-        | [] -> ()
-        | fields ->
-            Printf.printf "  detail (mean over trials): %s\n"
-              (String.concat " " fields));
-        let latencies = pooled_latencies summaries in
-        (match latencies with
-        | Some [||] -> Printf.printf "  pooled latency slots: no samples\n"
-        | Some l ->
-            let pct = Summary.percentile l in
-            Printf.printf
-              "  pooled latency slots: p50=%.0f p95=%.0f p99=%.0f (%d samples)\n"
-              (pct 50.0) (pct 95.0) (pct 99.0) (Array.length l)
-        | None -> ());
-        (if is_emulation backend then
-           let raw = floats (fun s -> float_of_int s.Protocol.raw_rounds) in
-           let failed =
-             Array.fold_left (fun acc s -> acc + s.Protocol.failed_sessions) 0 summaries
-           in
-           Printf.printf "  raw rounds: %s; failed sessions: %d\n"
-             (Summary.to_string (Summary.of_floats raw)) failed);
-        let opt f = function Some v -> f v | None -> Json.Null in
-        let latency_fields =
-          match latencies with
-          | None -> []
-          | Some l ->
-              ("latency_samples", Json.Int (Array.length l))
-              :: List.map
-                   (fun p ->
-                     ( Printf.sprintf "latency_p%.0f" p,
-                       if l = [||] then Json.Null
-                       else Json.Float (Summary.percentile l p) ))
-                   [ 50.0; 95.0; 99.0 ]
-        in
-        ( completion,
-          Json.Obj
-            ([
-               ("schema", Json.String "crn-run/1");
-               ("protocol", Json.String (Protocol.name proto));
-               ("n", Json.Int n);
-               ("c", Json.Int c);
-               ("k", Json.Int k);
-               ("topology", Json.String (Topology.kind_name topology));
-               ("dynamic", Json.String (Adversary_lab.mode_name dynamic));
-               ("backend", Json.String (Runner.backend_name backend));
-               ("shards", Json.Int shards);
-               ("jam_budget", Json.Int jam_budget);
-               ("faults", opt (fun f -> Json.String (Faults.to_string f)) faults);
-               ("fault_seed", Json.Int fault_seed);
-               ("trials", Json.Int trials);
-               ("seed", Json.Int seed);
-               ( "load",
-                 opt
-                   (fun l ->
-                     Json.Obj
-                       [
-                         ("rate", Json.Float l.Protocol.rate);
-                         ("arrivals", Json.String (arrivals_name l.Protocol.arrivals));
-                         ("rumors", Json.Int l.Protocol.rumors);
-                       ])
-                   load );
-               ( "completion_rate",
-                 Json.Float (float_of_int completions /. float_of_int trials) );
-               ("mean_coverage", Json.Float mean_coverage);
-             ]
-            @ latency_fields
-            @ [
-                ( "per_trial",
-                  Json.List (Array.to_list (Array.map Protocol.summary_json summaries))
-                );
-              ]) )
-      in
-      let write_json doc =
-        match json_path with
-        | Some path ->
-            Json.write ~path doc;
-            Printf.printf "  wrote %s\n" path
-        | None -> ()
-      in
-      (* Each point: its report, a plain run's JSON, then its instrumented
-         run (--check). *)
-      let* results =
-        map_result
-          (fun point ->
-            let completion, doc = run_point point in
-            if sweep = None then write_json doc;
-            Result.map
-              (fun () -> (completion, doc))
-              (observe ~trace_path ~metrics_path ~check (fun ~trace ->
-                   ignore
-                     (Protocol.run proto (env point ~trace ~rng:(Rng.create seed) ())))))
-          (List.combine specs jammers)
-      in
-      (match sweep with
+    (* A plain run is one point; --sweep makes one per value. Every point is
+       validated before any trial runs. *)
+    let points =
+      let base = { Topology.n; c; k } in
+      List.map
+        (Run.spec ~topology ~dynamic ~backend ?faults ~jam_budget ~fault_seed ?load
+           ~trials ~seed proto)
+        (match sweep with
+        | None -> [ base ]
+        | Some (param, values) -> List.map (fun v -> sweep_point param v base) values)
+    in
+    let* _ =
+      map_result
+        (fun (p : Run.spec) ->
+          let { Topology.n; c; k } = p.Run.params in
+          Result.map_error
+            (fun m ->
+              if sweep = None then m
+              else Printf.sprintf "--sweep point n=%d c=%d k=%d: %s" n c k m)
+            (Run.validate p))
+        points
+    in
+    let write_json doc =
+      match json_path with
+      | Some path ->
+          Json.write ~path doc;
+          Printf.printf "  wrote %s\n" path
       | None -> ()
-      | Some (param, values) ->
-          let table = Crn_stats.Table.create [ param; "median slots"; "p90 slots" ] in
-          List.iter2
-            (fun v (s, _) ->
-              Crn_stats.Table.add_rowf table "%d|%.1f|%.1f" v s.Summary.median
-                s.Summary.p90)
-            values results;
-          Crn_stats.Table.print
-            ~title:
-              (Printf.sprintf "%s sweep over %s (topology %s)" (Protocol.name proto)
-                 param (Topology.kind_name topology))
-            table;
-          (* A single point, or one with a zero median, has no slope. *)
-          (try
-             let fit =
-               Crn_stats.Fit.log_log
-                 (Array.of_list
-                    (List.map2
-                       (fun v (s, _) -> (float_of_int v, s.Summary.median))
-                       values results))
-             in
-             Printf.printf "  log-log slope vs %s: %.2f (r2=%.3f)\n" param
-               fit.Crn_stats.Fit.slope fit.Crn_stats.Fit.r2
-           with Invalid_argument _ -> ());
-          write_json (Json.List (List.map snd results)));
-      `Ok ()
+    in
+    try
+      Pool.with_pool ~jobs (fun pool ->
+          (* Each point: its report, a plain run's JSON, then its
+             instrumented run (--check). *)
+          let* results =
+            map_result
+              (fun p ->
+                let r = Run.point ~pool p in
+                print_report p r;
+                if sweep = None then write_json r.Run.json;
+                Result.map
+                  (fun () -> r)
+                  (observe ~trace_path ~metrics_path ~check (Run.instrumented p)))
+              points
+          in
+          (match sweep with
+          | None -> ()
+          | Some (param, values) ->
+              let table = Crn_stats.Table.create [ param; "median slots"; "p90 slots" ] in
+              List.iter2
+                (fun v r ->
+                  Crn_stats.Table.add_rowf table "%d|%.1f|%.1f" v
+                    r.Run.completion.Summary.median r.Run.completion.Summary.p90)
+                values results;
+              Crn_stats.Table.print
+                ~title:
+                  (Printf.sprintf "%s sweep over %s (topology %s)" (Protocol.name proto)
+                     param (Topology.kind_name topology))
+                table;
+              (* A single point, or one with a zero median, has no slope. *)
+              (try
+                 let fit =
+                   Crn_stats.Fit.log_log
+                     (Array.of_list
+                        (List.map2
+                           (fun v r -> (float_of_int v, r.Run.completion.Summary.median))
+                           values results))
+                 in
+                 Printf.printf "  log-log slope vs %s: %.2f (r2=%.3f)\n" param
+                   fit.Crn_stats.Fit.slope fit.Crn_stats.Fit.r2
+               with Invalid_argument _ -> ());
+              write_json (Json.List (List.map (fun r -> r.Run.json) results)));
+          `Ok ())
     with Invalid_argument msg -> `Error (false, msg)
   in
   let protocol_arg =
@@ -883,7 +609,7 @@ let run_cmd =
   let arrivals_arg =
     Arg.(
       value
-      & opt (some (enum arrivals_laws)) None
+      & opt (some (enum Run.arrivals_laws)) None
       & info [ "arrivals" ] ~docv:"LAW"
           ~doc:
             ("Inter-arrival law of the offered load: $(b,poisson) (default) \
@@ -1034,11 +760,9 @@ let chaos_cmd =
   let run n c k topology dynamic seed fault_seed trials jobs shards
       backend_choice session_cap dense_channel_limit kind protocols rates
       json_path check =
-    let* protos =
-      parse_list find_protocol protocols
-    in
+    let* protos = parse_list ~flag:"--protocols" find_protocol protocols in
     let* rates =
-      parse_list
+      parse_list ~flag:"--rates"
         (fun s ->
           match float_of_string_opt s with
           | Some r when r >= 0.0 && r < 1.0 -> Ok r
@@ -1046,13 +770,13 @@ let chaos_cmd =
         rates
     in
     let spec = { Topology.n; c; k } in
-    let* () = check_params spec in
+    let* () = Run.check_params spec in
     let* kind = Adversary_lab.fault_kind_of_string kind in
     let* backend =
       build_backend ?dense_channel_limit ~shards backend_choice session_cap
     in
     let kind_name = Adversary_lab.fault_kind_name kind in
-    let* () = check_dynamic ~mode:dynamic ~spec protos in
+    let* () = Run.check_dynamic ~mode:dynamic ~spec protos in
     (* Selftest hook: with CRN_CHAOS_INJECT_VIOLATION set, every trial
        reports one fake violation, so the --check exit-code path can be
        tested end to end (healthy runs have nothing to fail on). *)
@@ -1088,7 +812,7 @@ let chaos_cmd =
                      { name = Jammer.name j; budget = Jammer.budget j })
             | None -> ());
             let availability, rng =
-              armed_availability ~mode:dynamic ~topology ~spec ~trace ~rng
+              Run.armed_availability ~mode:dynamic ~topology ~spec ~trace ~rng
                 ()
             in
             Protocol.env ?faults ?jammer ~trace ~backend ~k ~availability

@@ -363,30 +363,47 @@ module Check = struct
      for a trace without one, its own length — every slot records one
      Decide, Jam or Down per node, so a run of one slot or more has no more
      nodes than its trace has events, and the arrays never outgrow the
-     trace. *)
+     trace. A header range no array can hold is the one violation of the
+     trace: nothing that reads the header can be checked against it. *)
   type header = { meta : bool; nodes : int; channels : int; source : int }
 
   let header t =
     let rec find i =
-      if i = t.len then { meta = false; nodes = t.len; channels = t.len; source = -1 }
+      if i = t.len then Ok { meta = false; nodes = t.len; channels = t.len; source = -1 }
       else
         match t.buf.(i) with
         | Meta { n; channels; source; _ } ->
-            { meta = true; nodes = max 0 n; channels = max 0 channels; source }
+            let bad what x =
+              Error
+                (v "meta-header" "Meta header %s %d is %s" what x
+                   (if x < 0 then "negative" else "too large to allocate"))
+            in
+            let fits x = x >= 0 && x <= Sys.max_array_length in
+            if not (fits n) then bad "n" n
+            else if not (fits channels) then bad "channels" channels
+            else Ok { meta = true; nodes = n; channels; source }
         | _ -> find (i + 1)
     in
     find 0
 
   let run inits t =
-    let h = header t in
-    let checkers = Array.of_list (List.map (fun init -> init h) inits) in
-    for i = 0 to t.len - 1 do
-      let ev = t.buf.(i) in
-      for j = 0 to Array.length checkers - 1 do
-        checkers.(j).step ev
-      done
-    done;
-    List.concat_map (fun c -> c.finish ()) (Array.to_list checkers)
+    match header t with
+    | Error violation -> [ violation ]
+    | Ok h -> (
+        try
+          let checkers = Array.of_list (List.map (fun init -> init h) inits) in
+          for i = 0 to t.len - 1 do
+            let ev = t.buf.(i) in
+            for j = 0 to Array.length checkers - 1 do
+              checkers.(j).step ev
+            done
+          done;
+          List.concat_map (fun c -> c.finish ()) (Array.to_list checkers)
+        with Out_of_memory ->
+          [
+            v "meta-header" "Meta header n %d, channels %d: too large to allocate"
+              h.nodes h.channels;
+          ])
 
   (* A growable int stack, emptied and refilled slot after slot. *)
   type stack = { mutable items : int array; mutable size : int }
@@ -809,10 +826,12 @@ module Check = struct
           d.(nd)
         else 0
       in
-      for nd = 0 to n - 1 do
-        if delivered nd > 1 then
-          report (v "phase4-drain" "node %d's value was delivered %d times" nd (delivered nd))
-      done;
+      if Lazy.is_val state then
+        for nd = 0 to n - 1 do
+          if delivered nd > 1 then
+            report
+              (v "phase4-drain" "node %d's value was delivered %d times" nd (delivered nd))
+        done;
       if !complete then
         for i = 0 to informed.size - 1 do
           let nd = informed.items.(i) in

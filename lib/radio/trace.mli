@@ -193,7 +193,10 @@ val of_jsonl : string -> (t, string) result
     nodes and parents from 0 to n - 1, channels from 0 to C - 1. A trace
     without one is ranged by its own length. An id outside its range is
     reported as a violation naming the id, and the event is not checked
-    further; no checker raises on a malformed trace.
+    further; no checker raises on a malformed trace. A header whose n or
+    C is negative or too large to allocate is the trace's one
+    ["meta-header"] violation: every checker reports it and checks
+    nothing else.
 
     Violations come in a fixed order: checker by checker, in the order
     below; within a checker, those found while reading come first, in

@@ -338,6 +338,83 @@ let test_cli_sweep_json_per_point () =
         [ 8; 16 ] );
     ]
 
+(* ---- Run: one point, shared by the CLI and the bench ---- *)
+
+module Run = Crn_proto.Run
+
+let shared_core name ?dynamic ~seed params =
+  Run.spec ~topology:Topology.Shared_core ?dynamic ~trials:3 ~seed
+    (Registry.find_exn name) params
+
+(* Bench cells at --quick, pinned as known answers: E2 (c = 64), E4
+   (c = 8), E7 (n = 32, with the median of the trials' phase4_slots) and
+   E11 (n = 256, static and reshuffled). *)
+let test_run_point_known_answers () =
+  Crn_exec.Pool.with_pool ~jobs:2 (fun pool ->
+      let median spec =
+        (Run.point ~pool spec).Run.completion.Crn_stats.Summary.median
+      in
+      let e4 = { Topology.n = 512; c = 8; k = 2 }
+      and e7 = { Topology.n = 32; c = 8; k = 2 }
+      and e11 = { Topology.n = 256; c = 16; k = 4 } in
+      List.iter
+        (fun (label, spec, want) -> Alcotest.(check (float 0.0)) label want (median spec))
+        [
+          ( "E2 c=64",
+            shared_core "cogcast" ~seed:2064 { Topology.n = 128; c = 64; k = 4 },
+            140.0 );
+          ("E4 cogcast c=8", shared_core "cogcast" ~seed:7008 e4, 30.0);
+          ("E4 broadcast_baseline c=8", shared_core "broadcast_baseline" ~seed:8008 e4, 181.0);
+          ("E7 aggregation_baseline n=32", shared_core "aggregation_baseline" ~seed:9532 e7, 196.0);
+          ( "E7 aggregation_baseline_honest n=32",
+            shared_core "aggregation_baseline_honest" ~seed:9732 e7,
+            372.0 );
+          ("E11 static n=256", shared_core "cogcast" ~seed:5256 e11, 30.0);
+          ( "E11 reshuffle n=256",
+            shared_core "cogcast" ~dynamic:Crn_proto.Adversary_lab.Reshuffle ~seed:6256 e11,
+            31.0 );
+        ];
+      let r = Run.point ~pool (shared_core "cogcomp" ~seed:9032 e7) in
+      Alcotest.(check (float 0.0)) "E7 cogcomp n=32" 578.0
+        r.Run.completion.Crn_stats.Summary.median;
+      Alcotest.(check (float 0.0)) "E7 phase4 n=32" 66.0
+        (Crn_stats.Summary.median
+           (Array.map
+              (fun s -> Option.get (Run.detail_number "phase4_slots" s))
+              r.Run.summaries)))
+
+(* Run.point's crn-run/1 object is what `crn_sim run --json` writes for the
+   flags Run.args renders. *)
+let test_run_point_json_is_cli () =
+  let module Json = Crn_stats.Json in
+  List.iter
+    (fun spec ->
+      let cmd =
+        String.concat " "
+          ("run" :: List.concat_map (fun (f, v) -> [ f; v ]) (Run.args spec))
+      in
+      let lib =
+        Crn_exec.Pool.with_pool ~jobs:2 (fun pool -> (Run.point ~pool spec).Run.json)
+      in
+      let lib =
+        match Json.of_string (Json.to_string lib) with
+        | Ok doc -> doc
+        | Error m -> Alcotest.failf "%s: bad JSON: %s" cmd m
+      in
+      Alcotest.(check string) cmd (Json.to_string (cli_json cmd)) (Json.to_string lib))
+    [
+      Run.spec
+        ~backend:(Crn_radio.Runner.Soa { shards = 2; dense_channel_limit = None })
+        ~trials:3 ~seed:5
+        (Registry.find_exn "cogcast")
+        { Topology.n = 48; c = 8; k = 2 };
+      Run.spec
+        ~load:{ Protocol.rate = 0.3; arrivals = Protocol.Uniform; rumors = 3 }
+        ~trials:2 ~seed:4
+        (Registry.find_exn "gossip")
+        { Topology.n = 16; c = 6; k = 2 };
+    ]
+
 let test_traces_check_clean () =
   List.iter
     (fun name ->
@@ -678,6 +755,8 @@ let test_cli_rejects_bad_counts () =
       "run -p cogcast --sweep n=8,16 --trace t.jsonl";
       "run -p cogcast --sweep n=8,16 --metrics m.json";
       "chaos --protocols robust";
+      "chaos --protocols , --trials 1";
+      "chaos --rates , --trials 1";
     ]
 
 (* ---- registry lookup ---- *)
@@ -740,6 +819,10 @@ let () =
             test_cli_sweep_known_answer;
           Alcotest.test_case "run --sweep --json point = plain run" `Quick
             test_cli_sweep_json_per_point;
+          Alcotest.test_case "Run.point known answers (bench cells)" `Quick
+            test_run_point_known_answers;
+          Alcotest.test_case "Run.point crn-run/1 = run --json" `Quick
+            test_run_point_json_is_cli;
           Alcotest.test_case "fault-free traces pass Check.all" `Quick
             test_traces_check_clean;
           Alcotest.test_case "every protocol survives faults" `Quick

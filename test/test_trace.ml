@@ -854,6 +854,57 @@ let test_bad_ids_rumor_causality () =
          | Trace.Rumor_delivered d -> Trace.Rumor_delivered { d with parent = -2 } | ev -> ev)
        (Trace.to_list tr))
 
+(* A header range no array can hold — negative, or beyond
+   Sys.max_array_length — is the one violation every checker that reads
+   the header reports, instead of an Invalid_argument from sizing its
+   tables. *)
+let test_meta_header checker () =
+  let events = Trace.to_list (healthy_trace ()) in
+  List.iter
+    (fun (what, n, channels, detail) ->
+      let tr =
+        rewrite_first
+          (function Trace.Meta _ -> true | _ -> false)
+          (function Trace.Meta m -> Trace.Meta { m with n; channels } | ev -> ev)
+          events
+      in
+      match checker tr with
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+      | vs ->
+          Alcotest.(check (list (pair string string)))
+            what
+            [ ("meta-header", detail) ]
+            (List.map (fun x -> (x.Trace.Check.invariant, x.Trace.Check.detail)) vs))
+    [
+      ("negative n", -1, 8, "Meta header n -1 is negative");
+      ("negative channels", 16, -3, "Meta header channels -3 is negative");
+      ("n max_int", max_int, 8, Printf.sprintf "Meta header n %d is too large to allocate" max_int);
+      ( "channels past the array limit",
+        16,
+        Sys.max_array_length + 1,
+        Printf.sprintf "Meta header channels %d is too large to allocate"
+          (Sys.max_array_length + 1) );
+    ]
+
+(* A header within Sys.max_array_length but beyond memory: one-winner's
+   tables (8 PB at n = 2^50, more than the address space, so the allocation
+   fails at once, touching no memory) are reported, not raised. *)
+let test_meta_header_beyond_memory () =
+  let n = 1 lsl 50 in
+  let tr =
+    rewrite_first
+      (function Trace.Meta _ -> true | _ -> false)
+      (function Trace.Meta m -> Trace.Meta { m with n; channels = 8 } | ev -> ev)
+      (Trace.to_list (healthy_trace ()))
+  in
+  match Trace.Check.all tr with
+  | exception e -> Alcotest.failf "n = 2^50 raised %s" (Printexc.to_string e)
+  | vs ->
+      Alcotest.(check (list string))
+        "n = 2^50"
+        [ Printf.sprintf "Meta header n %d, channels 8: too large to allocate" n ]
+        (details vs)
+
 (* Without a Meta header the ranges follow the trace's length: a healthy
    trace stripped of its header checks clean apart from the header the
    tree check needs, and a huge id is reported, not allocated for. *)
@@ -961,6 +1012,18 @@ let () =
           Alcotest.test_case "bad ids: exactly-once" `Quick test_bad_ids_exactly_once;
           Alcotest.test_case "bad ids: rumor-causality" `Quick test_bad_ids_rumor_causality;
           Alcotest.test_case "headless ranges" `Quick test_headless_ranges;
+          Alcotest.test_case "bad header: one-winner" `Quick
+            (test_meta_header Trace.Check.one_winner);
+          Alcotest.test_case "bad header: informed-tree" `Quick
+            (test_meta_header Trace.Check.informed_tree);
+          Alcotest.test_case "bad header: phase4-drain" `Quick
+            (test_meta_header Trace.Check.phase4_drain);
+          Alcotest.test_case "bad header: exactly-once" `Quick
+            (test_meta_header Trace.Check.exactly_once_drain);
+          Alcotest.test_case "bad header: rumor-causality" `Quick
+            (test_meta_header Trace.Check.rumor_causality);
+          Alcotest.test_case "bad header: all" `Quick (test_meta_header Trace.Check.all);
+          Alcotest.test_case "header beyond memory" `Quick test_meta_header_beyond_memory;
           Alcotest.test_case "violation order" `Quick test_violation_order;
           Alcotest.test_case "allocation per event" `Quick test_check_allocation;
         ] );
