@@ -139,9 +139,13 @@ let detail key s = Option.value ~default:0.0 (Run.detail_number key s)
    flags, with the values that change from row to row (and the seed, as the
    experiment's formula) spelled as [vary] gives them. *)
 let reproduce ~vary spec =
-  let value (flag, v) = [ flag; Option.value (List.assoc_opt flag vary) ~default:v ] in
-  note "reproduce: crn_sim run %s"
-    (String.concat " " (List.concat_map value (Run.args spec)))
+  let rec spell = function
+    | flag :: _ :: rest when List.mem_assoc flag vary ->
+        flag :: List.assoc flag vary :: spell rest
+    | word :: rest -> word :: spell rest
+    | [] -> []
+  in
+  note "reproduce: crn_sim run %s" (String.concat " " (spell (Run.args spec)))
 
 let fmt_f x = Printf.sprintf "%.1f" x
 let fmt_f2 x = Printf.sprintf "%.2f" x

@@ -18,16 +18,16 @@
    monotone in t for both.
 
    Part C composes the adversaries: the reactive jammer on top of each
-   reassignment policy, every trial replayed through the trace invariant
-   checkers — the CI contract that adversaries may slow protocols down but
-   never break the simulator. *)
+   reassignment policy (one `crn_sim run --faults jam --dynamic MODE
+   --check` point per cell), every trial replayed through the trace
+   invariant checkers — the CI contract that adversaries may slow protocols
+   down but never break the simulator. *)
 
 open Bench_util
 module Rng = Crn_prng.Rng
 module Topology = Crn_channel.Topology
 module Assignment = Crn_channel.Assignment
 module Dynamic = Crn_channel.Dynamic
-module Jammer = Crn_radio.Jammer
 module Complexity = Crn_core.Complexity
 module Protocol = Crn_proto.Protocol
 module Registry = Crn_proto.Registry
@@ -158,6 +158,11 @@ let e24 () =
   let c = 8 and k = 3 in
   let spec = { Topology.n; c; k } in
   let trials_c = trials ~full:30 in
+  let jam = Result.get_ok (Run.parse_faults "jam") in
+  let composed mode name =
+    Run.spec ~topology:Topology.Shared_core ~dynamic:mode ~faults:jam ~check:true
+      ~trials:trials_c ~seed:24_300 (Registry.find_exn name) spec
+  in
   let tc =
     Table.create [ "dynamic mode"; "protocol"; "median slots"; "complete"; "violations" ]
   in
@@ -166,44 +171,24 @@ let e24 () =
     (fun mode ->
       List.iter
         (fun name ->
-          let proto = Registry.find_exn name in
-          let runs =
-            run_trials ~trials:trials_c ~base_seed:24_300 (fun rng ->
-                let jammer = Jammer.reactive () in
-                Adversary_lab.run_trial proto (fun ~trace ->
-                    let availability, rng =
-                      Run.armed_availability ~mode ~topology:Topology.Shared_core
-                        ~spec ~trace ~rng ()
-                    in
-                    Protocol.env ~jammer ~trace ~k ~availability ~rng ()))
-          in
-          let summaries = Array.map (fun t -> t.Adversary_lab.summary) runs in
-          let median =
-            Summary.median
-              (Array.map
-                 (fun s ->
-                   float_of_int
-                     (Option.value s.Protocol.completed_at ~default:s.Protocol.slots_run))
-                 summaries)
-          in
-          let complete =
-            Array.fold_left (fun acc s -> if s.Protocol.completed then acc + 1 else acc) 0 summaries
-          in
+          let r = point (composed mode name) in
           let violations =
-            Array.fold_left (fun acc t -> acc + List.length t.Adversary_lab.violations) 0 runs
+            List.fold_left (fun acc f -> acc + List.length f.Run.violations) 0 r.Run.failures
           in
           total_violations := !total_violations + violations;
           Table.add_row tc
             [
               Adversary_lab.mode_name mode;
               name;
-              fmt_f median;
-              Printf.sprintf "%d/%d" complete trials_c;
+              fmt_f (median r);
+              Printf.sprintf "%d/%d" r.Run.completed trials_c;
               string_of_int violations;
             ])
         [ "cogcast"; "gossip" ])
     [ Adversary_lab.Static; Adversary_lab.Rotating; Adversary_lab.Reshuffle ];
   print_table ~title:"reactive jammer composed with per-slot reassignment" tc;
+  reproduce ~vary:[ ("-p", "PROTOCOL"); ("--dynamic", "MODE") ]
+    (composed Adversary_lab.Rotating "cogcast");
   note "claim (robustness contract): composed adversaries may slow protocols but";
   note "every trial's trace passes the invariant checkers — %d violation(s) total"
     !total_violations

@@ -70,7 +70,7 @@ let usage oc =
      \                  BENCH_<yyyy-mm-dd>.json)\n\
      \  --help          this message\n\
      \n\
-     One instrumented run's trace and metrics come from the simulator:\n\
+     A traced run's trace and metrics come from the simulator:\n\
      \  crn_sim run -p cogcomp -n 64 -c 16 -k 4 --trials 1 --trace F --metrics M\n\
      \n\
      experiment ids: %s\n"

@@ -3,8 +3,6 @@ module Topology = Crn_channel.Topology
 module Dynamic = Crn_channel.Dynamic
 module Assignment = Crn_channel.Assignment
 module Adversary = Crn_channel.Adversary
-module Jammer = Crn_radio.Jammer
-module Faults = Crn_radio.Faults
 module Trace = Crn_radio.Trace
 module Cogcast = Crn_core.Cogcast
 
@@ -116,80 +114,3 @@ let instrument ~trace inner =
           Trace.record trace (Trace.Reassigned { slot; nodes_changed = !changed })
       end;
       a)
-
-(* ------------------------------------------------------------------ *)
-(* Fault/jammer adversaries (the chaos families).                      *)
-(* ------------------------------------------------------------------ *)
-
-type fault_kind = Naps | Churn | Crash | Jam
-
-let all_fault_kinds = [ Naps; Churn; Crash; Jam ]
-
-let fault_kind_name = function
-  | Naps -> "naps"
-  | Churn -> "churn"
-  | Crash -> "crash"
-  | Jam -> "jam"
-
-let fault_kind_of_string s =
-  match String.lowercase_ascii s with
-  | "naps" -> Ok Naps
-  | "churn" -> Ok Churn
-  | "crash" -> Ok Crash
-  | "jam" -> Ok Jam
-  | _ ->
-      Error
-        (Printf.sprintf "fault kind must be one of %s (got %S)"
-           (String.concat ", " (List.map fault_kind_name all_fault_kinds))
-           s)
-
-(* [rate] is the stationary per-slot down probability (naps, churn), the
-   fraction of crashed nodes (crash), or just on/off for the reactive
-   jammer (jam). The source is always spared — a dead source measures
-   nothing. Reactive jammers are stateful: one fresh instance per call,
-   never shared across trials. *)
-let adversary_for ~kind ~rate ~n ~fault_seed =
-  if rate <= 0.0 then (None, None)
-  else
-    match kind with
-    | Naps ->
-        ( Some (Faults.spare (Faults.random_naps ~seed:fault_seed ~rate) ~node:0),
-          None )
-    | Churn ->
-        let mean_down = 8.0 in
-        let mean_up = mean_down *. (1.0 -. rate) /. rate in
-        ( Some
-            (Faults.spare
-               (Faults.bernoulli_churn ~seed:fault_seed ~mean_up ~mean_down)
-               ~node:0),
-          None )
-    | Crash ->
-        let crashed = max 1 (int_of_float (Float.round (rate *. float_of_int n))) in
-        let rec build i acc =
-          if i > crashed then acc
-          else
-            build (i + 1)
-              (Faults.union acc (Faults.crash ~node:(i mod n) ~from_slot:(2 * i)))
-        in
-        if n < 2 then (None, None)
-        else (Some (Faults.spare (build 1 Faults.none) ~node:0), None)
-    | Jam -> (None, Some (Jammer.reactive ()))
-
-(* ------------------------------------------------------------------ *)
-(* One checked trial.                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type trial = {
-  summary : Protocol.summary;
-  violations : Trace.Check.violation list;
-  trace_jsonl : string option;
-}
-
-let run_trial ?(checker = Trace.Check.all) proto make_env =
-  let trace = Trace.create () in
-  let summary = Protocol.run proto (make_env ~trace) in
-  let violations = checker trace in
-  let trace_jsonl =
-    if violations = [] then None else Some (Trace.to_jsonl trace)
-  in
-  { summary; violations; trace_jsonl }

@@ -1,13 +1,11 @@
-(** The adversary laboratory (§7): dynamic-spectrum adversaries, the
-    fault/jammer families the chaos harness sweeps, per-slot reassignment
-    instrumentation, and the uniformly-checked trial every chaos cell
-    runs.
+(** The adversary laboratory (§7): the dynamic-spectrum adversaries and
+    their per-slot reassignment instrumentation.
 
-    This module is the library behind [crn_sim chaos --dynamic] and the
-    E24 degradation bench: it composes {!Crn_channel.Dynamic}'s per-slot
-    channel reassignment with the reactive jammer and the crash/churn
-    fault schedules, so the chaos harness acts as a real adversary
-    laboratory rather than a passive fault injector. *)
+    {!Run} arms a trial from here: a mode's per-slot channel reassignment
+    ({!Crn_channel.Dynamic}) composes with the fault schedules and jammers
+    of the [--faults] vocabulary, so [crn_sim run], the [crn_sim chaos]
+    cells and the E24 bench put protocols in front of a real adversary
+    rather than a passive fault injector. *)
 
 (** {1 Dynamic-spectrum modes} *)
 
@@ -67,51 +65,4 @@ val instrument :
     records a {!Crn_radio.Trace.Reassigned} event when any node's row
     changed. Memoization keeps the event stream deterministic (one event
     per reassigned slot, in query order); intended for single-sharded
-    instrumented runs, where slots are queried in increasing order. *)
-
-(** {1 Fault/jammer adversaries} *)
-
-type fault_kind = Naps | Churn | Crash | Jam
-
-val all_fault_kinds : fault_kind list
-val fault_kind_name : fault_kind -> string
-val fault_kind_of_string : string -> (fault_kind, string) result
-
-val adversary_for :
-  kind:fault_kind ->
-  rate:float ->
-  n:int ->
-  fault_seed:int64 ->
-  Crn_radio.Faults.t option * Crn_radio.Jammer.t option
-(** One trial's fault schedule and/or jammer for a chaos cell. [rate] is
-    the stationary per-slot down probability ([Naps], [Churn]), the
-    crashed-node fraction ([Crash]), or an on/off switch for the reactive
-    jammer ([Jam]); [rate <= 0.0] arms nothing. The source (node 0) is
-    always spared. Returned reactive jammers are stateful and fresh per
-    call — never share one across trials. *)
-
-(** {1 Checked trials} *)
-
-type trial = {
-  summary : Protocol.summary;
-  violations : Crn_radio.Trace.Check.violation list;
-  trace_jsonl : string option;
-      (** The full trace as JSONL when there were violations (for
-          dump-to-file forensics); [None] on a clean trial. *)
-}
-
-val run_trial :
-  ?checker:(Crn_radio.Trace.t -> Crn_radio.Trace.Check.violation list) ->
-  Protocol.t ->
-  (trace:Crn_radio.Trace.t -> Protocol.env) ->
-  trial
-(** [run_trial proto make_env] runs one fully-instrumented trial: it
-    creates a trace, runs [proto] in [make_env ~trace] (the builder must
-    thread the trace into the environment), and replays the trace through
-    [checker] (default {!Crn_radio.Trace.Check.all}). Every trial is
-    checked the same way — there are no "expected to decay" exemptions.
-    A violation means the run broke its protocol's trace contract;
-    adversaries may slow a protocol down arbitrarily without tripping the
-    checkers, but arming a fault family outside a protocol's contract
-    (e.g. plain COGCOMP under naps, whose exactly-once accounting is only
-    promised fault-free) is {e reported}, never silenced. *)
+    traced runs, where slots are queried in increasing order. *)

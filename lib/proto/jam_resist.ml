@@ -8,6 +8,25 @@ let prefix = "jam_resist:"
 
 let wrapped_name inner = prefix ^ inner
 
+let precondition proto ~budget ~num_channels =
+  let inner = Protocol.name proto in
+  let name = wrapped_name inner in
+  if budget = 0 then Ok ()
+  else if 2 * budget >= num_channels then
+    Error
+      (Printf.sprintf "%s: jammer budget %d must be below C/2 = %d/2 (Theorem 18)"
+         name budget num_channels)
+  else if not (Protocol.capabilities proto).Protocol.dynamic then
+    (* The reduction hands the inner protocol a per-slot availability, so
+       Theorem 18 covers only protocols that solve broadcast on a dynamic
+       spectrum. *)
+    Error
+      (Printf.sprintf
+         "%s: %s does not support a dynamic spectrum, which the Theorem 18 \
+          transform needs under a jammer budget %d > 0"
+         name inner budget)
+  else Ok ()
+
 let wrap proto =
   let inner = Protocol.name proto in
   let name = wrapped_name inner in
@@ -28,20 +47,7 @@ let wrap proto =
       let num_channels =
         Assignment.num_channels (Dynamic.at env.Protocol.availability 0)
       in
-      if 2 * budget >= num_channels then
-        invalid_arg
-          (Printf.sprintf
-             "%s: jammer budget %d must be below C/2 = %d/2 (Theorem 18)" name
-             budget num_channels);
-      (* The reduction hands the inner protocol a per-slot availability, so
-         Theorem 18 covers only protocols that solve broadcast on a dynamic
-         spectrum. *)
-      if not (Protocol.capabilities proto).Protocol.dynamic then
-        invalid_arg
-          (Printf.sprintf
-             "%s: %s does not support a dynamic spectrum, which the Theorem \
-              18 transform needs under a jammer budget %d > 0"
-             name inner budget);
+      Result.iter_error invalid_arg (precondition proto ~budget ~num_channels);
       (match env.Protocol.trace with
       | Some tr ->
           Trace.record tr

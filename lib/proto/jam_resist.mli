@@ -30,6 +30,13 @@ val prefix : string
 val wrapped_name : string -> string
 (** [wrapped_name p] is [prefix ^ p]. *)
 
+val precondition :
+  Protocol.t -> budget:int -> num_channels:int -> (unit, string) result
+(** Whether [wrap p] runs under a jammer of [budget] channels per node on a
+    spectrum of [num_channels]: always at budget 0, otherwise when
+    [2 budget < num_channels] and [p] supports a dynamic spectrum. The
+    error is the message {!wrap} raises. *)
+
 val wrap : Protocol.t -> Protocol.t
 (** [wrap p] is the jamming-resistant transform of [p], named
     [wrapped_name (Protocol.name p)], with [p]'s capabilities except

@@ -388,17 +388,26 @@ let machine_names () = List.map Protocol.name machines
 let normalize s =
   String.map (fun ch -> if ch = '-' then '_' else ch) (String.lowercase_ascii s)
 
+let direct s = List.find_opt (fun p -> Protocol.name p = s) all
+
+(* [Some inner] when [s] is [jam_resist:<inner>]. *)
+let unprefixed s =
+  let pl = String.length Jam_resist.prefix in
+  if String.length s > pl && String.sub s 0 pl = Jam_resist.prefix then
+    Some (String.sub s pl (String.length s - pl))
+  else None
+
 (* [jam_resist:<name>] resolves to the Theorem 18 wrap of <name> — every
    entry has its jamming-resistant variant without being registered
    twice. The inner name must be a direct entry, so a (meaningless)
    double prefix fails the lookup. *)
 let find s =
   let s = normalize s in
-  let direct s = List.find_opt (fun p -> Protocol.name p = s) all in
-  let pl = String.length Jam_resist.prefix in
-  if String.length s > pl && String.sub s 0 pl = Jam_resist.prefix then
-    Option.map Jam_resist.wrap (direct (String.sub s pl (String.length s - pl)))
-  else direct s
+  match unprefixed s with
+  | Some inner -> Option.map Jam_resist.wrap (direct inner)
+  | None -> direct s
+
+let wrapped p = Option.bind (unprefixed (Protocol.name p)) direct
 
 let find_exn s =
   match find s with

@@ -33,5 +33,8 @@ val find : string -> Protocol.t option
 (** Lookup by (normalized) name; [jam_resist:<name>] yields the wrapped
     variant of [<name>]. *)
 
+val wrapped : Protocol.t -> Protocol.t option
+(** The entry a [jam_resist:<name>] protocol wraps; [None] for any other. *)
+
 val find_exn : string -> Protocol.t
 (** Like {!find} but raises [Invalid_argument] listing the valid names. *)

@@ -10,14 +10,33 @@ module Runner = Crn_radio.Runner
 
 (* ---- fault schedule mini-language ---- *)
 
-type faults = { text : string; build : seed:int64 -> Faults.t }
+type faults = {
+  text : string;
+  schedule : (seed:int64 -> n:int -> Faults.t) option;
+      (* None when the only atoms are [jam]. *)
+  jam : bool;
+}
 
 let faults_text f = f.text
 
 let fault_usage =
-  "expected '+'-separated atoms: none | crash:NODE:SLOT | \
-   restart:NODE:SLOT:DUR | naps:RATE | churn:MEAN_UP:MEAN_DOWN | spare:NODE \
-   (e.g. \"naps:0.05+crash:3:40+spare:0\")"
+  "expected '+'-separated atoms: none | crash:NODE:SLOT | crash:FRACTION | \
+   restart:NODE:SLOT:DUR | naps:RATE | churn:MEAN_UP:MEAN_DOWN | spare:NODE | \
+   jam (e.g. \"naps:0.05+crash:3:40+spare:0\")"
+
+(* Nodes 1, 2, ... (mod n) crash at slots 2, 4, ...: a [fraction] of the
+   nodes, at least one. *)
+let staggered_crashes ~fraction ~n =
+  if n < 2 then Faults.none
+  else
+    let crashed = max 1 (int_of_float (Float.round (fraction *. float_of_int n))) in
+    let rec build i acc =
+      if i > crashed then acc
+      else
+        build (i + 1)
+          (Faults.union acc (Faults.crash ~node:(i mod n) ~from_slot:(2 * i)))
+    in
+    build 1 Faults.none
 
 let parse_fault_atom atom =
   let fail fmt =
@@ -31,10 +50,17 @@ let parse_fault_atom atom =
   in
   match String.split_on_char ':' atom with
   | [ "none" ] -> Ok `None
+  | [ "jam" ] -> Ok `Jam
+  | [ "crash"; fraction ] -> (
+      match float_of_string_opt fraction with
+      | Some f when f > 0.0 && f <= 1.0 ->
+          Ok (`Schedule (fun ~seed:_ ~n -> staggered_crashes ~fraction:f ~n))
+      | Some f -> fail "FRACTION in %S must be in (0, 1], got %g" atom f
+      | None -> fail "FRACTION in %S is not a number: %S" atom fraction)
   | [ "crash"; node; slot ] ->
       int_field "NODE" node (fun node ->
           int_field "SLOT" slot (fun from_slot ->
-              Ok (`Schedule (fun ~seed:_ -> Faults.crash ~node ~from_slot))))
+              Ok (`Schedule (fun ~seed:_ ~n:_ -> Faults.crash ~node ~from_slot))))
   | [ "restart"; node; slot; dur ] ->
       int_field "NODE" node (fun node ->
           int_field "SLOT" slot (fun from_slot ->
@@ -43,18 +69,20 @@ let parse_fault_atom atom =
                   else
                     Ok
                       (`Schedule
-                        (fun ~seed:_ ->
+                        (fun ~seed:_ ~n:_ ->
                           Faults.crash_restart ~node ~from_slot ~down_for)))))
   | [ "naps"; rate ] -> (
       match float_of_string_opt rate with
       | Some r when r >= 0.0 && r < 1.0 ->
-          Ok (`Schedule (fun ~seed -> Faults.random_naps ~seed ~rate:r))
+          Ok (`Schedule (fun ~seed ~n:_ -> Faults.random_naps ~seed ~rate:r))
       | Some r -> fail "RATE in %S must be in [0, 1), got %g" atom r
       | None -> fail "RATE in %S is not a number: %S" atom rate)
   | [ "churn"; up; down ] -> (
       match (float_of_string_opt up, float_of_string_opt down) with
       | Some mean_up, Some mean_down when mean_up >= 1.0 && mean_down >= 1.0 ->
-          Ok (`Schedule (fun ~seed -> Faults.bernoulli_churn ~seed ~mean_up ~mean_down))
+          Ok
+            (`Schedule
+              (fun ~seed ~n:_ -> Faults.bernoulli_churn ~seed ~mean_up ~mean_down))
       | Some _, Some _ ->
           fail "MEAN_UP and MEAN_DOWN in %S must both be >= 1 (slots)" atom
       | _ -> fail "MEAN_UP:MEAN_DOWN in %S must be numbers" atom)
@@ -63,28 +91,29 @@ let parse_fault_atom atom =
 
 let parse_faults s =
   let atoms = String.split_on_char '+' s |> List.map String.trim in
-  let rec go schedules spares = function
+  let rec go ~faulted ~jam schedules spares = function
     | [] ->
-        let build ~seed =
+        let build ~seed ~n =
           let base =
             match schedules with
             | [] -> Faults.none
             | first :: rest ->
                 List.fold_left
-                  (fun acc b -> Faults.union acc (b ~seed))
-                  (first ~seed) rest
+                  (fun acc b -> Faults.union acc (b ~seed ~n))
+                  (first ~seed ~n) rest
           in
           List.fold_left (fun acc node -> Faults.spare acc ~node) base spares
         in
-        Ok { text = s; build }
+        Ok { text = s; schedule = (if faulted then Some build else None); jam }
     | atom :: rest -> (
         match parse_fault_atom atom with
         | Error _ as e -> e
-        | Ok `None -> go schedules spares rest
-        | Ok (`Schedule b) -> go (b :: schedules) spares rest
-        | Ok (`Spare node) -> go schedules (node :: spares) rest)
+        | Ok `Jam -> go ~faulted ~jam:true schedules spares rest
+        | Ok `None -> go ~faulted:true ~jam schedules spares rest
+        | Ok (`Schedule b) -> go ~faulted:true ~jam (b :: schedules) spares rest
+        | Ok (`Spare node) -> go ~faulted:true ~jam schedules (node :: spares) rest)
   in
-  go [] [] atoms
+  go ~faulted:false ~jam:false [] [] atoms
 
 (* ---- points ---- *)
 
@@ -102,95 +131,68 @@ type spec = {
   jam_budget : int;
   fault_seed : int;
   load : Protocol.load option;
+  check : bool;
   trials : int;
   seed : int;
 }
 
 let spec ?(topology = Topology.Shared_plus_random) ?(dynamic = Adversary_lab.Static)
     ?(backend = Runner.Engine) ?faults ?(jam_budget = 0) ?(fault_seed = 1) ?load
-    ?(trials = 9) ?(seed = 1) protocol params =
+    ?(check = false) ?(trials = 9) ?(seed = 1) protocol params =
   { protocol; topology; params; dynamic; backend; faults; jam_budget; fault_seed;
-    load; trials; seed }
+    load; check; trials; seed }
 
-let check_params { Topology.n; c; k } =
-  if n < 1 then Error "need n >= 1"
-  else if k < 1 || k > c then Error "need 1 <= k <= c"
-  else Ok ()
+let jam_atom s = match s.faults with Some f -> f.jam | None -> false
 
-(* Non-static modes must be honored, not silently snapshotted: reject the
-   protocols whose capabilities say they cannot. *)
-let check_dynamic ~mode ~spec protos =
-  Result.bind (Adversary_lab.validate ~mode ~spec) (fun () ->
-      match
-        List.find_opt (fun p -> not (Protocol.capabilities p).Protocol.dynamic) protos
-      with
-      | Some p when mode <> Adversary_lab.Static ->
-          Error (Protocol.unsupported p ("--dynamic " ^ Adversary_lab.mode_name mode))
-      | _ -> Ok ())
-
-(* The jammer of a point. The spectrum size is determined by the topology
-   spec, so one probe assignment tells us C. *)
-let build_jammer s =
-  if s.jam_budget = 0 then Ok None
-  else
-    let probe = Topology.generate s.topology (Rng.create s.seed) s.params in
-    let num_channels = Crn_channel.Assignment.num_channels probe in
-    if 2 * s.jam_budget >= num_channels then
-      Error
-        (Printf.sprintf
-           "--jam-budget %d: Theorem 18 needs 2t < C (spectrum here has C=%d \
-            channels)"
-           s.jam_budget num_channels)
-    else
-      Ok
-        (Some
-           (Jammer.random_per_node
-              ~seed:(Int64.of_int s.fault_seed)
-              ~budget:s.jam_budget ~num_channels))
+(* The spectrum size C is determined by the topology spec, so one probe
+   assignment tells us. *)
+let num_channels s =
+  Crn_channel.Assignment.num_channels
+    (Topology.generate s.topology (Rng.create s.seed) s.params)
 
 let ( let* ) = Result.bind
 
 let validate s =
-  let* () = check_params s.params in
+  let { Topology.n; c; k } = s.params in
   let* () =
-    if s.jam_budget < 0 then Error "jam budget must be non-negative" else Ok ()
-  in
-  let* () =
-    if s.load <> None && not (Protocol.capabilities s.protocol).Protocol.load then
+    if n < 1 then Error "need n >= 1"
+    else if k < 1 || k > c then Error "need 1 <= k <= c"
+    else if s.jam_budget < 0 then Error "jam budget must be non-negative"
+    else if s.load <> None && not (Protocol.capabilities s.protocol).Protocol.load then
       Error (Protocol.unsupported s.protocol "load")
+    else if s.jam_budget > 0 && jam_atom s then
+      Error
+        (Printf.sprintf "--faults jam and --jam-budget %d both arm a jammer; use one"
+           s.jam_budget)
+    else Adversary_lab.validate ~mode:s.dynamic ~spec:s.params
+  in
+  (* Non-static modes must be honored, not silently snapshotted. *)
+  let* () =
+    let caps = Protocol.capabilities s.protocol in
+    if s.dynamic <> Adversary_lab.Static && not caps.Protocol.dynamic then
+      Error
+        (Protocol.unsupported s.protocol ("--dynamic " ^ Adversary_lab.mode_name s.dynamic))
     else Ok ()
   in
-  let* () = check_dynamic ~mode:s.dynamic ~spec:s.params [ s.protocol ] in
-  Result.map ignore (try build_jammer s with Invalid_argument m -> Error m)
-
-let jammer s =
-  match build_jammer s with Ok j -> j | Error m -> invalid_arg m
-
-let armed_availability ~mode ~topology ~spec ?trace ~rng () =
-  let armed = Adversary_lab.arm ~mode ~topology ~spec ~source:0 ~rng in
-  let availability =
-    match trace with
-    | Some tr when mode <> Adversary_lab.Static ->
-        Trace.record tr
-          (Trace.Adversary
-             { name = "dynamic:" ^ Adversary_lab.mode_name mode; budget = 0 });
-        Adversary_lab.instrument ~trace:tr armed.Adversary_lab.availability
-    | _ -> armed.Adversary_lab.availability
-  in
-  (availability, armed.Adversary_lab.rng)
-
-let faults s =
-  Option.map (fun f -> f.build ~seed:(Int64.of_int s.fault_seed)) s.faults
-
-(* One run's environment: trial streams arm the topology and the dynamic
-   mode first, and the protocol consumes what is left. *)
-let env s ~faults ~jammer ?trace ~rng () =
-  let availability, rng =
-    armed_availability ~mode:s.dynamic ~topology:s.topology ~spec:s.params ?trace
-      ~rng ()
-  in
-  Protocol.env ?faults ?jammer ?trace ?load:s.load ~backend:s.backend
-    ~k:s.params.Topology.k ~availability ~rng ()
+  if s.jam_budget = 0 && not (jam_atom s) then Ok ()
+  else
+    try
+      let num_channels = num_channels s in
+      if 2 * s.jam_budget >= num_channels then
+        Error
+          (Printf.sprintf
+             "--jam-budget %d: Theorem 18 needs 2t < C (spectrum here has C=%d \
+              channels)"
+             s.jam_budget num_channels)
+      else
+        match Registry.wrapped s.protocol with
+        | None -> Ok ()
+        | Some inner ->
+            let budget =
+              if s.jam_budget > 0 then s.jam_budget else Jammer.budget (Jammer.reactive ())
+            in
+            Jam_resist.precondition inner ~budget ~num_channels
+    with Invalid_argument m -> Error m
 
 (* ---- reading trials ---- *)
 
@@ -225,22 +227,85 @@ let detail_means (summaries : Protocol.summary array) =
 
 (* ---- running a point ---- *)
 
+type failure = {
+  trial : int;
+  violations : Trace.Check.violation list;
+  trace_jsonl : string;
+}
+
 type result = {
   summaries : Protocol.summary array;
   completion : Summary.t;
   completed : int;
   mean_coverage : float;
   latencies : float array option;
+  failures : failure list;
   json : Json.t;
 }
 
-let point ~pool s =
-  (match validate s with Ok () -> () | Error m -> invalid_arg m);
-  let faults = faults s and jammer = jammer s in
-  let summaries =
-    Trials.run ~pool ~trials:s.trials ~seed:s.seed (fun rng ->
-        Protocol.run s.protocol (env s ~faults ~jammer ~rng ()))
+(* One trial on its stream. A point that arms an adversary draws one word
+   first and realizes the trial's faults and fresh jammer from it and the
+   fault seed; then the topology and the dynamic mode are armed, and the
+   protocol consumes what is left. *)
+let trial s ~num_channels ~checker ?trace i rng =
+  let faults, jammer =
+    if Option.is_none s.faults && s.jam_budget = 0 then (None, None)
+    else
+      let seed =
+        Int64.add (Int64.of_int s.fault_seed)
+          (Int64.mul 0x9E3779B97F4A7C15L (Rng.bits64 rng))
+      in
+      ( Option.bind s.faults (fun f ->
+            Option.map (fun build -> build ~seed ~n:s.params.Topology.n) f.schedule),
+        if s.jam_budget > 0 then
+          Some (Jammer.random_per_node ~seed ~budget:s.jam_budget ~num_channels)
+        else if jam_atom s then Some (Jammer.reactive ())
+        else None )
   in
+  let trace = if Option.is_none trace && s.check then Some (Trace.create ()) else trace in
+  (match (trace, jammer) with
+  | Some tr, Some j ->
+      Trace.record tr (Trace.Adversary { name = Jammer.name j; budget = Jammer.budget j })
+  | _ -> ());
+  let armed =
+    Adversary_lab.arm ~mode:s.dynamic ~topology:s.topology ~spec:s.params ~source:0 ~rng
+  in
+  let availability =
+    match trace with
+    | Some tr when s.dynamic <> Adversary_lab.Static ->
+        Trace.record tr
+          (Trace.Adversary
+             { name = "dynamic:" ^ Adversary_lab.mode_name s.dynamic; budget = 0 });
+        Adversary_lab.instrument ~trace:tr armed.Adversary_lab.availability
+    | _ -> armed.Adversary_lab.availability
+  in
+  let summary =
+    Protocol.run s.protocol
+      (Protocol.env ?faults ?jammer ?trace ?load:s.load ~backend:s.backend
+         ~k:s.params.Topology.k ~availability ~rng:armed.Adversary_lab.rng ())
+  in
+  let failure =
+    match trace with
+    | Some tr when s.check -> (
+        match checker tr with
+        | [] -> None
+        | violations -> Some { trial = i; violations; trace_jsonl = Trace.to_jsonl tr })
+    | _ -> None
+  in
+  (summary, failure)
+
+let point ?(checker = Trace.Check.all) ?trace ~pool s =
+  (match validate s with Ok () -> () | Error m -> invalid_arg m);
+  let num_channels = if s.jam_budget > 0 then num_channels s else 0 in
+  let runs =
+    Crn_exec.Pool.run pool
+      (Array.mapi
+         (fun i rng () ->
+           trial s ~num_channels ~checker ?trace:(if i = 0 then trace else None) i rng)
+         (Trials.rngs ~seed:s.seed ~trials:s.trials))
+  in
+  let summaries = Array.map fst runs in
+  let failures = List.filter_map snd (Array.to_list runs) in
   let floats f = Array.map f summaries in
   let completion =
     Summary.of_floats
@@ -294,7 +359,7 @@ let point ~pool s =
          ( "shards",
            Json.Int (match s.backend with Runner.Soa { shards; _ } -> shards | _ -> 1) );
          ("jam_budget", Json.Int s.jam_budget);
-         ("faults", opt (fun f -> Json.String (Faults.to_string f)) faults);
+         ("faults", opt (fun f -> Json.String f.text) s.faults);
          ("fault_seed", Json.Int s.fault_seed);
          ("trials", Json.Int s.trials);
          ("seed", Json.Int s.seed);
@@ -315,12 +380,7 @@ let point ~pool s =
       @ [ ("per_trial", Json.List (Array.to_list (Array.map Protocol.summary_json summaries))) ]
       )
   in
-  { summaries; completion; completed; mean_coverage; latencies; json }
-
-let instrumented s ~trace =
-  ignore
-    (Protocol.run s.protocol
-       (env s ~faults:(faults s) ~jammer:(jammer s) ~trace ~rng:(Rng.create s.seed) ()))
+  { summaries; completion; completed; mean_coverage; latencies; failures; json }
 
 (* ---- the point as a command line ---- *)
 
@@ -356,3 +416,5 @@ let args s =
         ])
       s.load
   @ int "--trials" s.trials @ int "--seed" s.seed
+  |> List.concat_map (fun (flag, v) -> [ flag; v ])
+  |> fun words -> if s.check then words @ [ "--check" ] else words

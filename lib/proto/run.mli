@@ -1,19 +1,29 @@
 (** One point of a registry run: a protocol on one instance under one set
-    of adversaries, for [trials] trials from [seed]. [crn_sim run] runs one
-    per point (one per [--sweep] value), and so do the bench's
-    registry-backed experiments, so each of their rows is one command
-    ({!args}). Trial [i] takes the [i]-th stream split off [seed]
-    ({!Crn_exec.Trials}), arms the topology and [--dynamic] mode from it,
-    and runs the protocol on what is left. *)
+    of adversaries, for [trials] trials from [seed]. This is the one place
+    a trial is armed, run, traced and checked: [crn_sim run] runs one point
+    per [--sweep] value, each [crn_sim chaos] cell is a point, and so are
+    the bench's registry-backed experiments, so each of their rows is one
+    command ({!args}).
+
+    Trial [i] takes the [i]-th stream split off [seed]
+    ({!Crn_exec.Trials.rngs}). A point that arms an adversary ([--faults]
+    or a jammer) first draws one word from it and realizes that trial's
+    faults and fresh jammer from the word and [fault_seed], so each trial
+    faces its own realization. The trial then arms the topology and
+    [--dynamic] mode from the stream and runs the protocol on what is
+    left. A point with no adversary draws no word. *)
 
 type faults
 (** A parsed [--faults] schedule: its text and how it builds from a seed. *)
 
 val parse_faults : string -> (faults, string) result
-(** ['+']-separated atoms [none], [crash:NODE:SLOT],
-    [restart:NODE:SLOT:DUR], [naps:RATE], [churn:MEAN_UP:MEAN_DOWN] and
-    [spare:NODE]. Naps and churn draw from the fault seed; [spare] atoms
-    apply last, whatever their order. The error names the bad atom. *)
+(** ['+']-separated atoms [none], [crash:NODE:SLOT], [crash:FRACTION],
+    [restart:NODE:SLOT:DUR], [naps:RATE], [churn:MEAN_UP:MEAN_DOWN],
+    [spare:NODE] and [jam]. Naps and churn draw from the trial's fault
+    seed; [crash:FRACTION] crashes that fraction of the nodes (at least
+    one), node [i] at slot [2i]; [jam] arms the reactive jammer; [spare]
+    atoms apply last, whatever their order. The error names the bad
+    atom. *)
 
 val faults_text : faults -> string
 
@@ -30,8 +40,9 @@ type spec = {
   backend : Crn_radio.Runner.backend;
   faults : faults option;
   jam_budget : int;  (** Per-node channels a random jammer takes; 0: none. *)
-  fault_seed : int;  (** Seeds the fault atoms and the jammer. *)
+  fault_seed : int;  (** With each trial's word, seeds its faults and jammer. *)
   load : Protocol.load option;
+  check : bool;  (** Trace every trial and replay it through the checkers. *)
   trials : int;
   seed : int;
 }
@@ -45,40 +56,29 @@ val spec :
   ?jam_budget:int ->
   ?fault_seed:int ->
   ?load:Protocol.load ->
+  ?check:bool ->
   ?trials:int ->
   ?seed:int ->
   Protocol.t ->
   Crn_channel.Topology.spec ->
   spec
 (** A point with [crn_sim run]'s defaults: shared+random, static, engine,
-    no faults or jammer, fault seed 1, no load, 9 trials, seed 1. *)
-
-val check_params : Crn_channel.Topology.spec -> (unit, string) result
-(** [n >= 1] and [1 <= k <= c]. *)
-
-val check_dynamic :
-  mode:Adversary_lab.dynamic_mode ->
-  spec:Crn_channel.Topology.spec ->
-  Protocol.t list ->
-  (unit, string) result
-(** The mode's preconditions, and that every protocol honors it. *)
+    no faults or jammer, fault seed 1, no load, unchecked, 9 trials,
+    seed 1. *)
 
 val validate : spec -> (unit, string) result
-(** Every check a point passes before its trials: {!check_params}, a
-    non-negative jam budget, a load only for an entry that reads one,
-    {!check_dynamic}, and Theorem 18's [2t < C]. *)
+(** Every check a point passes before its trials: [n >= 1] and
+    [1 <= k <= c], a non-negative jam budget, a load only for an entry
+    that reads one, the [--dynamic] mode's preconditions and the
+    protocol's support for it, at most one jammer ([jam] or a budget),
+    Theorem 18's [2t < C], and a [jam_resist:] wrap's preconditions under
+    a jammer. *)
 
-val armed_availability :
-  mode:Adversary_lab.dynamic_mode ->
-  topology:Crn_channel.Topology.kind ->
-  spec:Crn_channel.Topology.spec ->
-  ?trace:Crn_radio.Trace.t ->
-  rng:Crn_prng.Rng.t ->
-  unit ->
-  Crn_channel.Dynamic.t * Crn_prng.Rng.t
-(** One trial's availability and the stream left for its run
-    ({!Adversary_lab.arm}); a [trace] records a non-static mode's
-    reassignments. *)
+type failure = {
+  trial : int;
+  violations : Crn_radio.Trace.Check.violation list;  (** Never empty. *)
+  trace_jsonl : string;  (** The trial's whole trace. *)
+}
 
 type result = {
   summaries : Protocol.summary array;  (** Per trial, in trial order. *)
@@ -88,23 +88,28 @@ type result = {
   mean_coverage : float;
   latencies : float array option;
       (** The trials' latencies pooled; [None] when no trial reports any. *)
+  failures : failure list;
+      (** The checked trials with violations, in trial order; [[]] when
+          [check] is off. *)
   json : Crn_stats.Json.t;  (** The [crn-run/1] object [--json] writes. *)
 }
 
-val point : pool:Crn_exec.Pool.t -> spec -> result
+val point :
+  ?checker:(Crn_radio.Trace.t -> Crn_radio.Trace.Check.violation list) ->
+  ?trace:Crn_radio.Trace.t ->
+  pool:Crn_exec.Pool.t ->
+  spec ->
+  result
 (** The point's trials on [pool]; the result does not depend on its size.
-    Raises [Invalid_argument] with {!validate}'s message, or the
-    protocol's when a run rejects its environment. *)
+    [trace] records trial 0. With [check], every trial is traced and
+    replayed through [checker] (default {!Crn_radio.Trace.Check.all}).
+    Tracing changes no summary. Raises [Invalid_argument] with
+    {!validate}'s message, or the protocol's when a run rejects its
+    environment. *)
 
-val instrumented : spec -> trace:Crn_radio.Trace.t -> unit
-(** One extra run on [Rng.create seed], recorded into [trace]. *)
-
-val jammer : spec -> Crn_radio.Jammer.t option
-val faults : spec -> Crn_radio.Faults.t option
-
-val args : spec -> (string * string) list
-(** The point as [crn_sim run] flags and values, defaults omitted (n, c,
-    k, trials and seed always given). *)
+val args : spec -> string list
+(** The point as [crn_sim run] arguments, defaults omitted (n, c, k,
+    trials and seed always given). *)
 
 val detail_number : string -> Protocol.summary -> float option
 (** A trial's numeric [detail] field. *)

@@ -1,5 +1,6 @@
 (* The adversary laboratory: the Theorem 18 jam_resist transformer, the
-   dynamic-spectrum arming modes, and the uniformly-checked chaos trial.
+   dynamic-spectrum arming modes, and the checked Run points every chaos
+   cell and `run --check` share.
 
    The two load-bearing contracts:
    - budget-0 transparency: wrapping a protocol with jam_resist must be
@@ -21,6 +22,7 @@ module Protocol = Crn_proto.Protocol
 module Registry = Crn_proto.Registry
 module Jam_resist = Crn_proto.Jam_resist
 module Adversary_lab = Crn_proto.Adversary_lab
+module Run = Crn_proto.Run
 
 (* A product generator with coordinate-wise shrinking, for the quad-shaped
    configurations the properties below range over. *)
@@ -263,90 +265,247 @@ let test_arm_isolate_isolates () =
     Alcotest.failf "isolate arming informed %d nodes; expected source only"
       r.Cogcast.informed_count
 
-(* ---- the whole registry under the composed adversary ---- *)
+(* ---- checked points: the whole registry under the composed adversary ---- *)
+
+let jam = Result.get_ok (Run.parse_faults "jam")
 
 let test_all_protocols_survive_composed_adversary () =
   let spec = { Topology.n = 16; c = 6; k = 2 } in
+  Crn_exec.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun proto ->
+          (* A static-only entry would snapshot a reshuffle, which a point
+             rejects up front: it faces the jammer on one assignment. *)
+          let dynamic =
+            if (Protocol.capabilities proto).Protocol.dynamic then Adversary_lab.Reshuffle
+            else Adversary_lab.Static
+          in
+          let r =
+            Run.point ~pool
+              (Run.spec ~topology:Topology.Shared_core ~dynamic ~faults:jam ~check:true
+                 ~trials:2 ~seed:77 proto spec)
+          in
+          List.iter
+            (fun f ->
+              Alcotest.failf "%s trial %d: %d invariant violation(s) under reactive+%s"
+                (Protocol.name proto) f.Run.trial (List.length f.Run.violations)
+                (Adversary_lab.mode_name dynamic))
+            r.Run.failures;
+          Array.iter
+            (fun s ->
+              if s.Protocol.slots_run <= 0 then
+                Alcotest.failf "%s: ran no slots under the composed adversary"
+                  (Protocol.name proto))
+            r.Run.summaries)
+        Registry.all)
+
+(* A checked point surfaces what its checker reports, with the trace, for
+   every trial; tracing changes no summary, and an unchecked point consults
+   no checker. *)
+let test_checked_point_surfaces_violations () =
+  let fake _trace = [ { Trace.Check.invariant = "fake"; detail = "injected" } ] in
+  let spec =
+    Run.spec ~topology:Topology.Shared_core ~check:true ~trials:2 ~seed:5
+      (Registry.find_exn "cogcast") { Topology.n = 8; c = 4; k = 2 }
+  in
+  Crn_exec.Pool.with_pool ~jobs:2 (fun pool ->
+      let checked = Run.point ~checker:fake ~pool spec in
+      Alcotest.(check (list int))
+        "every trial fails" [ 0; 1 ]
+        (List.map (fun f -> f.Run.trial) checked.Run.failures);
+      List.iter
+        (fun f ->
+          (match f.Run.violations with
+          | [ { Trace.Check.invariant = "fake"; _ } ] -> ()
+          | v -> Alcotest.failf "expected the injected violation, got %d" (List.length v));
+          if String.length f.Run.trace_jsonl = 0 then
+            Alcotest.fail "violating trial did not carry its trace")
+        checked.Run.failures;
+      let plain = Run.point ~checker:fake ~pool { spec with Run.check = false } in
+      Alcotest.(check int) "unchecked: no failures" 0 (List.length plain.Run.failures);
+      Alcotest.(check string)
+        "checking changes no summary"
+        (Crn_stats.Json.to_string plain.Run.json)
+        (Crn_stats.Json.to_string checked.Run.json))
+
+(* ---- every trial its own adversary realization ---- *)
+
+(* What a trace shows of its adversary: per (slot, node), down, or the
+   channel the node tuned to and whether that action was jammed. *)
+let observed jsonl =
+  let h = Hashtbl.create 256 in
+  Trace.iter
+    (function
+      | Trace.Down { slot; node } -> Hashtbl.replace h (slot, node) `Down
+      | Trace.Jam { slot; node; channel } ->
+          Hashtbl.replace h (slot, node) (`Tuned (channel, true))
+      | Trace.Decide { slot; node; channel; _ } ->
+          Hashtbl.replace h (slot, node) (`Tuned (channel, false))
+      | _ -> ())
+    (Result.get_ok (Trace.of_jsonl jsonl));
+  h
+
+(* Observations two traces share that no single realization explains: a
+   node down in one and up in the other, or one channel jammed in one and
+   clear in the other, at the same slot. *)
+let disagreements a b =
+  Hashtbl.fold
+    (fun key x acc ->
+      match (x, Hashtbl.find_opt b key) with
+      | `Down, Some (`Tuned _) | `Tuned _, Some `Down -> acc + 1
+      | `Tuned (ch, j), Some (`Tuned (ch', j')) when ch = ch' && j <> j' -> acc + 1
+      | _ -> acc)
+    a 0
+
+(* Trials 0 and 1 of a --faults or --jam-budget point face different
+   realizations: seeded from --fault-seed alone they would be the same. *)
+let test_trials_face_own_adversary () =
+  let everything _ = [ { Trace.Check.invariant = "keep"; detail = "keep the trace" } ] in
+  let cogcast = Registry.find_exn "cogcast" in
   List.iter
-    (fun proto ->
-      let t =
-        Adversary_lab.run_trial proto (fun ~trace ->
-            let rng = Rng.create 77 in
-            let armed =
-              Adversary_lab.arm ~mode:Adversary_lab.Reshuffle
-                ~topology:Topology.Shared_core ~spec ~source:0 ~rng
-            in
-            let jammer = Jammer.reactive () in
-            Trace.record trace
-              (Trace.Adversary
-                 { name = Jammer.name jammer; budget = Jammer.budget jammer });
-            Protocol.env ~jammer ~trace ~k:spec.Topology.k
-              ~availability:
-                (Adversary_lab.instrument ~trace
-                   armed.Adversary_lab.availability)
-              ~rng:armed.Adversary_lab.rng ())
+    (fun (label, spec) ->
+      match
+        Crn_exec.Pool.with_pool ~jobs:2 (fun pool ->
+            (Run.point ~checker:everything ~pool spec).Run.failures)
+      with
+      | [ t0; t1 ] ->
+          let d =
+            disagreements (observed t0.Run.trace_jsonl) (observed t1.Run.trace_jsonl)
+          in
+          if d = 0 then Alcotest.failf "%s: trials 0 and 1 faced one realization" label
+      | _ -> Alcotest.failf "%s: expected both trials' traces" label)
+    [
+      ( "--jam-budget 2",
+        Run.spec ~topology:Topology.Identical ~jam_budget:2 ~check:true ~trials:2 ~seed:3
+          cogcast { Topology.n = 24; c = 12; k = 12 } );
+      ( "--faults naps:0.3",
+        Run.spec
+          ~faults:(Result.get_ok (Run.parse_faults "naps:0.3"))
+          ~check:true ~trials:2 ~seed:3 cogcast
+          { Topology.n = 24; c = 8; k = 2 } );
+    ]
+
+(* ---- chaos cells are run points ---- *)
+
+(* The JSON document in [path], which is then removed. *)
+let consume_json path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  match Crn_stats.Json.of_string text with
+  | Ok doc -> doc
+  | Error m -> Alcotest.failf "%s: bad JSON: %s" path m
+
+(* The text after [marker] in [line], if it occurs. *)
+let after ~marker line =
+  let m = String.length marker and l = String.length line in
+  let rec go i =
+    if i + m > l then None
+    else if String.sub line i m = marker then Some (String.sub line (i + m) (l - i - m))
+    else go (i + 1)
+  in
+  go 0
+
+let number doc key =
+  match Crn_stats.Json.member key doc with
+  | Some (Crn_stats.Json.Float f) -> f
+  | Some (Crn_stats.Json.Int i) -> float_of_int i
+  | _ -> Alcotest.failf "no number %S" key
+
+(* Each family's cell prints a reproducer; `crn_sim run` on it reports the
+   cell's completion, coverage and mean slots. *)
+let test_chaos_cell_is_its_reproducer () =
+  let module Json = Crn_stats.Json in
+  List.iter
+    (fun kind ->
+      let chaos_json = Filename.temp_file "crn_chaos" ".json" in
+      let cmd =
+        Printf.sprintf
+          "chaos -n 16 -c 8 -k 2 --trials 3 --seed 2 --fault-kind %s --rates 0.1 \
+           --protocols cogcast --json %s"
+          kind (Filename.quote chaos_json)
       in
-      if t.Adversary_lab.violations <> [] then
-        Alcotest.failf "%s: %d invariant violation(s) under reactive+reshuffle"
-          (Protocol.name proto)
-          (List.length t.Adversary_lab.violations);
-      if t.Adversary_lab.summary.Protocol.slots_run <= 0 then
-        Alcotest.failf "%s: ran no slots under reactive+reshuffle"
-          (Protocol.name proto))
-    Registry.all
+      let code, out = Cli.run cmd in
+      Alcotest.(check int) cmd 0 code;
+      let point =
+        match Json.member "protocols" (consume_json chaos_json) with
+        | Some (Json.List [ p ]) -> (
+            match Json.member "points" p with
+            | Some (Json.List [ pt ]) -> pt
+            | _ -> Alcotest.failf "%s: expected one point" cmd)
+        | _ -> Alcotest.failf "%s: expected one protocol" cmd
+      in
+      let marker = "reproduce: crn_sim " in
+      let args =
+        match
+          List.find_map
+            (after ~marker) (String.split_on_char '\n' out)
+        with
+        | Some a -> a
+        | None -> Alcotest.failf "%s printed no reproducer" cmd
+      in
+      if after ~marker:"--check" args = None then
+        Alcotest.failf "%s: reproducer %S is unchecked" kind args;
+      let run_json = Filename.temp_file "crn_run" ".json" in
+      let code, _ = Cli.run (Printf.sprintf "%s --json %s" args (Filename.quote run_json)) in
+      Alcotest.(check int) args 0 code;
+      let run = consume_json run_json in
+      let slots =
+        match Json.member "per_trial" run with
+        | Some (Json.List l) ->
+            List.fold_left (fun acc t -> acc +. number t "slots_run") 0.0 l
+            /. float_of_int (List.length l)
+        | _ -> Alcotest.failf "%s: no per_trial" args
+      in
+      List.iter
+        (fun (what, cell, reproduced) ->
+          Alcotest.(check (float 0.0)) (Printf.sprintf "%s %s" kind what) cell reproduced)
+        [
+          ("completion", number point "completion_rate", number run "completion_rate");
+          ("coverage", number point "mean_coverage", number run "mean_coverage");
+          ("slots", number point "mean_total_slots", slots);
+        ])
+    [ "naps"; "churn"; "crash"; "jam" ]
 
-(* run_trial must surface what its checker reports, and dump the trace. *)
-let test_run_trial_surfaces_violations () =
-  let spec = { Topology.n = 8; c = 4; k = 2 } in
-  let fake _trace =
-    [ { Trace.Check.invariant = "fake"; detail = "injected" } ]
-  in
-  let t =
-    Adversary_lab.run_trial ~checker:fake (Registry.find_exn "cogcast")
-      (fun ~trace ->
-        let rng = Rng.create 5 in
-        let assignment = Topology.generate Topology.Shared_core rng spec in
-        Protocol.env ~trace ~k:spec.Topology.k
-          ~availability:(Dynamic.static assignment) ~rng ())
-  in
-  (match t.Adversary_lab.violations with
-  | [ { Trace.Check.invariant = "fake"; _ } ] -> ()
-  | v -> Alcotest.failf "expected the injected violation, got %d" (List.length v));
-  match t.Adversary_lab.trace_jsonl with
-  | Some jsonl when String.length jsonl > 0 -> ()
-  | _ -> Alcotest.fail "violating trial did not dump its trace"
-
-(* ---- the chaos CLI's --check exit code, end to end ---- *)
+(* ---- the --check exit code of chaos and run, end to end ---- *)
 
 (* Healthy sweeps exit 0; any violating trial must flip --check to a
-   nonzero exit. Violations cannot occur in a healthy build, so the
-   binary's CRN_CHAOS_INJECT_VIOLATION selftest hook injects one. *)
+   nonzero exit and dump its trace. Violations cannot occur in a healthy
+   build, so the binary's CRN_CHAOS_INJECT_VIOLATION selftest hook injects
+   one. chaos and run check through the same Run.point. *)
 let test_chaos_check_exit_code () =
-  let tmp = Filename.temp_file "crn_chaos" "" in
-  Sys.remove tmp;
-  Sys.mkdir tmp 0o755;
-  let run env =
-    Sys.command
-      (Printf.sprintf
-         "cd %s && %s %s chaos -n 12 -c 6 -k 2 --fault-kind jam --dynamic \
-          reshuffle --rates 0,0.5 --trials 3 --protocols cogcast --check \
-          >/dev/null 2>&1"
-         (Filename.quote tmp) env (Filename.quote (Cli.exe ())))
-  in
-  let clean = run "" in
-  let injected = run "CRN_CHAOS_INJECT_VIOLATION=1" in
-  let dumped = Sys.readdir tmp in
-  Array.iter (fun f -> Sys.remove (Filename.concat tmp f)) dumped;
-  Sys.rmdir tmp;
-  Alcotest.(check int) "clean chaos --check exits 0" 0 clean;
-  if injected = 0 then
-    Alcotest.fail "chaos --check exited 0 despite per-trial violations";
-  if
-    not
-      (Array.exists
-         (fun f -> String.length f >= 13 && String.sub f 0 13 = "trace_failure")
-         dumped)
-  then Alcotest.fail "violating trials did not dump trace_failure_*.jsonl"
+  List.iter
+    (fun args ->
+      let tmp = Filename.temp_file "crn_chaos" "" in
+      Sys.remove tmp;
+      Sys.mkdir tmp 0o755;
+      let run env =
+        Sys.command
+          (Printf.sprintf "cd %s && %s %s %s --check >/dev/null 2>&1"
+             (Filename.quote tmp) env (Filename.quote (Cli.exe ())) args)
+      in
+      let clean = run "" in
+      let clean_dumps = Sys.readdir tmp in
+      let injected = run "CRN_CHAOS_INJECT_VIOLATION=1" in
+      let dumped = Sys.readdir tmp in
+      Array.iter (fun f -> Sys.remove (Filename.concat tmp f)) dumped;
+      Sys.rmdir tmp;
+      Alcotest.(check int) (args ^ " --check: clean exit") 0 clean;
+      Alcotest.(check int) (args ^ " --check: clean dumps") 0 (Array.length clean_dumps);
+      if injected = 0 then
+        Alcotest.failf "%s --check exited 0 despite per-trial violations" args;
+      if
+        not
+          (Array.exists
+             (fun f -> String.length f >= 13 && String.sub f 0 13 = "trace_failure")
+             dumped)
+      then Alcotest.failf "%s: violating trials did not dump trace_failure_*.jsonl" args)
+    [
+      "chaos -n 12 -c 6 -k 2 --fault-kind jam --dynamic reshuffle --rates 0,0.5 \
+       --trials 3 --protocols cogcast";
+      "run -p cogcast -n 12 -c 6 -k 2 --trials 3";
+    ]
 
 (* ---- registry resolution of the jam_resist: prefix ---- *)
 
@@ -397,8 +556,12 @@ let () =
         [
           Alcotest.test_case "registry survives reactive+reshuffle" `Quick
             test_all_protocols_survive_composed_adversary;
-          Alcotest.test_case "run_trial surfaces violations" `Quick
-            test_run_trial_surfaces_violations;
+          Alcotest.test_case "checked point surfaces violations" `Quick
+            test_checked_point_surfaces_violations;
+          Alcotest.test_case "trials face their own adversary" `Quick
+            test_trials_face_own_adversary;
+          Alcotest.test_case "chaos cell is its reproducer" `Quick
+            test_chaos_cell_is_its_reproducer;
           Alcotest.test_case "chaos --check exit code" `Quick
             test_chaos_check_exit_code;
         ] );

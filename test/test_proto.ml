@@ -389,10 +389,7 @@ let test_run_point_json_is_cli () =
   let module Json = Crn_stats.Json in
   List.iter
     (fun spec ->
-      let cmd =
-        String.concat " "
-          ("run" :: List.concat_map (fun (f, v) -> [ f; v ]) (Run.args spec))
-      in
+      let cmd = String.concat " " ("run" :: Run.args spec) in
       let lib =
         Crn_exec.Pool.with_pool ~jobs:2 (fun pool -> (Run.point ~pool spec).Run.json)
       in
@@ -757,7 +754,27 @@ let test_cli_rejects_bad_counts () =
       "chaos --protocols robust";
       "chaos --protocols , --trials 1";
       "chaos --rates , --trials 1";
-    ]
+      "chaos -n 16 -c 8 -k 2 --fault-kind churn --rates 0,0.5,0.95 --trials 2 \
+       --protocols cogcast";
+      "chaos --fault-kind jam --protocols jam_resist:cogcomp";
+    ];
+  (* A churn rate above 8/9 has a mean up time below one slot: the error
+     names the rate. *)
+  let err = Filename.temp_file "crn_cli" ".err" in
+  ignore
+    (Sys.command
+       (Printf.sprintf "%s chaos --fault-kind churn --rates 0,0.95 >/dev/null 2>%s"
+          (Filename.quote (Cli.exe ())) (Filename.quote err)));
+  let ic = open_in_bin err in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove err;
+  let needle = "--rates 0.95:" in
+  let found = ref false in
+  for i = 0 to String.length text - String.length needle do
+    if String.sub text i (String.length needle) = needle then found := true
+  done;
+  if not !found then Alcotest.failf "churn rate 0.95: error %S does not name it" text
 
 (* ---- registry lookup ---- *)
 
