@@ -178,7 +178,7 @@ let e18 () =
                   ~assignment ~k ~rng:run_rng ()
               in
               ( float_of_int res.Cogcomp.phase4_steps,
-                res.Cogcomp.root_value = Some (n * (n - 1) / 2) ))
+                res.Cogcomp.complete && res.Cogcomp.root_value = n * (n - 1) / 2 ))
         in
         let med = Crn_stats.Summary.median (Array.map fst runs) in
         let ok = Array.for_all snd runs in
@@ -448,9 +448,9 @@ let e25 () =
     "Registry on the raw radio: rounds/slot, decay vs CSMA/CA (footnote 4)";
   let c = 8 and k = 2 in
   let ns = if !quick then [ 16; 64 ] else [ 16; 64; 256 ] in
-  (* Every registry entry but robust COGCOMP: fault-free it is plain
-     COGCOMP slot for slot on either emulation (test_cogcomp_robust pins
-     this), so its row would repeat cogcomp's. *)
+  (* Every registry entry but cogcomp_robust: it is cogcomp's
+     [Cogcomp.run] with recovery, which arms only under an adversary, so
+     fault-free its row would repeat cogcomp's slot for slot. *)
   let protos =
     [
       "cogcast";
@@ -532,9 +532,10 @@ let e25 () =
    doubles as a shard-invariance audit. The engine backend is the soa
    backend at one shard, so there is no separate engine row; the engine's
    oracle is {!Crn_radio.Reference}, held trace-for-trace in
-   test/test_soa.ml. cogcomp and cogcomp_robust run on the soa backend
-   too, but are excluded here: every cell sets one [max_slots], which a
-   multi-phase run rejects — see EXPERIMENTS.md. *)
+   test/test_soa.ml. The two COGCOMP entries (one [Cogcomp.run], with
+   recovery off and on) run on the soa backend too, but are excluded here:
+   every cell sets one [max_slots], which a multi-phase run rejects — see
+   EXPERIMENTS.md. *)
 let e26 () =
   header "E26" "Registry on the SoA backend: scale and shard parity";
   let module Protocol = Crn_proto.Protocol in
@@ -632,4 +633,5 @@ let e26 () =
         (String.concat ", " (List.rev cs)));
   note "the engine backend is this loop at shards=1; its oracle is the";
   note "reference spec, held trace-for-trace in test/test_soa.ml. Excluded:";
-  note "cogcomp and cogcomp_robust, whose multi-phase budget is not one max_slots"
+  note "cogcomp and cogcomp_robust (one Cogcomp.run), whose four phases take no";
+  note "single max_slots"

@@ -3,8 +3,8 @@
    Subcommands:
      protocols  — list every protocol in the registry and what it supports
      run        — run any registered protocol by name, uniformly (COGCAST is
-                  `run -p cogcast`, COGCOMP `run -p cogcomp`, fault-tolerant
-                  COGCOMP `run -p cogcomp_robust`; the sustained-traffic
+                  `run -p cogcast`, COGCOMP `run -p cogcomp`, and COGCOMP
+                  with recovery `run -p cogcomp_robust`; the sustained-traffic
                   workloads take an offered load with --rate, --arrivals
                   and --rumors and report pooled latency percentiles;
                   --sweep n|c|k=V,V,... runs one point per value and fits
@@ -989,11 +989,8 @@ let chaos_cmd =
           ~doc:
             "Exit nonzero if $(i,any) trial of $(i,any) protocol violates \
              the trace invariants. Adversaries may degrade completion or \
-             coverage without tripping the checkers, so put only protocols \
-             whose contracts cover the armed fault family on a --check \
-             curve (plain cogcomp, for instance, promises exactly-once \
-             accounting only fault-free). Violating traces are dumped to \
-             trace_failure_*.jsonl either way.")
+             coverage without tripping the checkers. Violating traces are \
+             dumped to trace_failure_*.jsonl either way.")
   in
   let term =
     Term.(

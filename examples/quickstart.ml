@@ -36,16 +36,18 @@ let () =
   let readings = Array.init 60 (fun i -> (i * 31) mod 97) in
   let res = Crn.aggregate ~seed:8 net ~monoid:Aggregate.sum ~values:readings in
   let expected = Array.fold_left ( + ) 0 readings in
-  (match res.Cogcomp.root_value with
-  | Some total when total = expected ->
-      Printf.printf "COGCOMP: root learned sum = %d (expected %d) in %d slots\n" total
-        expected res.Cogcomp.total_slots
-  | Some total ->
-      Printf.eprintf "COGCOMP: wrong sum %d (expected %d)\n" total expected;
-      exit 1
-  | None ->
-      Printf.eprintf "COGCOMP: incomplete\n";
-      exit 1);
+  let total = res.Cogcomp.root_value in
+  if not res.Cogcomp.complete then begin
+    Printf.eprintf "COGCOMP: incomplete\n";
+    exit 1
+  end
+  else if total <> expected then begin
+    Printf.eprintf "COGCOMP: wrong sum %d (expected %d)\n" total expected;
+    exit 1
+  end
+  else
+    Printf.printf "COGCOMP: root learned sum = %d (expected %d) in %d slots\n" total
+      expected res.Cogcomp.total_slots;
   Printf.printf "  phases: broadcast %d + roster %d + rewind %d + drain %d slots\n"
     res.Cogcomp.phase1_slots res.Cogcomp.phase2_slots res.Cogcomp.phase3_slots
     res.Cogcomp.phase4_slots

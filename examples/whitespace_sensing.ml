@@ -87,16 +87,19 @@ let () =
       ~rng ()
   in
   let true_max = Array.fold_left max readings.(0) readings in
-  match res.Cogcomp.root_value with
-  | Some worst when worst = true_max ->
-      Printf.printf
-        "gateway aggregated worst interference = %d dB (true max %d) in %d slots\n"
-        worst true_max res.Cogcomp.total_slots;
-      Printf.printf "  (%d mediators coordinated the per-channel drain)\n"
-        (List.length res.Cogcomp.mediators)
-  | Some worst ->
-      Printf.eprintf "gateway got %d dB but the true max is %d dB\n" worst true_max;
-      exit 1
-  | None ->
-      Printf.eprintf "aggregation incomplete — increase the phase-1 budget\n";
-      exit 1
+  let worst = res.Cogcomp.root_value in
+  if not res.Cogcomp.complete then begin
+    Printf.eprintf "aggregation incomplete — increase the phase-1 budget\n";
+    exit 1
+  end
+  else if worst <> true_max then begin
+    Printf.eprintf "gateway got %d dB but the true max is %d dB\n" worst true_max;
+    exit 1
+  end
+  else begin
+    Printf.printf
+      "gateway aggregated worst interference = %d dB (true max %d) in %d slots\n"
+      worst true_max res.Cogcomp.total_slots;
+    Printf.printf "  (%d mediators coordinated the per-channel drain)\n"
+      (List.length res.Cogcomp.mediators)
+  end

@@ -26,10 +26,35 @@
 
     The phases assume the static channel assignment of §2 (channels must
     keep their meaning across phases), hence the [Assignment.t] parameter
-    rather than a dynamic availability — and, like the paper's protocol,
-    fault-free execution: the phase-2 roster and phase-3 rewind arguments
-    rely on every node acting in every slot. COGCAST alone carries the §7
-    dynamic/fault tolerance.
+    rather than a dynamic availability. The paper's phase arguments also
+    assume every node acts in every slot; a single missed slot can corrupt
+    rosters, strand the drain behind a dead mediator, or stall a sender
+    forever. [~recover:true] hardens the run against crash/restart faults,
+    churn and jamming with three mechanisms, each bounded so a faulty run
+    always terminates:
+
+    {ul
+    {- {b Phase-2 watchdog.} The roster phase keeps running (for up to two
+       extra rounds of [n] slots) while some participant has not yet won
+       its roster slot. A participant that never wins is {e written off}:
+       absent from every roster, it takes no part in phase 4 and its
+       subtree is recorded as lost.}
+    {- {b Mediator re-election.} Every phase-2 participant learns the full
+       succession order for its channel — the elected mediator first, then
+       the remaining roster ids ascending. A sender that hears six
+       consecutive silent announce slots (after the channel first went
+       live) advances to the next candidate; the new mediator takes over
+       announcing. When the candidate list is exhausted the channel
+       degenerates to the unmediated drain of [~mediated:false].}
+    {- {b Bounded-retry drain.} A send that observes a silent echo slot is
+       retried with exponential backoff ({!Crn_radio.Backoff.retry_delay},
+       capped); after eight unacked attempts the sender abandons and
+       retires, recording its subtree as lost.}}
+
+    Receive is idempotent whether or not recovery is armed: the echo is an
+    acknowledgement, and receivers deduplicate by sender id, so a re-sent
+    value that was already folded is re-acked without being counted again
+    ({!Crn_radio.Trace.Check.exactly_once_drain}).
 
     Every phase is ordinary one-winner slots, so by footnote 4 the whole
     protocol runs on any {!Crn_radio.Runner.backend}: the abstract engine,
@@ -38,9 +63,27 @@
 
 type 'a result = {
   complete : bool;
-      (** Phase 1 informed everyone and phase 4 drained every node. *)
-  root_value : 'a option;
-      (** The source's aggregate — [Some] iff [complete]. *)
+      (** Phase 1 informed everyone, every node terminated, and every value
+          reached the source ([coverage = n]). *)
+  root_value : 'a;
+      (** The source's accumulator — the fold of every value whose delivery
+          chain reached the source. It is the full aggregate iff
+          [complete]; otherwise it is the partial fold over the covered
+          nodes. *)
+  coverage : int;
+      (** Number of nodes whose value reached the source (the source
+          included). [coverage + List.length lost = n]. *)
+  lost : int list;
+      (** Ids (ascending) whose values did not reach the source: nodes
+          phase 1 never informed, nodes written off in phase 2, senders
+          that gave up or were stranded, and every node whose delivery
+          chain passes through one of those. *)
+  reelections : int;
+      (** Mediator accessions after the initial election — candidates that
+          actually took over a channel; [0] unless recovery is armed. *)
+  retries : int;
+      (** Phase-4 value sends that were re-sends; [0] unless recovery is
+          armed. *)
   phase1_slots : int;
   phase2_slots : int;
   phase3_slots : int;
@@ -48,7 +91,7 @@ type 'a result = {
   phase4_slots : int;
   total_slots : int;
   tree : Disttree.t;
-  mediators : int list;  (** Elected mediators, ascending id. *)
+  mediators : int list;  (** Initially elected mediators, ascending id. *)
   terminated : bool array;  (** Per-node phase-4 termination. *)
   max_payload : int;
       (** Largest payload (per [?measure]) carried by any phase-4 value
@@ -72,6 +115,7 @@ val run :
   ?budget_factor:float ->
   ?max_phase4_steps:int ->
   ?mediated:bool ->
+  ?recover:bool ->
   ?measure:('a -> int) ->
   ?trace:Crn_radio.Trace.t ->
   monoid:'a Aggregate.monoid ->
@@ -87,7 +131,14 @@ val run :
     node. [budget_factor] scales the phase-1 COGCAST budget
     ({!Complexity.cogcast_slots}); [max_phase4_steps] caps phase 4 (default
     [12·n + 64] steps, far above the [O(n)] the paper proves, so hitting it
-    indicates a genuine failure and yields [complete = false]).
+    indicates a genuine failure and yields [complete = false]; [48·n + 256]
+    when recovery is armed).
+
+    [?mediated] (default [true]) is §5's mediator. With [false] no node
+    mediates and every sender sends in every step, contention alone
+    deciding who is delivered: the succession list exhausted from the
+    start. [?measure] sizes every value send's payload into
+    [max_payload]/[total_payload].
 
     [?backend] (default {!Crn_radio.Runner.Engine}) runs every phase —
     phase 1's COGCAST and phases 2–4 — on that slot loop. Results are
@@ -103,104 +154,29 @@ val run :
     cap surfaces as {!Crn_radio.Action.No_winner} to its broadcasters, so
     the phases degrade exactly as under a lost slot.
 
-    [?jammer]/[?faults] thread adversaries through every phase's engine run
-    — but the plain protocol makes {e no} attempt to survive them: a missed
-    slot can corrupt rosters, mediator election or the drain, typically
-    yielding [complete = false] (or, for aggressive schedules, a genuinely
-    wrong partial fold). They exist so the chaos harness can measure that
-    degradation; use {!Cogcomp_robust} for runs that should tolerate faults.
+    [?jammer]/[?faults] thread adversaries through every phase's engine
+    run. The recovery mechanisms arm exactly when [recover] (default
+    [false]) is [true] and one of them is supplied. Disarmed, the run is
+    the paper's protocol and makes {e no} attempt to survive a missed
+    slot: it typically ends with [complete = false] and a partial
+    [root_value]. A contention session that fails its cap on an emulation
+    backend is not an adversary, so it is never recovered from: with a
+    tight [session_cap] (e.g. 3) the run does not complete. The run always
+    terminates: every watchdog is bounded, and the armed phase-4 stop also
+    fires when every non-terminated node has been absent for a grace
+    period (crashed or churned out for good).
 
     With [?trace] supplied, the run streams a slot-level event log: the
     phase-1 COGCAST header and [Informed] tree edges, a
     {!Crn_radio.Trace.Phase} marker at each phase boundary (slot numbering
     restarts per phase), {!Crn_radio.Trace.Mediator} elections after phase
-    2, the engine's per-slot events throughout, phase 4's
-    [Sent_value]/[Value_delivered]/[Retired] drain events, and a final
-    [Phase "cogcomp-done"] marker iff the run completed — the stream
+    2 (and re-elections, when armed), the engine's per-slot events
+    throughout, phase 4's drain events — [Sent_value] for every attempt,
+    [Value_delivered] for fresh deliveries only, [Retired] — and a final
+    [Phase "cogcomp-done"] marker iff the run completed: the stream
     {!Crn_radio.Trace.Check} validates.
 
     Raises [Invalid_argument] naming [Cogcomp.run], before any slot runs,
     on a [values] length mismatch, a [source] out of range, a
     [budget_factor] that is not finite and positive, or a negative
     [max_phase4_steps]. *)
-
-(** {2 Building blocks shared with robust COGCOMP}
-
-    Every phase is a {!Crn_radio.Machine.t} run by
-    {!Crn_radio.Runner.drive}: phase 1 is {!Cogcast.machine}, and phase 2's
-    roster exchange, the phase-3 rewind and the phase-4 drain are machines
-    whose snapshot is the phase's output. The robust variant reuses phase
-    1, the phase runners, phase 2's roster collection and the phase-3
-    rewind unchanged; only what phase 2 derives from the rosters, and
-    phase 4, differ. *)
-
-val validate :
-  who:string ->
-  ?budget_factor:float ->
-  ?max_phase4_steps:int ->
-  values:'a array ->
-  source:int ->
-  assignment:Crn_channel.Assignment.t ->
-  unit ->
-  unit
-(** The argument checks of {!run}, with errors prefixed by [who]. *)
-
-val phase1 :
-  ?jammer:Crn_radio.Jammer.t ->
-  ?faults:Crn_radio.Faults.t ->
-  ?trace:Crn_radio.Trace.t ->
-  ?backend:Crn_radio.Runner.backend ->
-  ?budget_factor:float ->
-  source:int ->
-  assignment:Crn_channel.Assignment.t ->
-  k:int ->
-  rng:Crn_prng.Rng.t ->
-  unit ->
-  Cogcast.result * (string -> Crn_radio.Runner.t) * Crn_radio.Runner.outcome ref
-(** [phase1 … ()] runs phase 1 — a recorded COGCAST of fixed length,
-    {!Complexity.cogcast_slots} scaled by [budget_factor] — and returns its
-    result, a factory for the later phases' runners and the running total.
-    The factory, given a phase name, records a {!Crn_radio.Trace.Phase}
-    marker of that name and makes a runner on the same backend, with the
-    same adversaries and trace, on the next stream split from [rng]; every
-    run of such a runner is added into the total, which starts at phase
-    1's cost. *)
-
-type roster = {
-  participant : (int * int) option array;
-      (** [Some (r, label)] for every node phase 1 informed, the source
-          excepted: the slot and the channel label it was informed on. *)
-  rosters : (int * int) list array;
-      (** Per participant, the [(id, r)] of every roster broadcast it heard
-          on its channel, its own included; [[]] for the others. *)
-  sent_ok : bool array;  (** The participant won its roster slot. *)
-  slots_run : int;
-}
-(** What phase 2's roster exchange leaves each node. *)
-
-val collect_rosters :
-  cast:Cogcast.result -> rounds:int -> runner:Crn_radio.Runner.t -> roster
-(** Phase 2's exchange: every participant camps on the channel it was
-    informed on and broadcasts [⟨id, r⟩] until it wins, then listens.
-    Fault-free it takes exactly [n] slots at any [rounds >= 1], since each
-    participant wins within the first [n]. Otherwise the run goes on past
-    [n] slots until every participant has won, for at most [rounds · n]
-    slots: plain COGCOMP passes [rounds = 1], robust COGCOMP adds its
-    watchdog rounds. *)
-
-val elect : r:int -> (int * int) list -> int * int
-(** [elect ~r roster] is the size of the cluster [r] in [roster] and the
-    channel's mediator, the smallest id in its latest cluster
-    (Lemma 7). *)
-
-val run_phase3 :
-  cast:Cogcast.result ->
-  cluster_size:(int -> int) ->
-  runner:Crn_radio.Runner.t ->
-  (int * int * int) list array * int
-(** The phase-3 rewind over [cast]'s phase-1 logs: in the mirror of the
-    slot where node [v] was informed it broadcasts [cluster_size v]; in
-    every other slot it listens, and keeps what it hears where its phase-1
-    broadcast won. Returns, per node, the [(phase-1 slot, label, size)] of
-    every cluster it informed (descending slot), and the phase's slot
-    count. *)

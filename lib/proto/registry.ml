@@ -3,7 +3,6 @@ module Assignment = Crn_channel.Assignment
 module Json = Crn_stats.Json
 module Cogcast = Crn_core.Cogcast
 module Cogcomp = Crn_core.Cogcomp
-module Cogcomp_robust = Crn_core.Cogcomp_robust
 module Aggregate = Crn_core.Aggregate
 module Complexity = Crn_core.Complexity
 
@@ -47,7 +46,7 @@ let count_report env ~completed_at ~key count : Protocol.report =
   }
 
 (* ---- the paper's protocols. COGCAST is a machine entry, driven exactly
-   as [Cogcast.run] drives it; the COGCOMPs delegate to their direct APIs.
+   as [Cogcast.run] drives it; the COGCOMPs delegate to [Cogcomp.run].
    Either way a registry-dispatched run is byte-identical to a direct
    call ---- *)
 
@@ -67,80 +66,58 @@ let cogcast =
       count_report env ~completed_at:r.Cogcast.completed_at
         ~key:"informed_count" r.Cogcast.informed_count)
 
-let cogcomp =
-  Protocol.of_run ~name:"cogcomp" ~capabilities:multi_phase
-    ~synopsis:"Four-phase data aggregation in O((c/k) max{1,c/n} lg n + n) slots (S5, Thm 10)"
-    (fun env ->
+(* The two COGCOMP entries are one [Cogcomp.run], disarmed and with
+   recovery armed under an adversary. Both report coverage as the values
+   that reached the source; each keeps its own detail keys. *)
+let cogcomp_entry ~name ~synopsis ~recover detail =
+  Protocol.of_run ~name ~capabilities:multi_phase ~synopsis (fun env ->
       let n, _ = dims env in
       let assignment = Dynamic.at env.availability 0 in
       let r =
-        Cogcomp.run ?jammer:env.jammer ?faults:env.faults
+        Cogcomp.run ?jammer:env.jammer ?faults:env.faults ~recover
           ~backend:env.backend ?budget_factor:env.budget_factor ?trace:env.trace
           ~monoid:Aggregate.sum ~values:(id_values n) ~source:env.source
           ~assignment ~k:env.k ~rng:env.rng ()
       in
-      let terminated =
-        Array.fold_left (fun acc t -> if t then acc + 1 else acc) 0 r.Cogcomp.terminated
-      in
       {
-        Protocol.protocol = "cogcomp";
+        Protocol.protocol = name;
         slots_run = r.Cogcomp.total_slots;
         completed = r.Cogcomp.complete;
         completed_at =
           (if r.Cogcomp.complete then Some r.Cogcomp.total_slots else None);
-        coverage = frac terminated n;
+        coverage = frac r.Cogcomp.coverage n;
         raw_rounds = r.Cogcomp.raw_rounds;
         failed_sessions = r.Cogcomp.failed_sessions;
         counters = r.Cogcomp.counters;
-        detail =
-          Json.Obj
-            [
-              ( "root_value",
-                match r.Cogcomp.root_value with
-                | Some v -> Json.Int v
-                | None -> Json.Null );
-              ("phase1_slots", Json.Int r.Cogcomp.phase1_slots);
-              ("phase2_slots", Json.Int r.Cogcomp.phase2_slots);
-              ("phase3_slots", Json.Int r.Cogcomp.phase3_slots);
-              ("phase4_slots", Json.Int r.Cogcomp.phase4_slots);
-              ("mediators", Json.Int (List.length r.Cogcomp.mediators));
-            ];
+        detail = Json.Obj (detail r);
       })
 
+let cogcomp =
+  cogcomp_entry ~name:"cogcomp" ~recover:false
+    ~synopsis:"Four-phase data aggregation in O((c/k) max{1,c/n} lg n + n) slots (S5, Thm 10)"
+    (fun r ->
+      [
+        ( "root_value",
+          if r.Cogcomp.complete then Json.Int r.Cogcomp.root_value else Json.Null );
+        ("phase1_slots", Json.Int r.Cogcomp.phase1_slots);
+        ("phase2_slots", Json.Int r.Cogcomp.phase2_slots);
+        ("phase3_slots", Json.Int r.Cogcomp.phase3_slots);
+        ("phase4_slots", Json.Int r.Cogcomp.phase4_slots);
+        ("mediators", Json.Int (List.length r.Cogcomp.mediators));
+      ])
+
 let cogcomp_robust =
-  Protocol.of_run ~name:"cogcomp_robust" ~capabilities:multi_phase
+  cogcomp_entry ~name:"cogcomp_robust" ~recover:true
     ~synopsis:"Fault-tolerant COGCOMP: watchdogs, mediator re-election, acked drain"
-    (fun env ->
-      let n, _ = dims env in
-      let assignment = Dynamic.at env.availability 0 in
-      let r =
-        Cogcomp_robust.run ?jammer:env.jammer ?faults:env.faults
-          ~backend:env.backend ?budget_factor:env.budget_factor ?trace:env.trace
-          ~monoid:Aggregate.sum ~values:(id_values n) ~source:env.source
-          ~assignment ~k:env.k ~rng:env.rng ()
-      in
-      {
-        Protocol.protocol = "cogcomp_robust";
-        slots_run = r.Cogcomp_robust.total_slots;
-        completed = r.Cogcomp_robust.complete;
-        completed_at =
-          (if r.Cogcomp_robust.complete then Some r.Cogcomp_robust.total_slots
-           else None);
-        coverage = frac r.Cogcomp_robust.coverage n;
-        raw_rounds = r.Cogcomp_robust.raw_rounds;
-        failed_sessions = r.Cogcomp_robust.failed_sessions;
-        counters = r.Cogcomp_robust.counters;
-        detail =
-          Json.Obj
-            [
-              ("root_value", Json.Int r.Cogcomp_robust.root_value);
-              ("lost", Json.Int (List.length r.Cogcomp_robust.lost));
-              ("reelections", Json.Int r.Cogcomp_robust.reelections);
-              ("retries", Json.Int r.Cogcomp_robust.retries);
-              ("phase1_slots", Json.Int r.Cogcomp_robust.phase1_slots);
-              ("phase4_slots", Json.Int r.Cogcomp_robust.phase4_slots);
-            ];
-      })
+    (fun r ->
+      [
+        ("root_value", Json.Int r.Cogcomp.root_value);
+        ("lost", Json.Int (List.length r.Cogcomp.lost));
+        ("reelections", Json.Int r.Cogcomp.reelections);
+        ("retries", Json.Int r.Cogcomp.retries);
+        ("phase1_slots", Json.Int r.Cogcomp.phase1_slots);
+        ("phase4_slots", Json.Int r.Cogcomp.phase4_slots);
+      ])
 
 (* ---- the rendezvous baselines: state machines behind the one machine
    driver ---- *)

@@ -1,5 +1,5 @@
 (** The central protocol registry: every protocol in the repository —
-    COGCAST, COGCOMP, fault-tolerant COGCOMP and all five rendezvous
+    COGCAST, COGCOMP with and without recovery, all five rendezvous
     baselines — packed behind the {!Protocol} interface under a stable
     name, in one list the CLI and the bench harness dispatch on. Each entry
     declares what it supports ({!Protocol.type-capabilities}) where it is

@@ -48,5 +48,6 @@ val retry_delay : attempt:int -> cap:int -> int
 (** [retry_delay ~attempt ~cap] is the exponential-backoff gap
     [min cap 2^attempt] (saturating, overflow-safe) — the number of steps a
     retrying sender waits after its [attempt]-th failed transmission.
-    {!Cogcomp_robust} uses it to pace phase-4 re-sends so a crashed receiver
-    does not keep its whole cluster busy every step. *)
+    [Crn_core.Cogcomp] with recovery armed uses it to pace phase-4
+    re-sends so a crashed receiver does not keep its whole cluster busy
+    every step. *)

@@ -31,8 +31,9 @@ val crash : node:int -> from_slot:int -> t
 val crash_restart : node:int -> from_slot:int -> down_for:int -> t
 (** [node] crashes at [from_slot] and comes back [down_for] slots later.
     The schedule only controls absence; "restart with protocol state reset"
-    is the rejoining protocol's business — [Crn_core.Cogcomp_robust] detects the
-    slot gap on wake-up and clears its transient per-step state. *)
+    is the rejoining protocol's business — [Crn_core.Cogcomp] with recovery
+    armed detects the slot gap on wake-up and clears its transient per-step
+    state. *)
 
 val bernoulli_churn : seed:int64 -> mean_up:float -> mean_down:float -> t
 (** Seeded per-node up/down Markov chain: an up node goes down with

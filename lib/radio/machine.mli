@@ -3,7 +3,7 @@
     backend. The paper's protocols are machines — COGCAST
     ([Crn_core.Cogcast.machine]) and each of COGCOMP's phases (phase 1 is
     that COGCAST; the phase-2 roster exchange, the phase-3 rewind and the
-    phase-4 drain, plain and robust, are machines of their own) — and so
+    phase-4 drain are machines of their own) — and so
     is every rendezvous baseline and sustained-traffic workload.
 
     The engine polls [decide] and [feedback] per node and slot exactly as

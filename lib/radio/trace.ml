@@ -854,7 +854,7 @@ module Check = struct
   (* No value is ever double-counted, retries or not: at most one
      [Value_delivered] per sender across the whole phase-4 segment, and
      every delivery is backed by some strictly earlier send of the same
-     cluster. This is the invariant the robust drain's receiver-side dedup
+     cluster. This is the invariant the COGCOMP drain's receiver-side dedup
      (fold once, re-ack silently) exists to maintain; unlike [phase4_drain]
      it makes no same-step assumption, so it applies equally to fault-free
      and faulty traces. *)

@@ -246,9 +246,9 @@ module Check : sig
   val exactly_once_drain : t -> violation list
   (** No double counting across retries: at most one {!Value_delivered} per
       sender in the phase-4 segment, each backed by a strictly earlier
-      {!Sent_value} of the same cluster. Holds for plain and robust COGCOMP,
-      fault-free or faulty — a retried send that was already folded must be
-      re-acked without a second delivery event. *)
+      {!Sent_value} of the same cluster. Holds for COGCOMP with or without
+      recovery, fault-free or faulty — a retried send that was already
+      folded must be re-acked without a second delivery event. *)
 
   val rumor_causality : t -> violation list
   (** Multi-rumor causality over the workload events: each rumor is

@@ -1,13 +1,12 @@
-(* Tests for the fault-tolerant COGCOMP variant: bit-identical fault-free
-   parity with the plain protocol, bounded termination and honest coverage
-   accounting under crashes, churn and reactive jamming, and exactly-once
-   folding across retries. *)
+(* Tests for COGCOMP with recovery armed ([~recover:true]): bit-identical
+   fault-free parity with the disarmed run, bounded termination and honest
+   coverage accounting under crashes, churn and reactive jamming, and
+   exactly-once folding across retries. *)
 
 module Rng = Crn_prng.Rng
 module Topology = Crn_channel.Topology
 module Aggregate = Crn_core.Aggregate
 module Cogcomp = Crn_core.Cogcomp
-module Cogcomp_robust = Crn_core.Cogcomp_robust
 module Faults = Crn_radio.Faults
 module Jammer = Crn_radio.Jammer
 module Trace = Crn_radio.Trace
@@ -27,8 +26,8 @@ let run_pair ?jammer ?faults ?backend ~seed ~source kind spec =
   let robust =
     let rng = Rng.create seed in
     let assignment = Topology.generate kind rng spec in
-    Cogcomp_robust.run ?jammer ?faults ?backend ~monoid:Aggregate.sum ~values
-      ~source ~assignment ~k:spec.Topology.k ~rng ()
+    Cogcomp.run ~recover:true ?jammer ?faults ?backend ~monoid:Aggregate.sum
+      ~values ~source ~assignment ~k:spec.Topology.k ~rng ()
   in
   (plain, robust)
 
@@ -63,33 +62,32 @@ let test_faultfree_parity () =
             let plain, robust = run_pair ~backend ~seed ~source:0 kind spec in
             Alcotest.(check bool)
               (ctx ^ " complete") plain.Cogcomp.complete
-              robust.Cogcomp_robust.complete;
-            Alcotest.(check (option int))
-              (ctx ^ " root") plain.Cogcomp.root_value
-              (Some robust.Cogcomp_robust.root_value);
+              robust.Cogcomp.complete;
+            check_int (ctx ^ " root") plain.Cogcomp.root_value
+              robust.Cogcomp.root_value;
             check_int (ctx ^ " p1") plain.Cogcomp.phase1_slots
-              robust.Cogcomp_robust.phase1_slots;
+              robust.Cogcomp.phase1_slots;
             check_int (ctx ^ " p2") plain.Cogcomp.phase2_slots
-              robust.Cogcomp_robust.phase2_slots;
+              robust.Cogcomp.phase2_slots;
             check_int (ctx ^ " p3") plain.Cogcomp.phase3_slots
-              robust.Cogcomp_robust.phase3_slots;
+              robust.Cogcomp.phase3_slots;
             check_int (ctx ^ " p4") plain.Cogcomp.phase4_slots
-              robust.Cogcomp_robust.phase4_slots;
+              robust.Cogcomp.phase4_slots;
             check_int (ctx ^ " total") plain.Cogcomp.total_slots
-              robust.Cogcomp_robust.total_slots;
+              robust.Cogcomp.total_slots;
             Alcotest.(check (list int))
               (ctx ^ " mediators") plain.Cogcomp.mediators
-              robust.Cogcomp_robust.mediators;
+              robust.Cogcomp.mediators;
             check_int (ctx ^ " coverage") spec.Topology.n
-              robust.Cogcomp_robust.coverage;
+              robust.Cogcomp.coverage;
             Alcotest.(check (list int)) (ctx ^ " lost") []
-              robust.Cogcomp_robust.lost;
-            check_int (ctx ^ " reelections") 0 robust.Cogcomp_robust.reelections;
-            check_int (ctx ^ " retries") 0 robust.Cogcomp_robust.retries;
+              robust.Cogcomp.lost;
+            check_int (ctx ^ " reelections") 0 robust.Cogcomp.reelections;
+            check_int (ctx ^ " retries") 0 robust.Cogcomp.retries;
             check_int (ctx ^ " raw rounds") plain.Cogcomp.raw_rounds
-              robust.Cogcomp_robust.raw_rounds;
+              robust.Cogcomp.raw_rounds;
             check_int (ctx ^ " failed sessions") plain.Cogcomp.failed_sessions
-              robust.Cogcomp_robust.failed_sessions
+              robust.Cogcomp.failed_sessions
           done)
         parity_specs)
     (List.concat_map
@@ -120,8 +118,8 @@ let test_faultfree_trace_identical () =
       let robust =
         run_traced (fun ~trace ~assignment ~rng ~values ->
             ignore
-              (Cogcomp_robust.run ~trace ~monoid:Aggregate.sum ~values ~source:0
-                 ~assignment ~k:spec.Topology.k ~rng ()))
+              (Cogcomp.run ~recover:true ~trace ~monoid:Aggregate.sum ~values
+                 ~source:0 ~assignment ~k:spec.Topology.k ~rng ()))
       in
       Alcotest.(check string)
         (Printf.sprintf "trace %s n=%d seed=%d" (Topology.kind_name kind)
@@ -144,7 +142,7 @@ let test_single_crash () =
     let assignment = Topology.generate Topology.Shared_plus_random rng spec in
     let trace = Trace.create () in
     let res =
-      Cogcomp_robust.run ~trace
+      Cogcomp.run ~recover:true ~trace
         ~faults:(Faults.crash ~node:5 ~from_slot:0)
         ~monoid:Aggregate.sum ~values ~source:0 ~assignment ~k:spec.Topology.k
         ~rng ()
@@ -152,19 +150,19 @@ let test_single_crash () =
     let ctx = Printf.sprintf "crash seed=%d" seed in
     check_int (ctx ^ " coverage+lost")
       spec.Topology.n
-      (res.Cogcomp_robust.coverage + List.length res.Cogcomp_robust.lost);
+      (res.Cogcomp.coverage + List.length res.Cogcomp.lost);
     Alcotest.(check bool)
       (ctx ^ " node 5 lost") true
-      (List.mem 5 res.Cogcomp_robust.lost);
+      (List.mem 5 res.Cogcomp.lost);
     (* The fold at the root is exactly the sum over the covered nodes. *)
     let expect =
       Array.to_list values
       |> List.mapi (fun i x -> (i, x))
-      |> List.filter (fun (i, _) -> not (List.mem i res.Cogcomp_robust.lost))
+      |> List.filter (fun (i, _) -> not (List.mem i res.Cogcomp.lost))
       |> List.fold_left (fun acc (_, x) -> acc + x) 0
     in
     check_int (ctx ^ " root = sum of covered") expect
-      res.Cogcomp_robust.root_value;
+      res.Cogcomp.root_value;
     (match Trace.Check.all trace with
     | [] -> ()
     | v :: _ ->
@@ -188,21 +186,21 @@ let test_churn () =
     in
     let trace = Trace.create () in
     let res =
-      Cogcomp_robust.run ~trace ~faults ~monoid:Aggregate.sum ~values ~source:0
+      Cogcomp.run ~recover:true ~trace ~faults ~monoid:Aggregate.sum ~values ~source:0
         ~assignment ~k:spec.Topology.k ~rng ()
     in
     let ctx = Printf.sprintf "churn seed=%d" seed in
     check_int (ctx ^ " coverage+lost")
       spec.Topology.n
-      (res.Cogcomp_robust.coverage + List.length res.Cogcomp_robust.lost);
+      (res.Cogcomp.coverage + List.length res.Cogcomp.lost);
     let expect =
       Array.to_list values
       |> List.mapi (fun i x -> (i, x))
-      |> List.filter (fun (i, _) -> not (List.mem i res.Cogcomp_robust.lost))
+      |> List.filter (fun (i, _) -> not (List.mem i res.Cogcomp.lost))
       |> List.fold_left (fun acc (_, x) -> acc + x) 0
     in
     check_int (ctx ^ " root = sum of covered") expect
-      res.Cogcomp_robust.root_value;
+      res.Cogcomp.root_value;
     (* Never double-counted, even across retries. *)
     (match Trace.Check.exactly_once_drain trace with
     | [] -> ()
@@ -226,21 +224,21 @@ let test_crash_restart_recovers () =
     let faults = Faults.crash_restart ~node:3 ~from_slot:4 ~down_for:6 in
     let trace = Trace.create () in
     let res =
-      Cogcomp_robust.run ~trace ~faults ~monoid:Aggregate.sum ~values ~source:0
+      Cogcomp.run ~recover:true ~trace ~faults ~monoid:Aggregate.sum ~values ~source:0
         ~assignment ~k:spec.Topology.k ~rng ()
     in
     let ctx = Printf.sprintf "crash-restart seed=%d" seed in
     check_int (ctx ^ " coverage+lost")
       spec.Topology.n
-      (res.Cogcomp_robust.coverage + List.length res.Cogcomp_robust.lost);
+      (res.Cogcomp.coverage + List.length res.Cogcomp.lost);
     let expect =
       Array.to_list values
       |> List.mapi (fun i x -> (i, x))
-      |> List.filter (fun (i, _) -> not (List.mem i res.Cogcomp_robust.lost))
+      |> List.filter (fun (i, _) -> not (List.mem i res.Cogcomp.lost))
       |> List.fold_left (fun acc (_, x) -> acc + x) 0
     in
     check_int (ctx ^ " root = sum of covered") expect
-      res.Cogcomp_robust.root_value;
+      res.Cogcomp.root_value;
     (match Trace.Check.exactly_once_drain trace with
     | [] -> ()
     | v :: _ -> Alcotest.failf "%s: %a" ctx Trace.Check.pp_violation v)
@@ -256,13 +254,13 @@ let test_reactive_jammer_terminates () =
     let assignment = Topology.generate Topology.Shared_plus_random rng spec in
     let trace = Trace.create () in
     let res =
-      Cogcomp_robust.run ~trace ~jammer:(Jammer.reactive ()) ~monoid:Aggregate.sum
+      Cogcomp.run ~recover:true ~trace ~jammer:(Jammer.reactive ()) ~monoid:Aggregate.sum
         ~values ~source:0 ~assignment ~k:spec.Topology.k ~rng ()
     in
     let ctx = Printf.sprintf "reactive seed=%d" seed in
     check_int (ctx ^ " coverage+lost")
       spec.Topology.n
-      (res.Cogcomp_robust.coverage + List.length res.Cogcomp_robust.lost);
+      (res.Cogcomp.coverage + List.length res.Cogcomp.lost);
     (match Trace.Check.exactly_once_drain trace with
     | [] -> ()
     | v :: _ -> Alcotest.failf "%s: %a" ctx Trace.Check.pp_violation v)
@@ -280,11 +278,11 @@ let test_coverage_degrades_gracefully () =
   let run faults seed =
     let rng = Rng.create seed in
     let assignment = Topology.generate Topology.Shared_plus_random rng spec in
-    Cogcomp_robust.run ?faults ~monoid:Aggregate.sum ~values ~source:0
+    Cogcomp.run ~recover:true ?faults ~monoid:Aggregate.sum ~values ~source:0
       ~assignment ~k:spec.Topology.k ~rng ()
   in
   let clean = run None 1 in
-  check_int "fault-free coverage" spec.Topology.n clean.Cogcomp_robust.coverage;
+  check_int "fault-free coverage" spec.Topology.n clean.Cogcomp.coverage;
   let churned =
     run
       (Some
@@ -295,10 +293,10 @@ let test_coverage_degrades_gracefully () =
   in
   Alcotest.(check bool)
     "churned coverage positive" true
-    (churned.Cogcomp_robust.coverage >= 1);
+    (churned.Cogcomp.coverage >= 1);
   Alcotest.(check bool)
     "churned coverage bounded" true
-    (churned.Cogcomp_robust.coverage <= spec.Topology.n)
+    (churned.Cogcomp.coverage <= spec.Topology.n)
 
 (* --- argument validation ---------------------------------------------------- *)
 
@@ -308,15 +306,14 @@ let test_bad_arguments () =
   let rejects name msg run =
     let trace = Trace.create () in
     Alcotest.check_raises name
-      (Invalid_argument ("Cogcomp_robust.run: " ^ msg))
+      (Invalid_argument ("Cogcomp.run: " ^ msg))
       (fun () -> ignore (run trace));
     check_int (name ^ ": no slot ran") 0 (Trace.fold (fun acc _ -> acc + 1) 0 trace)
   in
-  let run ?budget_factor ?max_phase4_steps ?watchdog_retries ?timeout ?max_retries
-      ?(values = [| 1; 2; 3; 4 |]) ?(source = 0) trace =
-    Cogcomp_robust.run ?budget_factor ?max_phase4_steps ?watchdog_retries ?timeout
-      ?max_retries ~trace ~monoid:Aggregate.sum ~values ~source ~assignment ~k:2
-      ~rng:(Rng.create 1) ()
+  let run ?budget_factor ?max_phase4_steps ?(values = [| 1; 2; 3; 4 |])
+      ?(source = 0) trace =
+    Cogcomp.run ~recover:true ?budget_factor ?max_phase4_steps ~trace
+      ~monoid:Aggregate.sum ~values ~source ~assignment ~k:2 ~rng:(Rng.create 1) ()
   in
   rejects "length mismatch" "values length mismatch" (run ~values:[| 1 |]);
   rejects "source out of range" "source out of range" (run ~source:4);
@@ -325,11 +322,7 @@ let test_bad_arguments () =
   rejects "zero budget factor" "budget factor must be finite and > 0"
     (run ~budget_factor:0.0);
   rejects "negative phase-4 cap" "max_phase4_steps must be >= 0"
-    (run ~max_phase4_steps:(-1));
-  rejects "negative watchdog retries" "watchdog_retries must be >= 0"
-    (run ~watchdog_retries:(-1));
-  rejects "zero timeout" "timeout must be >= 1" (run ~timeout:0);
-  rejects "negative max retries" "max_retries must be >= 0" (run ~max_retries:(-1))
+    (run ~max_phase4_steps:(-1))
 
 let () =
   Alcotest.run "cogcomp_robust"

@@ -196,7 +196,7 @@ let prop_bitset_mutation t =
 
 module Faults = Crn_radio.Faults
 module Cogcast = Crn_core.Cogcast
-module Cogcomp_robust = Crn_core.Cogcomp_robust
+module Cogcomp = Crn_core.Cogcomp
 module Aggregate = Crn_core.Aggregate
 
 type fault_case = { fkind : Topology.kind; fn : int; fc : int; fk : int; fseed : int; rate : float }
@@ -266,12 +266,12 @@ let robust_mean_coverage t ~rate =
     let values = Array.init t.fn (fun v -> v + 1) in
     let faults = if rate = 0. then None else Some (naps_for { t with rate } ~salt:i) in
     let r =
-      Cogcomp_robust.run ?faults ~monoid:Aggregate.sum ~values ~source:0 ~assignment
+      Cogcomp.run ~recover:true ?faults ~monoid:Aggregate.sum ~values ~source:0 ~assignment
         ~k:t.fk ~rng ()
     in
-    if rate = 0. && not r.Cogcomp_robust.complete then
+    if rate = 0. && not r.Cogcomp.complete then
       failwith (Printf.sprintf "fault-free robust run incomplete at n=%d" t.fn);
-    total := !total + r.Cogcomp_robust.coverage
+    total := !total + r.Cogcomp.coverage
   done;
   float_of_int !total /. float_of_int trials
 

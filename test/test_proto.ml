@@ -11,7 +11,6 @@ module Trace = Crn_radio.Trace
 module Faults = Crn_radio.Faults
 module Cogcast = Crn_core.Cogcast
 module Cogcomp = Crn_core.Cogcomp
-module Cogcomp_robust = Crn_core.Cogcomp_robust
 module Aggregate = Crn_core.Aggregate
 module Complexity = Crn_core.Complexity
 module Random_hop = Crn_rendezvous.Random_hop
@@ -78,7 +77,8 @@ let test_cogcomp_differential () =
           Cogcomp.run ~trace:tr ~monoid:Aggregate.sum ~values ~source:0
             ~assignment ~k ~rng ()
         in
-        (Trace.to_jsonl tr, r.Cogcomp.complete, r.Cogcomp.root_value,
+        (Trace.to_jsonl tr, r.Cogcomp.complete,
+         (if r.Cogcomp.complete then Some r.Cogcomp.root_value else None),
          r.Cogcomp.total_slots)
       in
       let registry =
@@ -170,10 +170,10 @@ let test_cogcomp_robust_differential () =
         let tr = Trace.create () in
         let values = Array.init n (fun v -> v) in
         let r =
-          Cogcomp_robust.run ~faults:(naps_faults ()) ~trace:tr
+          Cogcomp.run ~recover:true ~faults:(naps_faults ()) ~trace:tr
             ~monoid:Aggregate.sum ~values ~source:0 ~assignment ~k ~rng ()
         in
-        (Trace.to_jsonl tr, r.Cogcomp_robust.coverage, r.Cogcomp_robust.total_slots)
+        (Trace.to_jsonl tr, r.Cogcomp.coverage, r.Cogcomp.total_slots)
       in
       let registry =
         let rng = Rng.create seed in
@@ -191,6 +191,51 @@ let test_cogcomp_robust_differential () =
       Alcotest.(check int) "coverage" dcov rcov;
       Alcotest.(check int) "total_slots" ds rs)
     seeds
+
+(* A trial that calls itself complete carries the exact aggregate: 276,
+   the sum of the ids 0..23, for both COGCOMP entries under light naps,
+   light crashes and the reactive jammer, and every trial's trace passes
+   the checkers. A drain that folds a re-sent value twice breaks the
+   first. *)
+let test_cogcomp_completed_is_exact () =
+  let module Run = Crn_proto.Run in
+  let params = { Topology.n = 24; c = 8; k = 2 } in
+  Crn_exec.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun name ->
+          let completed =
+            List.fold_left
+              (fun completed text ->
+                let faults =
+                  match Run.parse_faults text with
+                  | Ok f -> f
+                  | Error m -> Alcotest.fail m
+                in
+                let r =
+                  Run.point ~pool
+                    (Run.spec ~faults ~check:true ~trials:60 ~seed:11
+                       (Registry.find_exn name) params)
+                in
+                let label = Printf.sprintf "%s --faults %s" name text in
+                Array.iteri
+                  (fun i s ->
+                    if s.Protocol.completed then
+                      Alcotest.(check (option (float 0.0)))
+                        (Printf.sprintf "%s trial %d root_value" label i)
+                        (Some 276.0)
+                        (Run.detail_number "root_value" s))
+                  r.Run.summaries;
+                (match r.Run.failures with
+                | [] -> ()
+                | f :: _ ->
+                    Alcotest.failf "%s: trial %d: %a" label f.Run.trial
+                      Trace.Check.pp_violation (List.hd f.Run.violations));
+                completed + r.Run.completed)
+              0
+              [ "naps:0.01+spare:0"; "naps:0.02+spare:0"; "crash:0.05+spare:0"; "jam" ]
+          in
+          Alcotest.(check bool) (name ^ ": some trial completed") true (completed > 0))
+        [ "cogcomp"; "cogcomp_robust" ])
 
 (* ---- the random-hop machine vs its pure loop ---- *)
 
@@ -820,6 +865,8 @@ let () =
             test_cogcomp_summary_counters;
           Alcotest.test_case "cogcomp_robust registry = direct (faulty)" `Quick
             test_cogcomp_robust_differential;
+          Alcotest.test_case "cogcomp completed runs carry the exact sum" `Quick
+            test_cogcomp_completed_is_exact;
         ] );
       ( "baseline ports",
         [

@@ -403,7 +403,6 @@ let test_shards_rejected () =
 
 module Aggregate = Crn_core.Aggregate
 module Cogcomp = Crn_core.Cogcomp
-module Cogcomp_robust = Crn_core.Cogcomp_robust
 module Emulation = Crn_radio.Emulation
 
 let prop_cogcomp_order_independent seed =
@@ -457,21 +456,21 @@ let prop_cogcomp_order_independent seed =
   let robust ?backend traced =
     traced_run traced (fun trace ->
         let r =
-          Cogcomp_robust.run ?backend ?faults ?trace ~monoid:Aggregate.sum
+          Cogcomp.run ~recover:true ?backend ?faults ?trace ~monoid:Aggregate.sum
             ~values ~source ~assignment ~k ~rng:(Rng.create seed) ()
         in
-        ( ( r.Cogcomp_robust.root_value,
-            r.Cogcomp_robust.coverage,
-            r.Cogcomp_robust.lost,
-            r.Cogcomp_robust.reelections,
-            r.Cogcomp_robust.retries ),
-          [ r.Cogcomp_robust.phase1_slots; r.Cogcomp_robust.phase2_slots;
-            r.Cogcomp_robust.phase3_slots; r.Cogcomp_robust.phase4_steps;
-            r.Cogcomp_robust.phase4_slots; r.Cogcomp_robust.total_slots ],
-          r.Cogcomp_robust.terminated,
-          r.Cogcomp_robust.mediators,
-          r.Cogcomp_robust.tree,
-          counters_fields r.Cogcomp_robust.counters ))
+        ( ( r.Cogcomp.root_value,
+            r.Cogcomp.coverage,
+            r.Cogcomp.lost,
+            r.Cogcomp.reelections,
+            r.Cogcomp.retries ),
+          [ r.Cogcomp.phase1_slots; r.Cogcomp.phase2_slots;
+            r.Cogcomp.phase3_slots; r.Cogcomp.phase4_steps;
+            r.Cogcomp.phase4_slots; r.Cogcomp.total_slots ],
+          r.Cogcomp.terminated,
+          r.Cogcomp.mediators,
+          r.Cogcomp.tree,
+          counters_fields r.Cogcomp.counters ))
   in
   (* Eight shards oversubscribe a small host's cores, and every COGCOMP
      phase then pays for the barrier waits: one scenario in five runs them. *)
